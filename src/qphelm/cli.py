@@ -21,6 +21,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +40,6 @@ from .errors import (
 from .lattice import Lattice, make_wave_context, spectrum_distance
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run", "main"]
-
-SUBCOMMANDS = (
-    "green-eval",
-    "solve-dirichlet",
-    "solve-neumann",
-    "solve-robin",
-    "sweep-epsilon",
-    "check-rescaling",
-    "selftest",
-)
 
 DEFAULT_TOLERANCES = {
     "solve": 1e-10,
@@ -168,8 +159,8 @@ def parse_config(text_or_obj) -> RunConfig:
                 raise ConfigError("geometry.epsilon_sweep must be positive values")
             kwargs["epsilon_sweep"] = sweep
         n = int(geo.get("N", 128))
-        if n < 8 or n % 2:
-            raise ConfigError("geometry.N must be an even integer >= 8")
+        if n < 16 or n % 2:
+            raise ConfigError("geometry.N must be an even integer >= 16")
         kwargs["n_nodes"] = n
 
     prob = obj.get("problem")
@@ -361,28 +352,26 @@ def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
     return geometry.discretize(curve, cfg.n_nodes)
 
 
-def _hole_curve(cfg: RunConfig, lattice: Lattice) -> geometry.DiscreteCurve:
-    """Physical boundary: reference shape scaled by epsilon about the center."""
-    ref = _reference_curve(cfg)
-    if cfg.epsilon is None:
-        return ref
-    _require(cfg, "center")
-    hole = geometry.HoleConfig(reference=ref.curve, center=cfg.center,
-                               epsilon=cfg.epsilon, lattice=lattice)
-    return geometry.discretize(geometry.rescale(hole), cfg.n_nodes)
+def _setup(cfg: RunConfig):
+    """(lattice, wave, green) at the configured resonance tolerance.
+
+    Both the wave context and the evaluator use ``tolerances.resonance``, so a
+    resonant wavenumber is refused the same way by every subcommand.
+    """
+    lattice = cfg.lattice()
+    tol = cfg.tolerances["resonance"]
+    wave = make_wave_context(lattice, cfg.k, resonance_tolerance=tol,
+                             require_nonresonant=True)
+    green = qpgreen.make_green_evaluator(lattice, wave.k, resonance_tolerance=tol)
+    return lattice, wave, green
 
 
 def _boundary_data(cfg: RunConfig, dc: geometry.DiscreteCurve, kind: str,
                    green: qpgreen.GreenEvaluator):
     """Boundary data from a manufactured interior source or a coefficient list."""
     if cfg.source is not None:
-        src = np.asarray(cfg.source, dtype=float)
-        if kind == "dirichlet":
-            vals, _ = qpgreen.green_eval(green, dc.points - src)
-        else:
-            grads = qpgreen.green_gradient(green, dc.points - src)
-            vals = np.sum(dc.normals * grads, axis=1)
-        return vals
+        vals, grads = qpgreen.green_eval(green, dc.points - np.asarray(cfg.source))
+        return vals if kind == "dirichlet" else np.sum(dc.normals * grads, axis=1)
     if cfg.coefficients is not None:
         coeffs = np.asarray(cfg.coefficients, dtype=complex)
         modes = np.arange(len(coeffs)) - (len(coeffs) - 1) // 2
@@ -402,10 +391,7 @@ def _probe_array(cfg: RunConfig) -> np.ndarray | None:
 
 def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
                     threads: int) -> dict:
-    lattice = cfg.lattice()
-    wave = make_wave_context(lattice, cfg.k,
-                             resonance_tolerance=cfg.tolerances["resonance"])
-    green = qpgreen.make_green_evaluator(lattice, wave.k)
+    lattice, _, green = _setup(cfg)
     q1, q2 = cfg.q_diag
     n = cfg.grid_n
     xs = (np.arange(n) + 0.5) * q1 / n
@@ -427,11 +413,11 @@ def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
                    threads: int, kind: str) -> dict:
-    lattice = cfg.lattice()
-    wave = make_wave_context(lattice, cfg.k,
-                             resonance_tolerance=cfg.tolerances["resonance"])
-    green = qpgreen.make_green_evaluator(lattice, wave.k)
-    dc = _hole_curve(cfg, lattice)
+    lattice, wave, green = _setup(cfg)
+    dc = _reference_curve(cfg)
+    if cfg.epsilon is not None:
+        _require(cfg, "center")
+        dc = perturbation.physical_curve(dc, cfg.center, cfg.epsilon, lattice)
     data = _boundary_data(cfg, dc, kind, green)
     solve = solvers.solve_dirichlet if kind == "dirichlet" else solvers.solve_neumann
     extra = {"a_flag": cfg.a_flag} if kind == "dirichlet" else {}
@@ -466,10 +452,7 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _robin_pieces(cfg: RunConfig):
     _require(cfg, "center", "nonlinearity")
-    lattice = cfg.lattice()
-    wave = make_wave_context(lattice, cfg.k,
-                             resonance_tolerance=cfg.tolerances["resonance"])
-    green = qpgreen.make_green_evaluator(lattice, wave.k)
+    lattice, wave, green = _setup(cfg)
     ref = _reference_curve(cfg)
     B = nonlinear.make_nonlinearity(cfg.nonlinearity["kind"],
                                     **cfg.nonlinearity["params"])
@@ -555,10 +538,7 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
 def _cmd_check_rescaling(cfg: RunConfig, out: Path, manifest: _Manifest,
                          threads: int) -> dict:
     _require(cfg, "center")
-    lattice = cfg.lattice()
-    wave = make_wave_context(lattice, cfg.k,
-                             resonance_tolerance=cfg.tolerances["resonance"])
-    green = qpgreen.make_green_evaluator(lattice, wave.k)
+    lattice, wave, green = _setup(cfg)
     ref = _reference_curve(cfg)
     eps_list = cfg.epsilon_sweep or ((cfg.epsilon,) if cfg.epsilon else
                                      (0.2, 0.1, 0.05, 0.02))
@@ -612,9 +592,7 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
         err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
     checks.append(("kernel rescaling identity", err, 1e-12))
 
-    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
-    wave = make_wave_context(lat, 1.3)
-    ev = qpgreen.make_green_evaluator(lat, wave.k)
+    lat, wave, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3))
     pts = rng.uniform(0.15, 0.85, size=(5, 2))
     v0, _ = qpgreen.green_eval(ev, pts)
     v1, _ = qpgreen.green_eval(ev, pts + np.array([1.0, 0.0]))
@@ -659,6 +637,20 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
     return {"checks": len(checks), "failures": 0}
 
 
+# subcommand -> (problem.kind its config may carry, runner); a kind of None
+# marks a subcommand that takes no config
+_COMMANDS = {
+    "green-eval": ("green-eval", _cmd_green_eval),
+    "solve-dirichlet": ("dirichlet", partial(_cmd_solve_bvp, kind="dirichlet")),
+    "solve-neumann": ("neumann", partial(_cmd_solve_bvp, kind="neumann")),
+    "solve-robin": ("robin", _cmd_solve_robin),
+    "sweep-epsilon": ("robin", _cmd_sweep_epsilon),
+    "check-rescaling": ("check-rescaling", _cmd_check_rescaling),
+    "selftest": (None, _cmd_selftest),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -675,22 +667,15 @@ def run(subcommand: str, cfg: RunConfig | None, out_dir: str | Path,
     cfg_obj = serialize_config(cfg) if cfg is not None else None
     manifest = _Manifest(out, subcommand, cfg_obj, threads, seed)
     try:
-        if subcommand == "selftest":
-            results = _cmd_selftest(out, manifest, seed)
-        elif subcommand == "green-eval":
-            results = _cmd_green_eval(cfg, out, manifest, threads)
-        elif subcommand == "solve-dirichlet":
-            results = _cmd_solve_bvp(cfg, out, manifest, threads, "dirichlet")
-        elif subcommand == "solve-neumann":
-            results = _cmd_solve_bvp(cfg, out, manifest, threads, "neumann")
-        elif subcommand == "solve-robin":
-            results = _cmd_solve_robin(cfg, out, manifest, threads)
-        elif subcommand == "sweep-epsilon":
-            results = _cmd_sweep_epsilon(cfg, out, manifest, threads)
-        elif subcommand == "check-rescaling":
-            results = _cmd_check_rescaling(cfg, out, manifest, threads)
-        else:
+        if subcommand not in _COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
+        kind, command = _COMMANDS[subcommand]
+        if kind is None:
+            results = command(out, manifest, seed)
+        elif cfg is None:
+            raise ConfigError(f"subcommand {subcommand!r} requires a config")
+        else:
+            results = command(cfg, out, manifest, threads)
     except (ConfigError, ContainmentError, NearLatticePointError,
             ValueError) as exc:
         manifest.finish("failed", error=str(exc))
@@ -740,8 +725,9 @@ def main(argv=None) -> None:
                         help="seed for randomized invariant draws")
     args = parser.parse_args(argv)
 
+    expected = _COMMANDS[args.subcommand][0]
     cfg = None
-    if args.subcommand != "selftest":
+    if expected is not None:
         if not args.config:
             print("error: --config is required for this subcommand",
                   file=sys.stderr)
@@ -756,10 +742,6 @@ def main(argv=None) -> None:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             raise SystemExit(2)
-        expected = {"solve-dirichlet": "dirichlet", "solve-neumann": "neumann",
-                    "solve-robin": "robin", "sweep-epsilon": "robin",
-                    "green-eval": "green-eval",
-                    "check-rescaling": "check-rescaling"}[args.subcommand]
         if cfg.problem is not None and cfg.problem != expected:
             print(f"config error: problem.kind {cfg.problem!r} does not match "
                   f"subcommand {args.subcommand!r}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from . import geometry, perturbation, potentials, qpgreen
+from . import geometry, perturbation, potentials, qpgreen, solvers
 from .errors import IllConditionedError, NewtonDivergenceError
 from .geometry import DiscreteCurve
 from .lattice import Lattice, WaveContext
@@ -244,6 +244,30 @@ def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
     return theta, iterations, rnorm, tuple(steps)
 
 
+def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, lattice: Lattice,
+          wave: WaveContext, center, green: qpgreen.GreenEvaluator, start,
+          tol: float, max_iter: int, r_last: float | None = None
+          ) -> list[ContinuationState]:
+    """Newton at each epsilon of the path, warm-started from the previous one.
+
+    The walk starts from ``start`` or, without one, from the limit density;
+    r is slaved to eps*log(eps) except on the last step when ``r_last`` is set.
+    """
+    if start is None:
+        start = limit_density(curve, B).values
+    theta = np.asarray(start, dtype=complex)
+    states = []
+    for j, e in enumerate(path):
+        pack = build_pack(e, curve, lattice, wave, center, green=green)
+        r = _slaved_r(e) if r_last is None or j < len(path) - 1 else float(r_last)
+        theta, its, rnorm, steps = _newton(pack, B, theta, r, tol, max_iter)
+        states.append(ContinuationState(
+            epsilon=float(e), r=float(r),
+            theta=potentials.Density(curve=curve, values=theta),
+            newton_iterations=its, residual_norm=rnorm, step_norms=steps))
+    return states
+
+
 def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
                 lattice: Lattice, wave: WaveContext, center, *,
                 green: qpgreen.GreenEvaluator | None = None,
@@ -263,33 +287,16 @@ def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
             f"epsilon={epsilon} above the validated radius {validated:.6g}")
     if green is None:
         green = qpgreen.make_green_evaluator(lattice, wave.k)
-    rr = _slaved_r(epsilon) if r is None else float(r)
-
-    if start is not None:
-        theta = np.asarray(start, dtype=complex)
-        path = [float(epsilon)]
-    else:
-        theta = np.asarray(limit_density(curve, B).values, dtype=complex)
+    path = [float(epsilon)]
+    if start is None:
         eps_start = min(validated, bound / 4.0)
-        if epsilon >= eps_start:
-            path = [float(epsilon)]
-        else:
+        if epsilon < eps_start:
             nseg = max(1, int(math.ceil(math.log2(eps_start / epsilon))))
             path = list(eps_start * (epsilon / eps_start) ** (np.arange(1, nseg + 1)
                                                               / nseg))
             path[-1] = float(epsilon)
-
-    state = None
-    for j, e in enumerate(path):
-        pack = build_pack(e, curve, lattice, wave, center, green=green)
-        re = _slaved_r(e) if (r is None or j < len(path) - 1) else rr
-        theta, its, rnorm, steps = _newton(pack, B, theta, re, tol, max_iter)
-        state = ContinuationState(epsilon=float(e), r=float(re),
-                                  theta=potentials.Density(curve=curve,
-                                                           values=theta),
-                                  newton_iterations=its, residual_norm=rnorm,
-                                  step_norms=steps)
-    return state
+    return _walk(path, B, curve, lattice, wave, center, green, start, tol,
+                 max_iter, r_last=r)[-1]
 
 
 def default_epsilon_grid(curve: DiscreteCurve, center, lattice: Lattice,
@@ -316,26 +323,8 @@ def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve,
     if epsilons is None:
         epsilons = default_epsilon_grid(curve, center, lattice)
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    theta = np.asarray(limit_density(curve, B).values, dtype=complex)
-    states = []
-    for e in epsilons:
-        pack = build_pack(e, curve, lattice, wave, center, green=green)
-        theta, its, rnorm, steps = _newton(pack, B, theta, _slaved_r(e), tol,
-                                           max_iter)
-        states.append(ContinuationState(
-            epsilon=e, r=_slaved_r(e),
-            theta=potentials.Density(curve=curve, values=theta),
-            newton_iterations=its, residual_norm=rnorm, step_norms=steps))
-    return states
-
-
-def _physical_density(state: ContinuationState, center,
-                      lattice: Lattice) -> potentials.Density:
-    curve = state.theta.curve
-    cfg = geometry.HoleConfig(reference=curve.curve, center=tuple(center),
-                              epsilon=state.epsilon, lattice=lattice)
-    phys = geometry.discretize(geometry.rescale(cfg), curve.N)
-    return potentials.Density(curve=phys, values=np.asarray(state.theta.values))
+    return _walk(epsilons, B, curve, lattice, wave, center, green, None, tol,
+                 max_iter)
 
 
 def reconstruct_field(state: ContinuationState, probes, *, lattice: Lattice,
@@ -345,7 +334,9 @@ def reconstruct_field(state: ContinuationState, probes, *, lattice: Lattice,
     """Evaluate u = S[physical-hole density] at probe points."""
     if green is None:
         green = qpgreen.make_green_evaluator(lattice, wave.k)
-    dens = _physical_density(state, center, lattice)
+    phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
+                                       lattice)
+    dens = potentials.Density(curve=phys, values=np.asarray(state.theta.values))
     return potentials.field_eval("single", dens, probes, green=green,
                                  want_gradients=want_gradients)
 
@@ -357,11 +348,10 @@ def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
     """Sup-norm Robin defect d/dnu u - G(u) at off-node physical boundary points."""
     if green is None:
         green = qpgreen.make_green_evaluator(lattice, wave.k)
-    dens = _physical_density(state, center, lattice)
-    phys = dens.curve
-    idx = np.unique(np.round(np.linspace(0, phys.N - 1, n_check)).astype(int))
-    taus = (2 * idx + 1) * np.pi / phys.N
-    tv = np.asarray(dens.values, dtype=complex)
+    phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
+                                       lattice)
+    taus = solvers._midpoint_taus(phys.N, n_check)
+    tv = np.asarray(state.theta.values, dtype=complex)
     th_tau = geometry.trig_interpolate(tv, taus)
     vrows = potentials.boundary_trace_rows("single_trace", phys, taus, green=green)
     krows = potentials.boundary_trace_rows("adjoint_double", phys, taus, green=green)

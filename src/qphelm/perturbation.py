@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, potentials, qpgreen, specfun
+from . import geometry, potentials, qpgreen
 from .errors import ContainmentError
 from .geometry import DiscreteCurve
 from .lattice import Lattice, WaveContext
@@ -38,6 +38,7 @@ __all__ = [
     "rescaling_identity_check",
     "rescaling_identity_suite",
     "scaled_regular_tables",
+    "physical_curve",
     "leading_split",
     "IDENTITY_KINDS",
 ]
@@ -90,47 +91,31 @@ def rescaled_operator(family: str, index: int, epsilon: float,
     """
     _check_family(family, index)
     _check_epsilon(epsilon, curve, center, lattice)
-    k = wave.k
+    kind = _FAMILY_KIND[family]
     if index == 1:
-        matrix = potentials.assemble_free(_FAMILY_KIND[family], curve,
-                                          epsilon * k).matrix
+        matrix = potentials.assemble_free(kind, curve, epsilon * wave.k).matrix
         return RescaledFamily(family, index, float(epsilon), matrix, curve)
 
-    d = curve.points[:, None, :] - curve.points[None, :, :]
+    nu = curve.normals
     if index == 2:
-        if tables is not None:
-            RV, RG = tables
-        else:
+        if tables is None:
             if green is None:
-                green = qpgreen.make_green_evaluator(lattice, k)
-            flat = (epsilon * d).reshape(-1, 2)
-            RV, RG = qpgreen.regular_part(green, flat, enforce_ball=False)
-            RV = RV.reshape(d.shape[:2])
-            RG = RG.reshape(d.shape)
-        if family == "M":
-            core = RV
-        elif family == "N":
-            core = np.einsum("ti,tsi->ts", curve.normals, RG)
-        else:
-            core = -np.einsum("si,tsi->ts", curve.normals, RG)
+                green = qpgreen.make_green_evaluator(lattice, wave.k)
+            tables = scaled_regular_tables(curve, epsilon, green)
+        RV, RG = tables
+        core = potentials._layer_core(kind, nu, nu, RV=RV, RG=RG)[1]
     else:
-        r = np.sqrt(np.sum(d * d, axis=2))
-        z = (epsilon * k) * r
-        if family == "M":
-            core = specfun.fs_coefficients(2, z)[0]
-        else:
-            gJ = specfun.fs_coefficients_dz_over_z(2, z)[0]
-            y = epsilon * d
-            if family == "N":
-                core = k * k * gJ * np.einsum("ti,tsi->ts", curve.normals, y)
-            else:
-                core = -k * k * gJ * np.einsum("si,tsi->ts", curve.normals, y)
+        # the J-profile that multiplies log|y| at y = epsilon*d is 2*A1
+        y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
+        r = np.sqrt(np.sum(y * y, axis=2))
+        core = 2.0 * potentials._layer_core(kind, nu, nu, d=y, r=r, k=wave.k)[0]
     matrix = core * curve.weights[None, :]
     return RescaledFamily(family, index, float(epsilon), matrix, curve)
 
 
-def _physical_curve(curve: DiscreteCurve, center, epsilon: float,
-                    lattice: Lattice) -> DiscreteCurve:
+def physical_curve(curve: DiscreteCurve, center, epsilon: float,
+                   lattice: Lattice) -> DiscreteCurve:
+    """The physical hole p + epsilon*Omega, discretized on the reference nodes."""
     cfg = geometry.HoleConfig(reference=curve.curve, center=tuple(center),
                               epsilon=float(epsilon), lattice=lattice)
     return geometry.discretize(geometry.rescale(cfg), curve.N)
@@ -144,9 +129,7 @@ def scaled_regular_tables(curve: DiscreteCurve, epsilon: float,
     one epsilon, so precomputing it once saves the dominant assembly cost.
     """
     d = curve.points[:, None, :] - curve.points[None, :, :]
-    flat = (epsilon * d).reshape(-1, 2)
-    RV, RG = qpgreen.regular_part(green, flat, enforce_ball=False)
-    return RV.reshape(d.shape[:2]), RG.reshape(d.shape)
+    return potentials._regular_tables(green, epsilon * d)
 
 
 _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
@@ -155,8 +138,7 @@ _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
 
 
 def _boundary_identity_residual(kind, epsilon, tv, curve, phys, lattice, wave,
-                                center, green, phys_tables=None,
-                                fam_tables=None) -> float:
+                                center, green, phys_tables, fam_tables) -> float:
     op_kind, family = _BOUNDARY_IDENTITY[kind]
     lhs = potentials.assemble(op_kind, phys, lattice, wave, green=green,
                               tables=phys_tables).matrix @ tv
@@ -204,22 +186,9 @@ def rescaling_identity_check(kind: str, epsilon: float, theta: potentials.Densit
     the eps-weighted combination of the three family members; far kinds compare
     the layer field at probe points with the eps-scaled far map.
     """
-    if kind not in IDENTITY_KINDS:
-        raise ValueError(f"kind must be one of {IDENTITY_KINDS}, got {kind!r}")
-    if not 0.0 < epsilon:
-        raise ContainmentError("identity check requires epsilon > 0")
-    curve = theta.curve
-    tv = np.asarray(theta.values)
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
-    phys = _physical_curve(curve, center, epsilon, lattice)
-    if kind in _BOUNDARY_IDENTITY:
-        return _boundary_identity_residual(kind, epsilon, tv, curve, phys,
-                                           lattice, wave, center, green)
-    if probes is None:
-        raise ValueError("far-field identity kinds require probe points")
-    return _far_identity_residual(kind, epsilon, tv, curve, phys, center,
-                                  probes, green)
+    return rescaling_identity_suite(epsilon, theta, probes, lattice=lattice,
+                                    wave=wave, center=center, green=green,
+                                    kinds=(kind,))[kind]
 
 
 def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
@@ -244,7 +213,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     tv = np.asarray(theta.values)
     if green is None:
         green = qpgreen.make_green_evaluator(lattice, wave.k)
-    phys = _physical_curve(curve, center, epsilon, lattice)
+    phys = physical_curve(curve, center, epsilon, lattice)
     out = {}
     boundary = [k for k in kinds if k in _BOUNDARY_IDENTITY]
     if boundary:

@@ -106,15 +106,7 @@ def log_weight_rows(N: int, taus) -> np.ndarray:
 
 def log_weight_matrix(N: int) -> np.ndarray:
     """Node-to-node log-quadrature weights (circulant in i - j)."""
-    if N % 2 != 0:
-        raise ValueError("even node count required")
-    n = N // 2
-    l = np.arange(N)
-    ang = np.pi * l / n
-    row = np.zeros(N)
-    for m in range(1, n):
-        row -= (2.0 * np.pi / n) * np.cos(m * ang) / m
-    row -= (np.pi / n ** 2) * np.cos(n * ang)
+    row = log_weight_rows(N, [0.0])[0]
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     return row[idx]
 
@@ -133,57 +125,76 @@ def _smooth_log_ratio(r: np.ndarray, dt: np.ndarray, diag_speeds: np.ndarray | N
     return L
 
 
-def _profiles(k: complex, r: np.ndarray):
-    z = k * r
-    J2, N2 = specfun.fs_coefficients(2, z)
-    gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
-    return J2, N2, gJ, gN
-
-
 def _regular_tables(green: qpgreen.GreenEvaluator, d: np.ndarray):
     flat = d.reshape(-1, 2)
     RV, RG = qpgreen.regular_part(green, flat, enforce_ball=False)
     return RV.reshape(d.shape[:-1]), RG.reshape(d.shape)
 
 
-def _assemble_matrix(kind: str, dc: DiscreteCurve, k: complex,
-                     RV: np.ndarray | None, RG: np.ndarray | None) -> np.ndarray:
+def _contract(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """Normal derivative taken by a double-type kind of a pairwise vector table.
+
+    K* differentiates at the target, nu(x_t) . v; K at the source, where
+    d/dnu(y) G(x - y) = -nu(y_s) . v.
+    """
+    if kind == "adjoint_double":
+        return np.einsum("ti,tsi->ts", target_normals, v)
+    return -np.einsum("si,tsi->ts", source_normals, v)
+
+
+def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
+                *, d: np.ndarray | None = None, r: np.ndarray | None = None,
+                L: np.ndarray | None = None, k: complex | None = None,
+                RV: np.ndarray | None = None, RG: np.ndarray | None = None,
+                ratio_diagonal: np.ndarray | None = None):
+    """Kernel split (A1, A2) of one operator kind at pairwise differences d.
+
+    The free-space profile at k|d| gives the log factor A1 and, with the smooth
+    log ratio L, its smooth part; the regular-part tables (RV, RG) of the
+    periodic kernel add to A2.  ``k=None`` leaves only that regular part
+    (A1 None); ``L=None`` leaves only A1, half the coefficient of log|d|.
+    ``ratio_diagonal`` is the on-node limit of (nu . d)/|d|^2.
+    """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    N = dc.N
-    x, nu, kappa, speeds, t = dc.points, dc.normals, dc.curvature, dc.speeds, dc.t
-    d = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=2))
-    dt = t[:, None] - t[None, :]
-    L = _smooth_log_ratio(r, dt, speeds)
-    J2, N2, gJ, gN = _profiles(k, r)
-    KW = log_weight_matrix(N)
-    tp = 2.0 * np.pi / N
-    k2 = k * k
+    single = kind == "single_trace"
+    A1 = A2 = None
+    if k is not None:
+        z = k * r
+        if single:
+            J2, N2 = specfun.fs_coefficients(2, z)
+            A1 = 0.5 * J2
+            if L is not None:
+                A2 = J2 * L + N2
+        else:
+            k2 = k * k
+            nd = _contract(kind, target_normals, source_normals, d)
+            gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
+            A1 = 0.5 * k2 * gJ * nd
+            if L is not None:
+                J2 = specfun.fs_coefficients(2, z)[0]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = nd / (r * r)
+                if ratio_diagonal is not None:
+                    np.fill_diagonal(ratio, ratio_diagonal)
+                A2 = k2 * gJ * nd * L + J2 * ratio + k2 * gN * nd
+    if RV is not None:
+        reg = RV if single else _contract(kind, target_normals, source_normals, RG)
+        A2 = reg if A2 is None else A2 + reg
+    return A1, A2
 
-    if kind == "single_trace":
-        A1 = 0.5 * J2
-        core = J2 * L + N2
-        if RV is not None:
-            core = core + RV
-    else:
-        if kind == "adjoint_double":
-            nd = np.einsum("ti,tsi->ts", nu, d)
-            rg = np.einsum("ti,tsi->ts", nu, RG) if RG is not None else None
-        else:  # double_boundary: d/dnu(y) G = -nu(s) . grad G
-            nd = -np.einsum("si,tsi->ts", nu, d)
-            rg = -np.einsum("si,tsi->ts", nu, RG) if RG is not None else None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = nd / (r * r)
-        # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
-        np.fill_diagonal(ratio, 0.5 * kappa)
-        A1 = 0.5 * k2 * gJ * nd
-        core = k2 * gJ * nd * L + J2 * ratio + k2 * gN * nd
-        if rg is not None:
-            core = core + rg
-    A2 = core
-    M = (KW * A1 + tp * A2) * speeds[None, :]
-    return M
+
+def _assemble_matrix(kind: str, dc: DiscreteCurve, k: complex,
+                     RV: np.ndarray | None, RG: np.ndarray | None) -> np.ndarray:
+    d = dc.points[:, None, :] - dc.points[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=2))
+    L = _smooth_log_ratio(r, dc.t[:, None] - dc.t[None, :], dc.speeds)
+    # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
+    A1, A2 = _layer_core(kind, dc.normals, dc.normals, d=d, r=r, L=L, k=k,
+                         RV=RV, RG=RG, ratio_diagonal=0.5 * dc.curvature)
+    return (log_weight_matrix(dc.N) * A1 + (2.0 * np.pi / dc.N) * A2) \
+        * dc.speeds[None, :]
 
 
 def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator):
@@ -205,12 +216,10 @@ def assemble(kind: str, curve: DiscreteCurve, lattice: Lattice, wave: WaveContex
         raise ResonanceError("cannot assemble at a resonant wavenumber")
     if green is None:
         green = qpgreen.make_green_evaluator(lattice, wave.k)
-    dc = curve
     if tables is None:
-        tables = regular_tables(dc, green)
-    RV, RG = tables
-    M = _assemble_matrix(kind, dc, green.k, RV, RG)
-    return BoundaryOperator(kind=kind, matrix=M, curve=dc, lattice=lattice, wave=wave)
+        tables = regular_tables(curve, green)
+    M = _assemble_matrix(kind, curve, green.k, *tables)
+    return BoundaryOperator(kind=kind, matrix=M, curve=curve, lattice=lattice, wave=wave)
 
 
 def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperator:
@@ -232,7 +241,6 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    N = dc.N
     curve = dc.curve
     xt = curve.position(taus)
     vt = curve.velocity(taus)
@@ -240,50 +248,30 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
     if not curve.outward_normal:
         nut = -nut
-    kk = green.k if green is not None else complex(k)
     d = xt[:, None, :] - dc.points[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=2))
     if np.any(r == 0.0):
         raise ValueError("off-node targets must avoid the quadrature nodes")
-    dt = taus[:, None] - dc.t[None, :]
-    L = _smooth_log_ratio(r, dt, None)
-    J2, N2, gJ, gN = _profiles(kk, r)
+    L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
     if green is not None:
+        kk = green.k
         RV, RG = _regular_tables(green, d)
     else:
+        kk = complex(k)
         RV = RG = None
-    KW = log_weight_rows(N, taus)
-    tp = 2.0 * np.pi / N
-    k2 = kk * kk
-    if kind == "single_trace":
-        A1 = 0.5 * J2
-        core = J2 * L + N2
-        if RV is not None:
-            core = core + RV
-    else:
-        if kind == "adjoint_double":
-            nd = np.einsum("ti,tsi->ts", nut, d)
-            rg = np.einsum("ti,tsi->ts", nut, RG) if RG is not None else None
-        else:
-            nd = -np.einsum("si,tsi->ts", dc.normals, d)
-            rg = -np.einsum("si,tsi->ts", dc.normals, RG) if RG is not None else None
-        A1 = 0.5 * k2 * gJ * nd
-        core = k2 * gJ * nd * L + J2 * nd / (r * r) + k2 * gN * nd
-        if rg is not None:
-            core = core + rg
-    return (KW * A1 + tp * core) * dc.speeds[None, :]
+    A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=kk, RV=RV, RG=RG)
+    return (log_weight_rows(dc.N, taus) * A1 + (2.0 * np.pi / dc.N) * A2) \
+        * dc.speeds[None, :]
 
 
 # --------------------------------------------------------------------------- #
 # field evaluation
 # --------------------------------------------------------------------------- #
 
-def _distance_guard(dc: DiscreteCurve, lattice: Lattice | None, points: np.ndarray):
+def _distance_guard(dc: DiscreteCurve, lattice: Lattice, points: np.ndarray):
     spacing = float(np.max(dc.weights))
-    y = dc.points
-    if lattice is not None:
-        shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-        y = (y[None, :, :] + (shifts * lattice.q)[:, None, :]).reshape(-1, 2)
+    shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+    y = (dc.points[None, :, :] + (shifts * lattice.q)[:, None, :]).reshape(-1, 2)
     dmin = np.min(
         np.sqrt(np.sum((points[:, None, :] - y[None, :, :]) ** 2, axis=2)), axis=1
     )
@@ -297,7 +285,7 @@ def _distance_guard(dc: DiscreteCurve, lattice: Lattice | None, points: np.ndarr
 
 
 def field_eval(kind: str, density: Density, points, *,
-               green: qpgreen.GreenEvaluator, lattice: Lattice | None = None,
+               green: qpgreen.GreenEvaluator,
                want_gradients: bool = False, check_distance: bool = True) -> FieldSample:
     """Evaluate a layer potential off the curve by plain quadrature."""
     if kind not in FIELD_KINDS:
@@ -306,7 +294,7 @@ def field_eval(kind: str, density: Density, points, *,
     dc = density.curve
     mu_w = np.asarray(density.values) * dc.weights
     if check_distance:
-        _distance_guard(dc, lattice if lattice is not None else green.lattice, pts)
+        _distance_guard(dc, green.lattice, pts)
     d = (pts[:, None, :] - dc.points[None, :, :]).reshape(-1, 2)
     if kind == "single":
         v, g = qpgreen.green_eval(green, d)

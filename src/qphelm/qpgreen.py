@@ -36,7 +36,6 @@ __all__ = [
     "GreenEvaluator",
     "make_green_evaluator",
     "green_eval",
-    "green_gradient",
     "green_hessian",
     "regular_part",
     "image_sum_oracle",
@@ -375,10 +374,6 @@ def green_eval(ev: GreenEvaluator, x):
     v, g, _ = _batched(ev, x, "vg", reduce_cell=True, exclude_central=False,
                        add_deficit=False)
     return v, g
-
-
-def green_gradient(ev: GreenEvaluator, x):
-    return green_eval(ev, x)[1]
 
 
 def green_hessian(ev: GreenEvaluator, x):

@@ -112,17 +112,18 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
     g = _nodal_values(curve, data)
     N = curve.N
     I = np.eye(N)
+    tables = potentials.regular_tables(curve, green)
     if problem == "dirichlet":
         K = potentials.assemble("double_boundary", curve, lattice, wave,
-                                green=green).matrix
+                                green=green, tables=tables).matrix
         A = -0.5 * I + K
         if a_flag:
             V = potentials.assemble("single_trace", curve, lattice, wave,
-                                    green=green).matrix
+                                    green=green, tables=tables).matrix
             A = A + 1j * V
     else:
         Ks = potentials.assemble("adjoint_double", curve, lattice, wave,
-                                 green=green).matrix
+                                 green=green, tables=tables).matrix
         A = 0.5 * I + Ks
     mu, cond = _lu_solve_refined(A.astype(complex), g, solve_tol)
 

@@ -115,6 +115,10 @@ def test_config_validates_fields():
     with pytest.raises(ConfigError):
         cli.parse_config(bad)
     bad = copy.deepcopy(DIRICHLET_CFG)
+    bad["geometry"]["N"] = 8  # discretize needs at least 16 nodes
+    with pytest.raises(ConfigError):
+        cli.parse_config(bad)
+    bad = copy.deepcopy(DIRICHLET_CFG)
     bad["problem"]["a_flag"] = 2
     with pytest.raises(ConfigError):
         cli.parse_config(bad)
@@ -193,6 +197,31 @@ def test_resonant_wavenumber_exits_3(tmp_path):
     assert man["status"] == "failed"
     assert man["outputs"] == []
     assert "error" in man
+
+
+def test_resonance_tolerance_applies_to_every_subcommand(tmp_path):
+    # k^2 sits 5e-9 from the dual point at index 0: resonant at the configured
+    # tolerance 1e-8, not at the library default 1e-9
+    k = float(np.sqrt(0.4 ** 2 + 0.7 ** 2 + 5e-9))
+    for sub, obj in (("green-eval", GREEN_CFG), ("solve-robin", ROBIN_CFG),
+                     ("sweep-epsilon", SWEEP_CFG)):
+        res = copy.deepcopy(obj)
+        res["wave"]["k_re"] = k
+        res["tolerances"] = {"resonance": 1e-8}
+        out = tmp_path / sub
+        assert cli.run(sub, cli.parse_config(json.dumps(res)), out) == 3, sub
+        assert _manifest(out)["status"] == "failed"
+
+
+def test_missing_config_is_a_config_error(tmp_path):
+    for sub in cli.SUBCOMMANDS:
+        if sub == "selftest":
+            continue
+        out = tmp_path / sub
+        assert cli.run(sub, None, out) == 2, sub
+        man = _manifest(out)
+        assert man["status"] == "failed"
+        assert "config" in man["error"]
 
 
 def test_oversized_epsilon_exits_2(tmp_path):
