@@ -313,6 +313,7 @@ class _Manifest:
             "outputs": [],
             "results": {},
         }
+        self.green: qpgreen.GreenEvaluator | None = None
         self._flush()
 
     def _flush(self):
@@ -325,6 +326,9 @@ class _Manifest:
     def finish(self, status: str, results: dict | None = None,
                error: str | None = None):
         self.doc["status"] = status
+        if self.green is not None:
+            # read at the end: the regular-part expansion is fitted lazily
+            self.doc["green_evaluator"] = self.green.parameters()
         if results:
             self.doc["results"].update(results)
         if error is not None:
@@ -352,17 +356,19 @@ def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
     return geometry.discretize(curve, cfg.n_nodes)
 
 
-def _setup(cfg: RunConfig):
+def _setup(cfg: RunConfig, manifest: _Manifest):
     """(lattice, wave, green) at the configured resonance tolerance.
 
     Both the wave context and the evaluator use ``tolerances.resonance``, so a
-    resonant wavenumber is refused the same way by every subcommand.
+    resonant wavenumber is refused the same way by every subcommand.  The
+    manifest records the evaluator's parameters when the run ends.
     """
     lattice = cfg.lattice()
     tol = cfg.tolerances["resonance"]
     wave = make_wave_context(lattice, cfg.k, resonance_tolerance=tol,
                              require_nonresonant=True)
     green = qpgreen.make_green_evaluator(lattice, wave.k, resonance_tolerance=tol)
+    manifest.green = green
     return lattice, wave, green
 
 
@@ -391,7 +397,7 @@ def _probe_array(cfg: RunConfig) -> np.ndarray | None:
 
 def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
                     threads: int) -> dict:
-    lattice, _, green = _setup(cfg)
+    lattice, _, green = _setup(cfg, manifest)
     q1, q2 = cfg.q_diag
     n = cfg.grid_n
     xs = (np.arange(n) + 0.5) * q1 / n
@@ -413,7 +419,7 @@ def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
                    threads: int, kind: str) -> dict:
-    lattice, wave, green = _setup(cfg)
+    lattice, wave, green = _setup(cfg, manifest)
     dc = _reference_curve(cfg)
     if cfg.epsilon is not None:
         _require(cfg, "center")
@@ -450,9 +456,9 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
     return results
 
 
-def _robin_pieces(cfg: RunConfig):
+def _robin_pieces(cfg: RunConfig, manifest: _Manifest):
     _require(cfg, "center", "nonlinearity")
-    lattice, wave, green = _setup(cfg)
+    lattice, wave, green = _setup(cfg, manifest)
     ref = _reference_curve(cfg)
     B = nonlinear.make_nonlinearity(cfg.nonlinearity["kind"],
                                     **cfg.nonlinearity["params"])
@@ -462,7 +468,7 @@ def _robin_pieces(cfg: RunConfig):
 def _cmd_solve_robin(cfg: RunConfig, out: Path, manifest: _Manifest,
                      threads: int) -> dict:
     _require(cfg, "epsilon")
-    lattice, wave, green, ref, B = _robin_pieces(cfg)
+    lattice, wave, green, ref, B = _robin_pieces(cfg, manifest)
     state = nonlinear.solve_theta(cfg.epsilon, B, ref, lattice, wave, cfg.center,
                                   green=green, tol=cfg.tolerances["newton"])
     _write_csv(out / "density.csv", ["t", "theta_re", "theta_im"],
@@ -493,7 +499,7 @@ def _cmd_solve_robin(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
                        threads: int) -> dict:
-    lattice, wave, green, ref, B = _robin_pieces(cfg)
+    lattice, wave, green, ref, B = _robin_pieces(cfg, manifest)
     states = nonlinear.continuation_sweep(
         B, ref, lattice, wave, cfg.center, epsilons=cfg.epsilon_sweep,
         green=green, tol=cfg.tolerances["newton"])
@@ -538,7 +544,7 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
 def _cmd_check_rescaling(cfg: RunConfig, out: Path, manifest: _Manifest,
                          threads: int) -> dict:
     _require(cfg, "center")
-    lattice, wave, green = _setup(cfg)
+    lattice, wave, green = _setup(cfg, manifest)
     ref = _reference_curve(cfg)
     eps_list = cfg.epsilon_sweep or ((cfg.epsilon,) if cfg.epsilon else
                                      (0.2, 0.1, 0.05, 0.02))
@@ -592,7 +598,8 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
         err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
     checks.append(("kernel rescaling identity", err, 1e-12))
 
-    lat, wave, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3))
+    lat, wave, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3),
+                           manifest)
     pts = rng.uniform(0.15, 0.85, size=(5, 2))
     v0, _ = qpgreen.green_eval(ev, pts)
     v1, _ = qpgreen.green_eval(ev, pts + np.array([1.0, 0.0]))
@@ -603,6 +610,13 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
     v2, _ = qpgreen.green_eval(ev2, pts)
     checks.append(("Ewald split invariance",
                    float(np.max(np.abs(v2 - v0) / np.abs(v0))), 1e-10))
+    # points past the half cell fold through m* != 0 into the centred cell
+    xs = np.vstack([pts - 0.5, pts, [[0.8, 0.3]]])
+    rv, _ = qpgreen.regular_part(ev, xs, enforce_ball=False)
+    gv, _ = qpgreen.green_eval(ev, xs)
+    sv = specfun.fundamental_solution(2, xs, wave.k).value
+    checks.append(("regular part expansion against G - S",
+                   float(np.max(np.abs(rv - (gv - sv)))), 1e-12))
 
     dc = geometry.discretize(geometry.make_curve("circle", radius=0.35), 64)
     ones = np.ones(dc.N)

@@ -353,8 +353,11 @@ def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
     taus = solvers._midpoint_taus(phys.N, n_check)
     tv = np.asarray(state.theta.values, dtype=complex)
     th_tau = geometry.trig_interpolate(tv, taus)
-    vrows = potentials.boundary_trace_rows("single_trace", phys, taus, green=green)
-    krows = potentials.boundary_trace_rows("adjoint_double", phys, taus, green=green)
+    tables = potentials.regular_tables(phys, green, taus)
+    vrows = potentials.boundary_trace_rows("single_trace", phys, taus, green=green,
+                                           tables=tables)
+    krows = potentials.boundary_trace_rows("adjoint_double", phys, taus, green=green,
+                                           tables=tables)
     u_tau = vrows @ tv
     dnu_tau = 0.5 * th_tau + krows @ tv
     return float(np.max(np.abs(dnu_tau - B.fn(u_tau))))

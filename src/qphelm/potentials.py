@@ -197,15 +197,23 @@ def _assemble_matrix(kind: str, dc: DiscreteCurve, k: complex,
         * dc.speeds[None, :]
 
 
-def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator):
+def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=None):
     """Pairwise regular-part tables (values, gradients) for a discrete curve.
 
-    Precompute once and pass to :func:`assemble` via ``tables=`` when several
-    operator kinds are assembled on the same curve — the table is the dominant
-    assembly cost and is identical across kinds.
+    Rows are the nodes, or with ``taus`` the curve points at those parameters.
+    Precompute once and pass via ``tables=`` to :func:`assemble` (node rows)
+    or :func:`boundary_trace_rows` (the same ``taus``) when several operator
+    kinds share one curve — the table is the dominant cost and is identical
+    across kinds.
     """
-    d = curve.points[:, None, :] - curve.points[None, :, :]
+    d = _targets(curve, taus)[:, None, :] - curve.points[None, :, :]
     return _regular_tables(green, d)
+
+
+def _targets(dc: DiscreteCurve, taus) -> np.ndarray:
+    if taus is None:
+        return dc.points
+    return dc.curve.position(np.atleast_1d(np.asarray(taus, dtype=float)))
 
 
 def assemble(kind: str, curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
@@ -231,18 +239,19 @@ def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperat
 
 def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
                         green: qpgreen.GreenEvaluator | None = None,
-                        k: complex | None = None) -> np.ndarray:
+                        k: complex | None = None, tables=None) -> np.ndarray:
     """Off-node evaluation rows of a boundary operator at parameters taus.
 
-    With ``green`` the quasi-periodic kernel is used (k taken from it); without
-    it the free-space kernel at wavenumber ``k``.  taus must avoid the nodes
-    (the on-node limits live in the assembled matrices).
+    With ``green`` the quasi-periodic kernel is used (k taken from it), and
+    ``tables`` may carry ``regular_tables(dc, green, taus)``; without it the
+    free-space kernel at wavenumber ``k``.  taus must avoid the nodes (the
+    on-node limits live in the assembled matrices).
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     curve = dc.curve
-    xt = curve.position(taus)
+    xt = _targets(dc, taus)
     vt = curve.velocity(taus)
     st = np.sqrt(np.sum(vt * vt, axis=-1))
     nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
@@ -255,7 +264,7 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
     if green is not None:
         kk = green.k
-        RV, RG = _regular_tables(green, d)
+        RV, RG = _regular_tables(green, d) if tables is None else tables
     else:
         kk = complex(k)
         RV = RG = None

@@ -14,9 +14,19 @@ tails decay like Gaussians, so small index boxes give full precision; the split
 is algebraically exact for every E > 0, which the tests exercise by comparing
 evaluators with different split parameters.
 
-The regular part R = G - S_2(., k) is evaluated without cancellation by
-replacing the central image's difference against the free-space kernel with an
-explicit even power series (the log |x| terms cancel exactly in that bracket).
+The regular part R = G - S_2(., k) solves the Helmholtz equation in the disk
+|x| < min(q), so there it is a Fourier-Bessel (lattice-sum) series
+
+    R(x) = sum_n s_n J_n(k|x|) e^{i n theta}
+
+(Linton, SIAM Review 52 (2010) 630-674).  The coefficients are fitted once
+per evaluator, on its first regular_part call, from green_eval - S_2 sampled
+on two circles inside that disk, and stored on the normalised basis
+(z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
+the raw s_n overflow.  A point is first reduced into the centred cell,
+x' = x - q m*, and R(x) = e^{i eta . q m*} (S_2(x') + R(x')) - S_2(x); the
+few reduced points beyond the expansion's radius (anisotropic cells only)
+take green_eval - S_2 directly.
 """
 
 from __future__ import annotations
@@ -38,12 +48,20 @@ __all__ = [
     "green_eval",
     "green_hessian",
     "regular_part",
+    "FourierBesselExpansion",
     "image_sum_oracle",
 ]
 
 _CHUNK = 2048
-_DEFICIT_CUTOVER = 1.4  # switch radius (in units of 1/E) for the central bracket
 _EXCLUSION_FACTOR = 1e-8
+# Fourier-Bessel expansion of R, lengths in units of min(q): the two sampling
+# circles (no cancellation in G - S_2 there), the radius it serves (it covers
+# a square cell's half-diagonal 0.7071; closer to the outer circle the fitted
+# orders stop bounding the tail), the samples per circle and the largest order.
+_FIT_RADII = (0.62, 0.74)
+_EXPANSION_RADIUS = 0.72
+_FIT_SAMPLES = 256
+_EXPANSION_CAP = 120
 
 
 def _shell_indices(s: int, dim: int) -> np.ndarray:
@@ -164,50 +182,52 @@ class GreenEvaluator:
         ms = np.concatenate(rings, axis=0)
         self.shifts = ms * lattice.q[None, :]
         self.shift_phases = np.exp(1j * self.shifts @ lattice.eta_vec)
-        self.central_index = int(np.nonzero(np.all(ms == 0, axis=1))[0][0])
 
-        # ---- central-bracket series (regular part) ----------------------------
-        # cd(rho) = J2(k rho) log E + P(rho^2) - N2(k rho), where P collects the
-        # psi terms and the regular l != j part of E_{j+1}'s expansion.
-        L = 48
-        psi = -np.euler_gamma + np.array([0.0] + [1.0 / i for i in range(1, L + 1)]).cumsum()
-        p = np.zeros(L + 1, dtype=complex)
-        jj = np.arange(J + 1)
-        bj_over_fact = self.aj  # b^j / j!
-        for ell in range(L + 1):
-            term_psi = -(1.0 / (4 * np.pi)) * (-1.0) ** ell * psi[ell] * (k2 / 4.0) ** ell \
-                / sp.factorial(ell) ** 2
-            mask = jj != ell
-            denom = (ell - jj[mask]).astype(float)
-            reg = np.sum(bj_over_fact[mask] / denom)
-            term_reg = (1.0 / (4 * np.pi)) * (-1.0) ** ell * E ** (2 * ell) / sp.factorial(ell) * reg
-            p[ell] = term_psi + term_reg
-        self.deficit_poly = p
+        self._expansion = None
 
     # -------------------------------------------------------------------- utils
     @property
     def k(self) -> complex:
         return complex(self.wave.k)
 
+    @property
+    def expansion(self) -> FourierBesselExpansion:
+        """The Fourier-Bessel expansion of R, fitted on first use."""
+        if self._expansion is None:
+            self._expansion = FourierBesselExpansion(self)
+        return self._expansion
+
+    def parameters(self) -> dict:
+        """Numerical parameters chosen for this evaluator (for run manifests).
+
+        The expansion entries are None until a regular_part call has fitted it.
+        """
+        fb = self._expansion
+        return {
+            "ewald_split": self.ewald_split,
+            "jmax": self.jmax,
+            "spectral_truncation": self.spectral_truncation,
+            "spatial_truncation": self.spatial_truncation,
+            "expansion_terms": None if fb is None else fb.max_terms,
+            "expansion_radius": None if fb is None else fb.radius,
+        }
+
     def _reduce(self, x: np.ndarray):
-        """Translate points into the centered cell; return (reduced, Bloch phase)."""
+        """Translate points into the centered cell; return (reduced, Bloch phase, m*)."""
         q = self.lattice.q
         mstar = np.round(x / q)
         xr = x - mstar * q
         phase = np.exp(1j * (mstar * q) @ self.lattice.eta_vec)
-        return xr, phase
+        return xr, phase, mstar
 
-    def _guard(self, xr: np.ndarray, exclude_origin: bool = False):
+    def _exclusion(self) -> float:
+        return _EXCLUSION_FACTOR * float(np.min(self.lattice.q))
+
+    def _guard(self, xr: np.ndarray):
         d = xr[:, None, :] - self.shifts[None, :, :]
         rho2 = np.sum(d * d, axis=2)
-        if exclude_origin:
-            r = rho2.copy()
-            r[:, self.central_index] = np.inf
-            rho2min = np.min(r, axis=1)
-        else:
-            rho2min = np.min(rho2, axis=1)
-        excl = _EXCLUSION_FACTOR * float(np.min(self.lattice.q))
-        if np.any(rho2min < excl * excl):
+        excl = self._exclusion()
+        if np.any(np.min(rho2, axis=1) < excl * excl):
             raise NearLatticePointError(
                 f"evaluation point within {excl:.1e} of a source lattice point"
             )
@@ -223,15 +243,10 @@ class GreenEvaluator:
             hess = -np.einsum("ps,si,sj->pij", ph, self.betas, self.betas)
         return val, grad, hess
 
-    def _spatial(self, d: np.ndarray, rho2: np.ndarray, need: str,
-                 skip_central: bool = False):
+    def _spatial(self, d: np.ndarray, rho2: np.ndarray, need: str):
         E = self.ewald_split
         u = E * E * rho2
         lowest = -1 if "h" in need else (0 if "g" in need else 1)
-        if skip_central:
-            # keep the table well defined at the excluded origin column
-            u = u.copy()
-            u[:, self.central_index] = 1.0
         tab = _expn_table(u, self.jmax + 1, lowest)
 
         def series(offset):
@@ -242,9 +257,6 @@ class GreenEvaluator:
             return acc
 
         w = self.shift_phases[None, :]
-        if skip_central:
-            w = w.copy() * np.ones((u.shape[0], 1))
-            w[:, self.central_index] = 0.0
         s1 = series(1)
         val = -(1.0 / (4 * np.pi)) * np.sum(w * s1, axis=1)
         grad = hess = None
@@ -262,56 +274,6 @@ class GreenEvaluator:
                 )
         return val, grad, hess
 
-    def _deficit(self, rho2: np.ndarray, need: str):
-        """Central bracket cd(|x|) = [m=0 spatial term] - S_2(x, k), analytic at 0.
-
-        Returns (value, derivative with respect to rho^2).
-        """
-        k, E = self.k, self.ewald_split
-        rho = np.sqrt(rho2)
-        out_v = np.zeros(rho.shape, dtype=complex)
-        out_d = np.zeros(rho.shape, dtype=complex) if "g" in need or "h" in need else None
-        near = E * rho <= _DEFICIT_CUTOVER
-        if np.any(near):
-            w = rho2[near]
-            z = k * rho[near]
-            J2, N2 = specfun.fs_coefficients(2, z)
-            pv = np.zeros_like(w, dtype=complex)
-            wp = np.ones_like(w)
-            for ell in range(len(self.deficit_poly)):
-                pv += self.deficit_poly[ell] * wp
-                wp = wp * w
-            out_v[near] = J2 * np.log(E) + pv - N2
-            if out_d is not None:
-                gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
-                pd = np.zeros_like(w, dtype=complex)
-                wp = np.ones_like(w)
-                for ell in range(1, len(self.deficit_poly)):
-                    pd += ell * self.deficit_poly[ell] * wp
-                    wp = wp * w
-                out_d[near] = 0.5 * k * k * (gJ * np.log(E) - gN) + pd
-        far = ~near
-        if np.any(far):
-            u = E * E * rho2[far]
-            tab = _expn_table(u, self.jmax + 1, 0)
-            s1 = np.zeros_like(u, dtype=complex)
-            s0 = np.zeros_like(u, dtype=complex)
-            for j in range(self.jmax + 1):
-                s1 += self.aj[j] * tab[j + 1]
-                s0 += self.aj[j] * tab[j]
-            z = k * rho[far]
-            J2, N2 = specfun.fs_coefficients(2, z)
-            logr = np.log(rho[far])
-            out_v[far] = -(1.0 / (4 * np.pi)) * s1 - (J2 * logr + N2)
-            if out_d is not None:
-                gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
-                # d/d(rho^2) of m0 term: (E^2/4pi) * s0' ... chain rule gives
-                # (E^2 / 4 pi) s0; of S_2: (k^2/2)(gJ log r + gN) + J2/(2 rho^2)
-                out_d[far] = (E * E / (4 * np.pi)) * s0 - (
-                    0.5 * k * k * (gJ * logr + gN) + 0.5 * J2 / rho2[far]
-                )
-        return out_v, out_d
-
 
 def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | None = None,
                          tolerance: float = 1e-12, spectral_truncation: int | None = None,
@@ -323,14 +285,19 @@ def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | N
         kwargs["resonance_tolerance"] = resonance_tolerance
     wave = make_wave_context(lattice, k, require_nonresonant=True, **kwargs)
     if ewald_split is None:
-        ewald_split = float(np.sqrt(np.pi) / np.max(lattice.q))
+        # sqrt(pi/A) balances the two Gaussian tails on any cell; both halves
+        # carry terms of size e^{|k|^2/4E^2} that cancel, which |k|/4 caps at e^4
+        ewald_split = float(max(np.sqrt(np.pi / lattice.cell_measure), abs(k) / 4.0))
     return GreenEvaluator(lattice, wave, ewald_split=ewald_split, tolerance=tolerance,
                           spectral_truncation=spectral_truncation,
                           spatial_truncation=spatial_truncation)
 
 
-def _batched(ev: GreenEvaluator, x, need: str, reduce_cell: bool, exclude_central: bool,
-             add_deficit: bool):
+def _batched(x, need: str, kernel):
+    """Apply kernel(points) -> (values, gradients, Hessians) in _CHUNK batches.
+
+    x has shape (..., 2); need names the outputs ("v", "g", "h") to collect.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = np.atleast_2d(x).reshape(-1, 2)
@@ -339,27 +306,12 @@ def _batched(ev: GreenEvaluator, x, need: str, reduce_cell: bool, exclude_centra
     hesss = np.zeros((len(pts), 2, 2), dtype=complex) if "h" in need else None
     for lo in range(0, len(pts), _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, len(pts)))
-        chunk = pts[sl]
-        if reduce_cell:
-            xr, phase = ev._reduce(chunk)
-        else:
-            xr, phase = chunk, np.ones(len(chunk), dtype=complex)
-        d, rho2 = ev._guard(xr, exclude_origin=exclude_central)
-        v1, g1, h1 = ev._spectral(xr, need)
-        v2, g2, h2 = ev._spatial(d, rho2, need, skip_central=exclude_central)
-        v = v1 + v2
-        if add_deficit:
-            rho2c = np.sum(xr * xr, axis=1)
-            dv, dd = ev._deficit(rho2c, need)
-            v = v + dv
-        vals[sl] = phase * v
+        v, g, h = kernel(pts[sl])
+        vals[sl] = v
         if grads is not None:
-            g = g1 + g2
-            if add_deficit:
-                g = g + 2.0 * xr * dd[:, None]
-            grads[sl] = phase[:, None] * g
+            grads[sl] = g
         if hesss is not None:
-            hesss[sl] = phase[:, None, None] * (h1 + h2)
+            hesss[sl] = h
     shape = x.shape[:-1]
     vals = vals.reshape(shape) if not scalar else vals[0]
     if grads is not None:
@@ -369,18 +321,182 @@ def _batched(ev: GreenEvaluator, x, need: str, reduce_cell: bool, exclude_centra
     return vals, grads, hesss
 
 
+def _green_kernel(ev: GreenEvaluator, need: str):
+    def kernel(chunk):
+        xr, phase, _ = ev._reduce(chunk)
+        d, rho2 = ev._guard(xr)
+        v1, g1, h1 = ev._spectral(xr, need)
+        v2, g2, h2 = ev._spatial(d, rho2, need)
+        g = phase[:, None] * (g1 + g2) if "g" in need else None
+        h = phase[:, None, None] * (h1 + h2) if "h" in need else None
+        return phase * (v1 + v2), g, h
+    return kernel
+
+
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    v, g, _ = _batched(ev, x, "vg", reduce_cell=True, exclude_central=False,
-                       add_deficit=False)
+    v, g, _ = _batched(x, "vg", _green_kernel(ev, "vg"))
     return v, g
 
 
 def green_hessian(ev: GreenEvaluator, x):
     """Hessian of the Green function (shape (..., 2, 2))."""
-    _, _, h = _batched(ev, x, "vh", reduce_cell=True, exclude_central=False,
-                       add_deficit=False)
+    _, _, h = _batched(x, "vh", _green_kernel(ev, "vh"))
     return h
+
+
+def _phi_table(u, nmax: int) -> np.ndarray:
+    """phi_n(z) = n! (2/z)^n J_n(z) = 0F1(; n+1; -u) at u = z^2/4, rows n = 0..nmax.
+
+    The two top rows are hypergeometric series at an order >= 2|u|, where
+    |phi_n - 1| < 0.65 and no term can cancel; the rest come from the backward
+    recurrence phi_{n-1} = phi_n - u phi_{n+1} / (n (n+1)), stable for the
+    minimal solution J_n.  phi_n(0) = 1, so the table is finite at x = 0.
+    """
+    u = np.asarray(u, dtype=complex)
+    top = max(nmax, int(np.ceil(2.0 * np.max(np.abs(u)))))
+    phi = np.empty((top + 2,) + u.shape, dtype=complex)
+    for n in (top, top + 1):
+        term = acc = np.ones_like(u)
+        m = 0
+        while np.max(np.abs(term)) > 1e-17:
+            m += 1
+            term = term * (-u) / (m * (n + m))
+            acc = acc + term
+        phi[n] = acc
+    for n in range(top, 0, -1):
+        phi[n - 1] = phi[n] - u * phi[n + 1] / (n * (n + 1))
+    return phi[: nmax + 1]
+
+
+class FourierBesselExpansion:
+    """R(x) = sum_n c_n e_n(x) about the origin, fitted from green_eval - S_2.
+
+    e_n = w^n phi_n(k|x|) for n >= 0 and conj(w)^|n| phi_|n|(k|x|) for n < 0,
+    with w = (x_1 + i x_2) / rho and rho the outer sampling radius.  Row 0 of
+    ``coefficients`` holds c_0, c_1, ...; row 1 holds 0, c_-1, c_-2, ...
+    The expansion serves |x| <= ``radius``, where ``max_terms`` orders reach
+    its tolerance.
+    """
+
+    def __init__(self, ev: GreenEvaluator):
+        k = self.k = ev.k
+        qmin = float(np.min(ev.lattice.q))
+        self.radius = _EXPANSION_RADIUS * qmin
+        radii = qmin * np.asarray(_FIT_RADII)
+        rho = self.rho = float(radii[-1])
+        n = np.arange(_EXPANSION_CAP + 1)
+        theta = 2.0 * np.pi * np.arange(_FIT_SAMPLES) / _FIT_SAMPLES
+        circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        # order n of the samples on circle j is c_n b_nj; fit c_n by least
+        # squares over both circles, so no near-zero phi_n(k rho_j) divides
+        basis = (radii[:, None] / rho) ** n * _phi_table((k * radii / 2) ** 2,
+                                                       _EXPANSION_CAP).T
+        num = np.zeros((2, len(n)), dtype=complex)
+        scale = 0.0
+        for rj, b in zip(radii, basis):
+            pts = rj * circle
+            samples = green_eval(ev, pts)[0] - specfun.fundamental_solution(2, pts, k).value
+            scale = max(scale, float(np.max(np.abs(samples))))
+            a = np.fft.fft(samples) / _FIT_SAMPLES
+            num += np.conj(b) * np.stack([a[n], a[-n]])
+        c = num / np.sum(np.abs(basis) ** 2, axis=0)
+        c[1, 0] = 0.0
+        self.coefficients = c
+        self._cmax = np.max(np.abs(c), axis=0)
+        # The top orders hold what the fit cannot resolve: the Ewald samples'
+        # own error, or a true tail the cap cut off.  Refuse a fit that misses
+        # the evaluator's tolerance; otherwise truncate above that floor.
+        self.floor = float(np.max(self._cmax[-8:]))
+        if self.floor > ev.tolerance * scale:
+            raise SeriesTruncationError(
+                f"Fourier-Bessel fit of R resolves only {self.floor:.1e} within "
+                f"{_EXPANSION_CAP} orders, above the evaluator tolerance "
+                f"{ev.tolerance:.1e} x {scale:.3g}"
+            )
+        self.tolerance = max(1e-3 * ev.tolerance * scale, 16.0 * self.floor)
+
+        # Rows (value, d/dz, d/dzbar) on the same basis, orders 0..cap+1:
+        # d/dz e_n = (n/rho) e_{n-1} for n >= 1 and -(k^2 rho/4) e_{n-1}/(|n|+1)
+        # for n <= 0; d/dzbar mirrors it.
+        ext = np.zeros((2, len(n) + 2), dtype=complex)
+        ext[:, : len(n)] = c
+        ext[1, 0] = c[0, 0]  # c_0 read from the negative side
+        m = np.arange(len(n) + 1)
+        up = (m + 1) * ext[:, 1:] / rho
+        down = np.zeros_like(up)
+        down[:, 1:] = -(k * k * rho / 4.0) * ext[:, : len(n)] / m[1:]
+        self._pos = np.stack([ext[0, :-1], up[0], down[0]])
+        self._neg = np.stack([np.r_[0.0, ext[1, 1:-1]], down[1], up[1]])
+        self.max_terms = self.terms(self.radius)
+
+    def terms(self, rmax: float) -> int:
+        """Highest order kept at |x| <= rmax.
+
+        Beyond it every (n+1)|c_n| (rmax/rho)^n max|phi_n|, a bound on the
+        order-n term of R and of its gradient, stays under the tolerance;
+        |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).
+        """
+        n = np.arange(len(self._cmax))
+        phi_max = np.exp(np.minimum(abs(self.k.imag) * rmax,
+                                    abs(self.k) ** 2 * rmax ** 2 / (4.0 * (n + 1))))
+        bound = (n + 1) * self._cmax * (rmax / self.rho) ** n * phi_max
+        over = np.nonzero(bound >= self.tolerance)[0]
+        if over.size and over[-1] >= len(n) - 3:
+            raise SeriesTruncationError(
+                f"Fourier-Bessel tail of R not below {self.tolerance:.1e} at "
+                f"|x| = {rmax:.3g} within {len(n) - 1} orders"
+            )
+        return int(over[-1]) if over.size else 0
+
+    def __call__(self, x: np.ndarray):
+        """R and its gradient at points x of shape (P, 2) with |x| <= radius."""
+        r2 = np.sum(x * x, axis=1)
+        top = self.terms(float(np.sqrt(np.max(r2)))) + 1  # gradients need one more
+        w = (x[:, 0] + 1j * x[:, 1]) / self.rho
+        phi = _phi_table((self.k * self.k / 4.0) * r2, top)
+        powers = np.ones_like(phi)
+        for n in range(1, top + 1):
+            np.multiply(powers[n - 1], w, out=powers[n])
+        val, dz, dzbar = self._pos[:, : top + 1] @ (phi * powers) \
+            + self._neg[:, : top + 1] @ (phi * np.conj(powers))
+        return val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)
+
+
+def _regular_kernel(ev: GreenEvaluator):
+    fb = ev.expansion
+    k = ev.k
+    excl = ev._exclusion()
+
+    def kernel(chunk):
+        xr, phase, mstar = ev._reduce(chunk)
+        moved = np.any(mstar != 0, axis=1)
+        r2 = np.sum(xr * xr, axis=1)
+        if np.any(moved & (r2 < excl * excl)):
+            raise NearLatticePointError(
+                f"evaluation point within {excl:.1e} of a source lattice point"
+            )
+        val = np.zeros(len(chunk), dtype=complex)
+        grad = np.zeros((len(chunk), 2), dtype=complex)
+        near = r2 <= fb.radius ** 2
+        if np.any(near):
+            val[near], grad[near] = fb(xr[near])
+        fold = near & moved
+        if np.any(fold):
+            # R(x) = e^{i eta . q m*} (S_2(x') + R(x')) - S_2(x)
+            sr = specfun.fundamental_solution(2, xr[fold], k)
+            sx = specfun.fundamental_solution(2, chunk[fold], k)
+            ph = phase[fold]
+            val[fold] = ph * (sr.value + val[fold]) - sx.value
+            grad[fold] = ph[:, None] * (sr.gradient + grad[fold]) - sx.gradient
+        if not np.all(near):
+            far = ~near
+            gv, gg = green_eval(ev, chunk[far])
+            s = specfun.fundamental_solution(2, chunk[far], k)
+            val[far] = gv - s.value
+            grad[far] = gg - s.gradient
+        return val, grad, None
+    return kernel
 
 
 def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
@@ -388,15 +504,15 @@ def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
 
     The public contract keeps |x| < min(q)/2 so the nearest source point is the
     origin; assembly code sets enforce_ball=False after checking its own
-    separation from the nonzero lattice points.
+    separation from the nonzero lattice points.  The first call fits the
+    evaluator's Fourier-Bessel expansion.
     """
     x = np.asarray(x, dtype=float)
     if enforce_ball:
         r = np.sqrt(np.sum(np.atleast_2d(x.reshape(-1, 2)) ** 2, axis=1))
         if np.any(r >= 0.5 * float(np.min(ev.lattice.q))):
             raise ValueError("regular part requested outside the half-cell ball")
-    v, g, _ = _batched(ev, x, "vg", reduce_cell=False, exclude_central=True,
-                       add_deficit=True)
+    v, g, _ = _batched(x, "vg", _regular_kernel(ev))
     return v, g
 
 

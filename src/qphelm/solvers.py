@@ -131,17 +131,18 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
     taus = _midpoint_taus(N, n_check)
     mu_tau = geometry.trig_interpolate(mu, taus)
     g_tau = geometry.trig_interpolate(g, taus)
+    trace_tables = potentials.regular_tables(curve, green, taus)
     if problem == "dirichlet":
         rows = potentials.boundary_trace_rows("double_boundary", curve, taus,
-                                              green=green)
+                                              green=green, tables=trace_tables)
         trace = -0.5 * mu_tau + rows @ mu
         if a_flag:
             vrows = potentials.boundary_trace_rows("single_trace", curve, taus,
-                                                   green=green)
+                                                   green=green, tables=trace_tables)
             trace = trace + 1j * (vrows @ mu)
     else:
         rows = potentials.boundary_trace_rows("adjoint_double", curve, taus,
-                                              green=green)
+                                              green=green, tables=trace_tables)
         trace = 0.5 * mu_tau + rows @ mu
     residual = float(np.max(np.abs(trace - g_tau)))
 

@@ -263,3 +263,20 @@ def test_selftest_passes(tmp_path):
     assert man["status"] == "complete"
     report = (tmp_path / "selftest.txt").read_text()
     assert "PASS" in report and "FAIL" not in report
+
+
+def test_manifest_records_the_evaluator_parameters(tmp_path):
+    keys = {"ewald_split", "jmax", "spectral_truncation", "spatial_truncation",
+            "expansion_terms", "expansion_radius"}
+    assert cli.run("green-eval", cli.parse_config(json.dumps(GREEN_CFG)),
+                   tmp_path / "g") == 0
+    params = _manifest(tmp_path / "g")["green_evaluator"]
+    assert set(params) == keys
+    # green-eval never evaluates the regular part, so no expansion is fitted
+    assert params["expansion_terms"] is None and params["expansion_radius"] is None
+    assert cli.run("solve-neumann", cli.parse_config(json.dumps(NEUMANN_CFG)),
+                   tmp_path / "n") == 0
+    params = _manifest(tmp_path / "n")["green_evaluator"]
+    assert set(params) == keys
+    assert params["expansion_terms"] > 0 and params["expansion_radius"] > 0
+    assert params["ewald_split"] > 0 and params["jmax"] >= 4

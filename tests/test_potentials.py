@@ -159,6 +159,15 @@ def test_shared_regular_tables_are_exactly_reused(circle128, lat, wave, green):
     assert np.array_equal(A, B)
 
 
+def test_shared_trace_tables_give_bit_identical_rows(circle128, green):
+    taus = (2 * np.arange(0, 128, 9) + 1) * np.pi / 128
+    tables = regular_tables(circle128, green, taus)
+    for kind in ("single_trace", "double_boundary", "adjoint_double"):
+        alone = boundary_trace_rows(kind, circle128, taus, green=green)
+        shared = boundary_trace_rows(kind, circle128, taus, green=green, tables=tables)
+        assert np.array_equal(alone, shared)
+
+
 def test_assemble_rejects_resonant_wave(circle128, lat):
     k_res = float(np.hypot(*lat.eta))  # zero dual index is exactly resonant
     wave = make_wave_context(lat, k_res)

@@ -7,9 +7,16 @@ absorbing wavenumber for the spot value).
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qphelm import qpgreen, specfun
-from qphelm.errors import InsufficientDecayError, NearLatticePointError, ResonanceError
+from qphelm.errors import (
+    InsufficientDecayError,
+    NearLatticePointError,
+    ResonanceError,
+    SeriesTruncationError,
+)
 from qphelm.lattice import Lattice, make_wave_context
 
 # from tests/oracle_qpgreen.py
@@ -153,3 +160,144 @@ def test_regular_part_ball_enforcement(lat, green):
         qpgreen.regular_part(green, big)
     RV, _ = qpgreen.regular_part(green, big, enforce_ball=False)
     assert np.isfinite(RV).all()
+
+
+# --------------------------------------------------------------------------- #
+# Fourier-Bessel expansion of the regular part
+
+
+def _seam(ev, pts):
+    """G - S_2 and its gradient straight from the Ewald sum (points away from 0)."""
+    g, gg = qpgreen.green_eval(ev, pts)
+    s = specfun.fundamental_solution(2, pts, ev.k)
+    return g - s.value, gg - s.gradient
+
+
+@pytest.mark.parametrize("k", [1.3, 6.0, 2.0 + 0.5j, 1.0 + 5.0j])
+def test_expansion_matches_ewald_seam(lat, k):
+    ev = qpgreen.make_green_evaluator(lat, k)
+    rng = np.random.default_rng(7)
+    cell = rng.uniform(-0.5, 0.5, size=(300, 2))
+    cell = cell[np.hypot(cell[:, 0], cell[:, 1]) > 1e-3]
+    corner = np.array([[0.5, 0.5], [-0.5, 0.5]])
+    moved = np.array([[0.8, 0.3], [-0.7, -0.9], [1.0 + 1e-3, 0.0], [0.2, 0.97]])
+    pts = np.concatenate([cell, corner, moved])
+    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    ref_v, ref_g = _seam(ev, pts)
+    assert np.max(np.abs(RV - ref_v)) < 1e-13
+    assert np.max(np.abs(RG - ref_g)) < 1e-12 * max(1.0, np.max(np.abs(ref_g)))
+
+
+def test_expansion_against_image_sum_complex_k(lat):
+    k = 2.0 + 1.2j
+    ev = qpgreen.make_green_evaluator(lat, k)
+    pts = np.array([[0.31, 0.47], [-0.22, 0.18], [0.05, -0.41], [0.5, -0.5], [0.01, 0.0]])
+    ref, tail = qpgreen.image_sum_oracle(lat, k, pts, truncation=40)
+    RV, _ = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    s = specfun.fundamental_solution(2, pts, k).value
+    assert tail < 1e-12
+    assert np.max(np.abs(RV - (ref - s))) < 1e-11
+
+
+def test_expansion_fit_is_lazy_and_recorded(lat, wave):
+    ev = qpgreen.make_green_evaluator(lat, wave.k)
+    params = ev.parameters()
+    assert params["expansion_terms"] is None and params["expansion_radius"] is None
+    qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
+    params = ev.parameters()
+    assert 0 < params["expansion_terms"] < qpgreen._EXPANSION_CAP
+    assert params["expansion_radius"] == pytest.approx(qpgreen._EXPANSION_RADIUS)
+    assert params["jmax"] == ev.jmax and params["ewald_split"] == ev.ewald_split
+
+
+def test_anisotropic_cell_reaches_beyond_the_expansion_radius():
+    lat = Lattice(q_diag=(1.0, 2.5), eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, 1.3)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, size=(400, 2)) * lat.q
+    reduced = pts - np.round(pts / lat.q) * lat.q
+    rr = np.hypot(reduced[:, 0], reduced[:, 1])
+    pts = pts[rr > 0.05]
+    rr = rr[rr > 0.05]
+    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    assert np.any(rr > ev.expansion.radius) and np.any(rr < ev.expansion.radius)
+    ref_v, ref_g = _seam(ev, pts)
+    assert np.max(np.abs(RV - ref_v)) < 1e-13
+    assert np.max(np.abs(RG - ref_g)) < 1e-12 * max(1.0, np.max(np.abs(ref_g)))
+
+
+def test_regular_part_refuses_points_on_a_shifted_source(green):
+    with pytest.raises(NearLatticePointError):
+        qpgreen.regular_part(green, np.array([[1.0 + 1e-12, 0.0]]), enforce_ball=False)
+    # the origin itself is a regular point of R
+    RV, _ = qpgreen.regular_part(green, np.array([[1e-12, 0.0]]), enforce_ball=False)
+    assert abs(RV[0] - R_AT_ZERO) < 1e-12
+
+
+def test_expansion_cap_too_small_raises(lat, wave, monkeypatch):
+    monkeypatch.setattr(qpgreen, "_EXPANSION_CAP", 20)
+    ev = qpgreen.make_green_evaluator(lat, wave.k)
+    with pytest.raises(SeriesTruncationError):
+        qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
+
+
+# --------------------------------------------------------------------------- #
+# properties off the square cell: the fit radius, the exclusion radius, the
+# cell reduction and the default Ewald split all depend on the cell and on k
+
+_CELLS = st.tuples(
+    st.floats(0.7, 1.4),                      # shorter period
+    st.floats(1.0, 2.5),                      # aspect ratio
+    st.booleans(),                            # long axis is x_1
+    st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),  # eta's distance
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),  # from the zone edge
+)
+
+
+def _evaluator(cell, k):
+    short, aspect, long_x1, gap, sign = cell
+    q = (short * aspect, short) if long_x1 else (short, short * aspect)
+    eta = tuple(s * (np.pi / qj) * (1.0 - g) for s, qj, g in zip(sign, q, gap))
+    lat = Lattice(q_diag=q, eta=eta)
+    try:
+        return lat, qpgreen.make_green_evaluator(lat, k)
+    except ResonanceError:
+        assume(False)
+
+
+def _points(lat, seed, n, span):
+    """Points in [-span q, span q] kept 0.05 min(q) from every lattice point."""
+    pts = np.random.default_rng(seed).uniform(-span, span, size=(n, 2)) * lat.q
+    reduced = pts - np.round(pts / lat.q) * lat.q
+    return pts[np.hypot(reduced[:, 0], reduced[:, 1]) > 0.05 * float(np.min(lat.q))]
+
+
+@settings(deadline=None, max_examples=20)
+@given(cell=_CELLS, k=st.floats(0.5, 8.0), seed=st.integers(0, 2**16))
+def test_green_quasi_periodic_off_the_square_cell(cell, k, seed):
+    lat, ev = _evaluator(cell, k)
+    pts = _points(lat, seed, 20, 0.5)
+    v0, g0 = qpgreen.green_eval(ev, pts)
+    for axis in range(2):
+        shift = np.zeros(2)
+        shift[axis] = lat.q_diag[axis]
+        phase = np.exp(1j * lat.eta_vec[axis] * lat.q_diag[axis])
+        v1, g1 = qpgreen.green_eval(ev, pts + shift)
+        assert np.max(np.abs(v1 - phase * v0)) < 1e-11 * max(1.0, np.max(np.abs(v0)))
+        assert np.max(np.abs(g1 - phase * g0)) < 1e-11 * max(1.0, np.max(np.abs(g0)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(cell=_CELLS, k=st.floats(0.5, 8.0), seed=st.integers(0, 2**16))
+def test_split_invariance_and_seam_off_the_square_cell(cell, k, seed):
+    lat, ev = _evaluator(cell, k)
+    pts = _points(lat, seed, 100, 1.0)
+    g, gg = qpgreen.green_eval(ev, pts)
+    scale = max(1.0, float(np.max(np.abs(g))))
+    other = qpgreen.make_green_evaluator(lat, k, ewald_split=1.25 * ev.ewald_split)
+    assert np.max(np.abs(qpgreen.green_eval(other, pts)[0] - g)) < 1e-12 * scale
+    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    s = specfun.fundamental_solution(2, pts, k)
+    assert np.max(np.abs(RV - (g - s.value))) < 1e-12 * scale
+    gscale = max(1.0, float(np.max(np.abs(gg))))
+    assert np.max(np.abs(RG - (gg - s.gradient))) < 1e-11 * gscale
