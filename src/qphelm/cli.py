@@ -357,11 +357,13 @@ def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
 
 
 def _setup(cfg: RunConfig, manifest: _Manifest):
-    """(lattice, wave, green) at the configured resonance tolerance.
+    """(wave, green) at the configured resonance tolerance.
 
     Both the wave context and the evaluator use ``tolerances.resonance``, so a
     resonant wavenumber is refused the same way by every subcommand.  The
-    manifest records the evaluator's parameters when the run ends.
+    evaluator carries the lattice and k; the wave goes to the solvers, which
+    check it against the evaluator.  The manifest records the evaluator's
+    parameters when the run ends.
     """
     lattice = cfg.lattice()
     tol = cfg.tolerances["resonance"]
@@ -369,7 +371,7 @@ def _setup(cfg: RunConfig, manifest: _Manifest):
                              require_nonresonant=True)
     green = qpgreen.make_green_evaluator(lattice, wave.k, resonance_tolerance=tol)
     manifest.green = green
-    return lattice, wave, green
+    return wave, green
 
 
 def _boundary_data(cfg: RunConfig, dc: geometry.DiscreteCurve, kind: str,
@@ -397,7 +399,7 @@ def _probe_array(cfg: RunConfig) -> np.ndarray | None:
 
 def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
                     threads: int) -> dict:
-    lattice, _, green = _setup(cfg, manifest)
+    _, green = _setup(cfg, manifest)
     q1, q2 = cfg.q_diag
     n = cfg.grid_n
     xs = (np.arange(n) + 0.5) * q1 / n
@@ -414,20 +416,20 @@ def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
                ((p[0], p[1], v.real, v.imag) for p, v in zip(pts, vals)))
     manifest.add_output("grid.csv")
     return {"points": int(len(pts)),
-            "spectrum_distance": spectrum_distance(lattice, cfg.k)}
+            "spectrum_distance": spectrum_distance(green.lattice, cfg.k)}
 
 
 def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
                    threads: int, kind: str) -> dict:
-    lattice, wave, green = _setup(cfg, manifest)
+    wave, green = _setup(cfg, manifest)
     dc = _reference_curve(cfg)
     if cfg.epsilon is not None:
         _require(cfg, "center")
-        dc = perturbation.physical_curve(dc, cfg.center, cfg.epsilon, lattice)
+        dc = perturbation.physical_curve(dc, cfg.center, cfg.epsilon, green.lattice)
     data = _boundary_data(cfg, dc, kind, green)
     solve = solvers.solve_dirichlet if kind == "dirichlet" else solvers.solve_neumann
     extra = {"a_flag": cfg.a_flag} if kind == "dirichlet" else {}
-    sol = solve(dc, lattice, wave, data, green=green,
+    sol = solve(dc, green.lattice, wave, data, green=green,
                 solve_tol=cfg.tolerances["solve"], **extra)
     _write_csv(out / "density.csv", ["t", "mu_re", "mu_im"],
                ((t, v.real, v.imag) for t, v in zip(dc.t, sol.density.values)))
@@ -458,24 +460,23 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _robin_pieces(cfg: RunConfig, manifest: _Manifest):
     _require(cfg, "center", "nonlinearity")
-    lattice, wave, green = _setup(cfg, manifest)
+    _, green = _setup(cfg, manifest)
     ref = _reference_curve(cfg)
     B = nonlinear.make_nonlinearity(cfg.nonlinearity["kind"],
                                     **cfg.nonlinearity["params"])
-    return lattice, wave, green, ref, B
+    return green, ref, B
 
 
 def _cmd_solve_robin(cfg: RunConfig, out: Path, manifest: _Manifest,
                      threads: int) -> dict:
     _require(cfg, "epsilon")
-    lattice, wave, green, ref, B = _robin_pieces(cfg, manifest)
-    state = nonlinear.solve_theta(cfg.epsilon, B, ref, lattice, wave, cfg.center,
-                                  green=green, tol=cfg.tolerances["newton"])
+    green, ref, B = _robin_pieces(cfg, manifest)
+    state = nonlinear.solve_theta(cfg.epsilon, B, ref, cfg.center, green=green,
+                                  tol=cfg.tolerances["newton"])
     _write_csv(out / "density.csv", ["t", "theta_re", "theta_im"],
                ((t, v.real, v.imag) for t, v in zip(ref.t, state.theta.values)))
     manifest.add_output("density.csv")
-    defect = nonlinear.boundary_condition_residual(state, B, lattice=lattice,
-                                                   wave=wave, center=cfg.center,
+    defect = nonlinear.boundary_condition_residual(state, B, center=cfg.center,
                                                    green=green)
     results = {
         "epsilon": state.epsilon,
@@ -488,8 +489,7 @@ def _cmd_solve_robin(cfg: RunConfig, out: Path, manifest: _Manifest,
     if probes is not None:
         uvals = _parallel_values(
             lambda p: nonlinear.reconstruct_field(
-                state, p, lattice=lattice, wave=wave, center=cfg.center,
-                green=green).values,
+                state, p, center=cfg.center, green=green).values,
             probes, threads)
         _write_csv(out / "probes.csv", ["x", "y", "u_re", "u_im"],
                    ((p[0], p[1], u.real, u.imag) for p, u in zip(probes, uvals)))
@@ -499,14 +499,14 @@ def _cmd_solve_robin(cfg: RunConfig, out: Path, manifest: _Manifest,
 
 def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
                        threads: int) -> dict:
-    lattice, wave, green, ref, B = _robin_pieces(cfg, manifest)
+    green, ref, B = _robin_pieces(cfg, manifest)
     states = nonlinear.continuation_sweep(
-        B, ref, lattice, wave, cfg.center, epsilons=cfg.epsilon_sweep,
-        green=green, tol=cfg.tolerances["newton"])
+        B, ref, cfg.center, green=green, epsilons=cfg.epsilon_sweep,
+        tol=cfg.tolerances["newton"])
     rows = []
     for s in states:
         defect = nonlinear.boundary_condition_residual(
-            s, B, lattice=lattice, wave=wave, center=cfg.center, green=green)
+            s, B, center=cfg.center, green=green)
         rows.append((s.epsilon, s.r, str(s.newton_iterations), s.residual_norm,
                      defect))
     _write_csv(out / "sweep.csv",
@@ -519,8 +519,7 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
 
     probes = _probe_array(cfg)
     if probes is not None:
-        fit = nonlinear.far_field_scaling(states, probes, lattice=lattice,
-                                          wave=wave, center=cfg.center,
+        fit = nonlinear.far_field_scaling(states, probes, center=cfg.center,
                                           green=green,
                                           fit_max_epsilon=cfg.fit_max_epsilon)
         theta0 = np.asarray(nonlinear.limit_density(ref, B).values)
@@ -544,7 +543,7 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
 def _cmd_check_rescaling(cfg: RunConfig, out: Path, manifest: _Manifest,
                          threads: int) -> dict:
     _require(cfg, "center")
-    lattice, wave, green = _setup(cfg, manifest)
+    _, green = _setup(cfg, manifest)
     ref = _reference_curve(cfg)
     eps_list = cfg.epsilon_sweep or ((cfg.epsilon,) if cfg.epsilon else
                                      (0.2, 0.1, 0.05, 0.02))
@@ -563,8 +562,8 @@ def _cmd_check_rescaling(cfg: RunConfig, out: Path, manifest: _Manifest,
     worst = 0.0
     for eps in eps_list:
         res = perturbation.rescaling_identity_suite(
-            eps, theta, probes=probes, lattice=lattice, wave=wave,
-            center=cfg.center, green=green, kinds=kinds)
+            eps, theta, probes=probes, center=cfg.center, green=green,
+            kinds=kinds)
         for kind in kinds:
             rows.append((kind, _fmt(eps), _fmt(res[kind])))
             worst = max(worst, res[kind])
@@ -598,15 +597,15 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
         err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
     checks.append(("kernel rescaling identity", err, 1e-12))
 
-    lat, wave, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3),
-                           manifest)
+    _, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3), manifest)
+    lat = ev.lattice
     pts = rng.uniform(0.15, 0.85, size=(5, 2))
     v0, _ = qpgreen.green_eval(ev, pts)
     v1, _ = qpgreen.green_eval(ev, pts + np.array([1.0, 0.0]))
     phase = np.exp(1j * lat.eta_vec[0] * lat.q_diag[0])
     checks.append(("Green quasi-periodicity",
                    float(np.max(np.abs(v1 - phase * v0) / np.abs(v0))), 1e-9))
-    ev2 = qpgreen.make_green_evaluator(lat, wave.k, ewald_split=2.4)
+    ev2 = qpgreen.make_green_evaluator(lat, ev.k, ewald_split=2.4)
     v2, _ = qpgreen.green_eval(ev2, pts)
     checks.append(("Ewald split invariance",
                    float(np.max(np.abs(v2 - v0) / np.abs(v0))), 1e-10))
@@ -614,7 +613,7 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
     xs = np.vstack([pts - 0.5, pts, [[0.8, 0.3]]])
     rv, _ = qpgreen.regular_part(ev, xs, enforce_ball=False)
     gv, _ = qpgreen.green_eval(ev, xs)
-    sv = specfun.fundamental_solution(2, xs, wave.k).value
+    sv = specfun.fundamental_solution(2, xs, ev.k).value
     checks.append(("regular part expansion against G - S",
                    float(np.max(np.abs(rv - (gv - sv)))), 1e-12))
 
@@ -630,8 +629,7 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
 
     theta = potentials.Density(curve=dc, values=np.exp(np.cos(dc.t)) + 0j)
     res = perturbation.rescaling_identity_check(
-        "single-trace", 0.1, theta, lattice=lat, wave=wave,
-        center=(0.5, 0.5), green=ev)
+        "single-trace", 0.1, theta, center=(0.5, 0.5), green=ev)
     checks.append(("rescaled single-trace identity", float(res), 1e-10))
 
     disk = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)

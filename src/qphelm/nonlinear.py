@@ -12,6 +12,11 @@ with r the auxiliary variable standing in for eps*log(eps) (slaved to that
 value in actual solves; kept free so Lambda is analytic in (eps, r)).  At
 (0, 0) this reduces to the Laplace limit equation theta/2 + K* theta = G(0),
 whose solution seeds the continuation.
+
+The Green evaluator is the problem context: the pack, Newton, sweep and
+reconstruction functions take it as ``green`` and read the lattice and k from
+it.  ``lambda_residual`` and ``lambda_jacobian`` take the operator pack, which
+must be built at the state's epsilon.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import scipy.linalg as sla
 from . import geometry, perturbation, potentials, qpgreen, solvers
 from .errors import IllConditionedError, NewtonDivergenceError
 from .geometry import DiscreteCurve
-from .lattice import Lattice, WaveContext
+from .lattice import Lattice
 
 __all__ = [
     "RobinNonlinearity",
@@ -77,6 +82,16 @@ def derivative_gate(B: RobinNonlinearity, seed: int = 0, npoints: int = 20,
     return worst
 
 
+# kind -> its parameters and their defaults
+_NONLINEARITY_PARAMS = {
+    "constant": {"value": 1.0},
+    "affine": {"offset": 0.0, "slope": 1.0},
+    "quadratic": {"gamma": 1.0},
+    "sine": {"gamma": 1.0},
+    "poly2": {"offset": 1.0, "gamma": 0.5},
+}
+
+
 def make_nonlinearity(kind: str, **params) -> RobinNonlinearity:
     """Built-in nonlinearities: constant, affine, quadratic, sine, poly2.
 
@@ -85,31 +100,37 @@ def make_nonlinearity(kind: str, **params) -> RobinNonlinearity:
     quadratic:G = gamma u^2    (params: gamma)
     sine:     G = gamma sin(u) (params: gamma)
     poly2:    G = a + g u^2    (params: offset, gamma) - offset + pure quadratic
+
+    A parameter the kind does not take raises ValueError.
     """
+    if kind not in _NONLINEARITY_PARAMS:
+        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+    defaults = _NONLINEARITY_PARAMS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {unknown} for nonlinearity "
+                         f"{kind!r}; it takes {sorted(defaults)}")
+    p = {name: complex(params.get(name, value)) for name, value in defaults.items()}
     if kind == "constant":
-        c = complex(params.get("value", 1.0))
+        c = p["value"]
         B = RobinNonlinearity(lambda u: c + 0.0 * u, lambda u: 0.0 * u,
                               f"constant {c}")
     elif kind == "affine":
-        a = complex(params.get("offset", 0.0))
-        b = complex(params.get("slope", 1.0))
+        a, b = p["offset"], p["slope"]
         B = RobinNonlinearity(lambda u: a + b * u, lambda u: b + 0.0 * u,
                               f"affine {a}+{b}u")
     elif kind == "quadratic":
-        g = complex(params.get("gamma", 1.0))
+        g = p["gamma"]
         B = RobinNonlinearity(lambda u: g * u * u, lambda u: 2.0 * g * u,
                               f"quadratic {g}u^2")
     elif kind == "sine":
-        g = complex(params.get("gamma", 1.0))
+        g = p["gamma"]
         B = RobinNonlinearity(lambda u: g * np.sin(u), lambda u: g * np.cos(u),
                               f"sine {g}sin(u)")
-    elif kind == "poly2":
-        a = complex(params.get("offset", 1.0))
-        g = complex(params.get("gamma", 0.5))
+    else:
+        a, g = p["offset"], p["gamma"]
         B = RobinNonlinearity(lambda u: a + g * u * u, lambda u: 2.0 * g * u,
                               f"poly2 {a}+{g}u^2")
-    else:
-        raise ValueError(f"unknown nonlinearity kind {kind!r}")
     derivative_gate(B)
     return B
 
@@ -146,19 +167,29 @@ class OperatorPack:
         Binner = eps * self.m1 + eps * self.m2 + r * self.m3
         return A, Binner
 
+    def residual(self, B: RobinNonlinearity, r: float, theta) -> np.ndarray:
+        """Nodal values of Lambda[eps, r, theta] at this pack's epsilon."""
+        A, Binner = self.linear_parts(r)
+        tv = np.asarray(theta, dtype=complex)
+        return A @ tv - B.fn(Binner @ tv)
 
-def build_pack(epsilon: float, curve: DiscreteCurve, lattice: Lattice,
-               wave: WaveContext, center, *,
-               green: qpgreen.GreenEvaluator | None = None) -> OperatorPack:
+    def jacobian(self, B: RobinNonlinearity, r: float, theta) -> np.ndarray:
+        """Frechet derivative of Lambda in theta at this pack's epsilon."""
+        A, Binner = self.linear_parts(r)
+        gprime = np.asarray(B.dfn(Binner @ np.asarray(theta, dtype=complex)),
+                            dtype=complex)
+        return A - gprime[:, None] * Binner
+
+
+def build_pack(epsilon: float, curve: DiscreteCurve, center, *,
+               green: qpgreen.GreenEvaluator) -> OperatorPack:
     """Assemble all rescaled families needed by Lambda at one epsilon."""
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     tables = perturbation.scaled_regular_tables(curve, epsilon, green)
     ops = {}
     for fam in "NM":
         for idx in (1, 2, 3):
             ops[f"{fam.lower()}{idx}"] = perturbation.rescaled_operator(
-                fam, idx, epsilon, curve, lattice, wave, center, green=green,
+                fam, idx, epsilon, curve, center, green=green,
                 tables=tables if idx == 2 else None).matrix
     return OperatorPack(epsilon=float(epsilon), curve=curve, **ops)
 
@@ -181,41 +212,31 @@ def limit_density(curve: DiscreteCurve, B: RobinNonlinearity,
     return potentials.Density(curve=curve, values=theta)
 
 
+def _check_pack(state: ContinuationState, pack: OperatorPack):
+    if pack.epsilon != state.epsilon:
+        raise ValueError(f"operator pack built at epsilon={pack.epsilon}, "
+                         f"state at epsilon={state.epsilon}")
+
+
 def lambda_residual(state: ContinuationState, B: RobinNonlinearity,
-                    curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                    center, *, green=None, pack: OperatorPack | None = None
-                    ) -> potentials.Density:
-    """Nodal values of Lambda[eps, r, theta]."""
-    if pack is None:
-        pack = build_pack(state.epsilon, curve, lattice, wave, center, green=green)
-    A, Binner = pack.linear_parts(state.r)
-    tv = np.asarray(state.theta.values, dtype=complex)
-    vals = A @ tv - B.fn(Binner @ tv)
-    return potentials.Density(curve=curve, values=vals)
+                    pack: OperatorPack) -> potentials.Density:
+    """Nodal values of Lambda[eps, r, theta]; ``pack`` must be at the state's eps."""
+    _check_pack(state, pack)
+    return potentials.Density(curve=state.theta.curve,
+                              values=pack.residual(B, state.r, state.theta.values))
 
 
 def lambda_jacobian(state: ContinuationState, B: RobinNonlinearity,
-                    curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                    center, *, green=None, pack: OperatorPack | None = None
-                    ) -> np.ndarray:
-    """Frechet derivative of Lambda in theta at the given state."""
-    if pack is None:
-        pack = build_pack(state.epsilon, curve, lattice, wave, center, green=green)
-    A, Binner = pack.linear_parts(state.r)
-    tv = np.asarray(state.theta.values, dtype=complex)
-    gprime = np.asarray(B.dfn(Binner @ tv), dtype=complex)
-    return A - gprime[:, None] * Binner
+                    pack: OperatorPack) -> np.ndarray:
+    """Frechet derivative of Lambda in theta; ``pack`` must be at the state's eps."""
+    _check_pack(state, pack)
+    return pack.jacobian(B, state.r, state.theta.values)
 
 
 def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
             r: float, tol: float, max_iter: int, max_halvings: int = 8):
-    A, Binner = pack.linear_parts(r)
     theta = np.asarray(theta0, dtype=complex).copy()
-
-    def residual(tv):
-        return A @ tv - B.fn(Binner @ tv)
-
-    res = residual(theta)
+    res = pack.residual(B, r, theta)
     rnorm = float(np.max(np.abs(res)))
     steps: list[float] = []
     iterations = 0
@@ -224,13 +245,11 @@ def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
             raise NewtonDivergenceError(
                 f"Newton did not reach tolerance {tol:.1e} in {max_iter} "
                 f"iterations (residual {rnorm:.3e})")
-        gprime = np.asarray(B.dfn(Binner @ theta), dtype=complex)
-        J = A - gprime[:, None] * Binner
-        delta = sla.solve(J, -res)
+        delta = sla.solve(pack.jacobian(B, r, theta), -res)
         scale = 1.0
         for _ in range(max_halvings + 1):
             cand = theta + scale * delta
-            cres = residual(cand)
+            cres = pack.residual(B, r, cand)
             crnorm = float(np.max(np.abs(cres)))
             if crnorm < rnorm or crnorm <= tol:
                 break
@@ -244,10 +263,9 @@ def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
     return theta, iterations, rnorm, tuple(steps)
 
 
-def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, lattice: Lattice,
-          wave: WaveContext, center, green: qpgreen.GreenEvaluator, start,
-          tol: float, max_iter: int, r_last: float | None = None
-          ) -> list[ContinuationState]:
+def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, center,
+          green: qpgreen.GreenEvaluator, start, tol: float, max_iter: int,
+          r_last: float | None = None) -> list[ContinuationState]:
     """Newton at each epsilon of the path, warm-started from the previous one.
 
     The walk starts from ``start`` or, without one, from the limit density;
@@ -258,7 +276,7 @@ def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, lattice: Lattice,
     theta = np.asarray(start, dtype=complex)
     states = []
     for j, e in enumerate(path):
-        pack = build_pack(e, curve, lattice, wave, center, green=green)
+        pack = build_pack(e, curve, center, green=green)
         r = _slaved_r(e) if r_last is None or j < len(path) - 1 else float(r_last)
         theta, its, rnorm, steps = _newton(pack, B, theta, r, tol, max_iter)
         states.append(ContinuationState(
@@ -269,8 +287,7 @@ def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, lattice: Lattice,
 
 
 def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
-                lattice: Lattice, wave: WaveContext, center, *,
-                green: qpgreen.GreenEvaluator | None = None,
+                center, *, green: qpgreen.GreenEvaluator,
                 start: np.ndarray | None = None, r: float | None = None,
                 tol: float = 1e-12, max_iter: int = 40) -> ContinuationState:
     """Newton solve for theta at one epsilon (r slaved to eps*log(eps)).
@@ -280,13 +297,11 @@ def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
     """
     if epsilon <= 0:
         raise ValueError("solve_theta requires epsilon > 0")
-    bound = geometry.containment_bound(curve.curve, center, lattice)
+    bound = geometry.containment_bound(curve.curve, center, green.lattice)
     validated = 0.5 * bound
     if epsilon > validated:
         raise ValueError(
             f"epsilon={epsilon} above the validated radius {validated:.6g}")
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     path = [float(epsilon)]
     if start is None:
         eps_start = min(validated, bound / 4.0)
@@ -295,8 +310,8 @@ def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
             path = list(eps_start * (epsilon / eps_start) ** (np.arange(1, nseg + 1)
                                                               / nseg))
             path[-1] = float(epsilon)
-    return _walk(path, B, curve, lattice, wave, center, green, start, tol,
-                 max_iter, r_last=r)[-1]
+    return _walk(path, B, curve, center, green, start, tol, max_iter,
+                 r_last=r)[-1]
 
 
 def default_epsilon_grid(curve: DiscreteCurve, center, lattice: Lattice,
@@ -313,43 +328,34 @@ def default_epsilon_grid(curve: DiscreteCurve, center, lattice: Lattice,
     return grid
 
 
-def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve,
-                       lattice: Lattice, wave: WaveContext, center, *,
-                       epsilons=None, green=None, tol: float = 1e-12,
-                       max_iter: int = 40) -> list[ContinuationState]:
+def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve, center, *,
+                       green: qpgreen.GreenEvaluator, epsilons=None,
+                       tol: float = 1e-12, max_iter: int = 40
+                       ) -> list[ContinuationState]:
     """Warm-started Newton sweep over a decreasing epsilon grid."""
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     if epsilons is None:
-        epsilons = default_epsilon_grid(curve, center, lattice)
+        epsilons = default_epsilon_grid(curve, center, green.lattice)
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    return _walk(epsilons, B, curve, lattice, wave, center, green, None, tol,
-                 max_iter)
+    return _walk(epsilons, B, curve, center, green, None, tol, max_iter)
 
 
-def reconstruct_field(state: ContinuationState, probes, *, lattice: Lattice,
-                      wave: WaveContext, center,
-                      green: qpgreen.GreenEvaluator | None = None,
+def reconstruct_field(state: ContinuationState, probes, *, center,
+                      green: qpgreen.GreenEvaluator,
                       want_gradients: bool = False) -> potentials.FieldSample:
     """Evaluate u = S[physical-hole density] at probe points."""
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
-                                       lattice)
+                                       green.lattice)
     dens = potentials.Density(curve=phys, values=np.asarray(state.theta.values))
     return potentials.field_eval("single", dens, probes, green=green,
                                  want_gradients=want_gradients)
 
 
 def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
-                                *, lattice: Lattice, wave: WaveContext, center,
-                                green: qpgreen.GreenEvaluator | None = None,
+                                *, center, green: qpgreen.GreenEvaluator,
                                 n_check: int = 16) -> float:
     """Sup-norm Robin defect d/dnu u - G(u) at off-node physical boundary points."""
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
-                                       lattice)
+                                       green.lattice)
     taus = solvers._midpoint_taus(phys.N, n_check)
     tv = np.asarray(state.theta.values, dtype=complex)
     th_tau = geometry.trig_interpolate(tv, taus)
@@ -375,8 +381,7 @@ class FarFieldFit:
     fit_residuals: np.ndarray
 
 
-def far_field_scaling(states, probes, *, lattice: Lattice, wave: WaveContext,
-                      center, green: qpgreen.GreenEvaluator | None = None,
+def far_field_scaling(states, probes, *, center, green: qpgreen.GreenEvaluator,
                       fit_max_epsilon: float | None = None) -> FarFieldFit:
     """Fit the epsilon-scaling of the reconstructed field at fixed probes.
 
@@ -384,8 +389,6 @@ def far_field_scaling(states, probes, *, lattice: Lattice, wave: WaveContext,
     ``fit_max_epsilon`` restricts the fit to the small-epsilon tail of the
     sweep where the neglected O(eps^2 log^2 eps) terms are negligible.
     """
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     states = sorted(states, key=lambda s: s.epsilon)
     if fit_max_epsilon is not None:
         states = [s for s in states if s.epsilon <= fit_max_epsilon]
@@ -394,8 +397,7 @@ def far_field_scaling(states, probes, *, lattice: Lattice, wave: WaveContext,
                       stacklevel=2)
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
     eps = np.array([s.epsilon for s in states])
-    U = np.stack([reconstruct_field(s, pts, lattice=lattice, wave=wave,
-                                    center=center, green=green).values
+    U = np.stack([reconstruct_field(s, pts, center=center, green=green).values
                   for s in states], axis=0)  # (n_eps, n_probes)
     basis = np.stack([np.ones_like(eps), eps, eps * np.log(eps)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, U / eps[:, None], rcond=None)

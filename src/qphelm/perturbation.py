@@ -18,6 +18,10 @@ With d = x(t)-x(s) on the reference curve, the physical-curve identities are
   far double layer: D[theta](x) = eps*(far double map applied to theta)
 
 all exact at the discrete level because both sides share nodes and weights.
+
+The Green evaluator is the problem context: every function here takes it as
+``green`` and reads the lattice (for the containment bound and the physical
+hole) and k from it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from . import geometry, potentials, qpgreen
 from .errors import ContainmentError
 from .geometry import DiscreteCurve
-from .lattice import Lattice, WaveContext
+from .lattice import Lattice
 
 __all__ = [
     "RescaledFamily",
@@ -66,21 +70,17 @@ def _check_family(family: str, index: int):
         raise ValueError(f"index must be 1, 2 or 3, got {index!r}")
 
 
-def _check_epsilon(epsilon: float, curve: DiscreteCurve, center, lattice: Lattice,
-                   bound: float | None = None) -> float:
-    if bound is None:
-        bound = geometry.containment_bound(curve.curve, center, lattice)
+def _check_epsilon(epsilon: float, curve: DiscreteCurve, center, lattice: Lattice):
+    bound = geometry.containment_bound(curve.curve, center, lattice)
     if not abs(epsilon) < bound:
         raise ContainmentError(
             f"epsilon={epsilon} outside the open containment interval "
             f"(-{bound:.6g}, {bound:.6g})")
-    return bound
 
 
 def rescaled_operator(family: str, index: int, epsilon: float,
-                      curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                      center, *, green: qpgreen.GreenEvaluator | None = None,
-                      tables=None) -> RescaledFamily:
+                      curve: DiscreteCurve, center, *,
+                      green: qpgreen.GreenEvaluator, tables=None) -> RescaledFamily:
     """Assemble one rescaled family member on the reference curve.
 
     Index 1 depends on epsilon only through the wavenumber epsilon*k and is
@@ -90,17 +90,15 @@ def rescaled_operator(family: str, index: int, epsilon: float,
     identical for all three families at one epsilon.
     """
     _check_family(family, index)
-    _check_epsilon(epsilon, curve, center, lattice)
+    _check_epsilon(epsilon, curve, center, green.lattice)
     kind = _FAMILY_KIND[family]
     if index == 1:
-        matrix = potentials.assemble_free(kind, curve, epsilon * wave.k).matrix
+        matrix = potentials.assemble_free(kind, curve, epsilon * green.k).matrix
         return RescaledFamily(family, index, float(epsilon), matrix, curve)
 
     nu = curve.normals
     if index == 2:
         if tables is None:
-            if green is None:
-                green = qpgreen.make_green_evaluator(lattice, wave.k)
             tables = scaled_regular_tables(curve, epsilon, green)
         RV, RG = tables
         core = potentials._layer_core(kind, nu, nu, RV=RV, RG=RG)[1]
@@ -108,7 +106,7 @@ def rescaled_operator(family: str, index: int, epsilon: float,
         # the J-profile that multiplies log|y| at y = epsilon*d is 2*A1
         y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
         r = np.sqrt(np.sum(y * y, axis=2))
-        core = 2.0 * potentials._layer_core(kind, nu, nu, d=y, r=r, k=wave.k)[0]
+        core = 2.0 * potentials._layer_core(kind, nu, nu, d=y, r=r, k=green.k)[0]
     matrix = core * curve.weights[None, :]
     return RescaledFamily(family, index, float(epsilon), matrix, curve)
 
@@ -137,15 +135,13 @@ _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
                       "double-boundary": ("double_boundary", "P")}
 
 
-def _boundary_identity_residual(kind, epsilon, tv, curve, phys, lattice, wave,
-                                center, green, phys_tables, fam_tables) -> float:
+def _boundary_identity_residual(kind, epsilon, tv, curve, phys, center, green,
+                                phys_tables, fam_tables) -> float:
     op_kind, family = _BOUNDARY_IDENTITY[kind]
-    lhs = potentials.assemble(op_kind, phys, lattice, wave, green=green,
+    lhs = potentials.assemble(op_kind, phys, green=green,
                               tables=phys_tables).matrix @ tv
-    parts = [rescaled_operator(family, i, epsilon, curve, lattice, wave,
-                               center, green=green,
-                               tables=fam_tables if i == 2 else None
-                               ).matrix @ tv
+    parts = [rescaled_operator(family, i, epsilon, curve, center, green=green,
+                               tables=fam_tables if i == 2 else None).matrix @ tv
              for i in (1, 2, 3)]
     loge = math.log(epsilon)
     if family == "M":
@@ -177,24 +173,21 @@ def _far_identity_residual(kind, epsilon, tv, curve, phys, center, probes,
 
 
 def rescaling_identity_check(kind: str, epsilon: float, theta: potentials.Density,
-                             probes=None, *, lattice: Lattice, wave: WaveContext,
-                             center, green: qpgreen.GreenEvaluator | None = None
-                             ) -> float:
+                             probes=None, *, center,
+                             green: qpgreen.GreenEvaluator) -> float:
     """Sup residual between physical-curve assembly and its rescaled combination.
 
     Boundary kinds compare Nystrom traces on the physical hole boundary with
     the eps-weighted combination of the three family members; far kinds compare
     the layer field at probe points with the eps-scaled far map.
     """
-    return rescaling_identity_suite(epsilon, theta, probes, lattice=lattice,
-                                    wave=wave, center=center, green=green,
-                                    kinds=(kind,))[kind]
+    return rescaling_identity_suite(epsilon, theta, probes, center=center,
+                                    green=green, kinds=(kind,))[kind]
 
 
 def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
-                             probes=None, *, lattice: Lattice,
-                             wave: WaveContext, center,
-                             green: qpgreen.GreenEvaluator | None = None,
+                             probes=None, *, center,
+                             green: qpgreen.GreenEvaluator,
                              kinds=None) -> dict[str, float]:
     """All identity residuals at one epsilon, sharing the regular-part tables.
 
@@ -211,9 +204,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
         raise ContainmentError("identity check requires epsilon > 0")
     curve = theta.curve
     tv = np.asarray(theta.values)
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
-    phys = physical_curve(curve, center, epsilon, lattice)
+    phys = physical_curve(curve, center, epsilon, green.lattice)
     out = {}
     boundary = [k for k in kinds if k in _BOUNDARY_IDENTITY]
     if boundary:
@@ -221,7 +212,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
         fam_tables = scaled_regular_tables(curve, epsilon, green)
         for kind in boundary:
             out[kind] = _boundary_identity_residual(
-                kind, epsilon, tv, curve, phys, lattice, wave, center, green,
+                kind, epsilon, tv, curve, phys, center, green,
                 phys_tables=phys_tables, fam_tables=fam_tables)
     for kind in kinds:
         if kind in _BOUNDARY_IDENTITY:
@@ -233,9 +224,9 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     return out
 
 
-def leading_split(family: str, epsilon: float, curve: DiscreteCurve,
-                  lattice: Lattice, wave: WaveContext, center,
-                  *, validated_radius: float | None = None
+def leading_split(family: str, epsilon: float, curve: DiscreteCurve, center, *,
+                  green: qpgreen.GreenEvaluator,
+                  validated_radius: float | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Split the index-1 family as Laplace leading term + epsilon * remainder.
 
@@ -244,7 +235,7 @@ def leading_split(family: str, epsilon: float, curve: DiscreteCurve,
     even in the wavenumber.
     """
     _check_family(family, 1)
-    bound = geometry.containment_bound(curve.curve, center, lattice)
+    bound = geometry.containment_bound(curve.curve, center, green.lattice)
     if validated_radius is None:
         validated_radius = 0.5 * bound
     if not abs(epsilon) <= validated_radius:
@@ -255,6 +246,6 @@ def leading_split(family: str, epsilon: float, curve: DiscreteCurve,
     if epsilon == 0.0:
         remainder = np.zeros_like(leading)
     else:
-        full = potentials.assemble_free(kind, curve, epsilon * wave.k).matrix
+        full = potentials.assemble_free(kind, curve, epsilon * green.k).matrix
         remainder = (full - leading) / epsilon
     return leading, remainder

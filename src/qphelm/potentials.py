@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpgreen, specfun
-from .errors import ResonanceError
 from .geometry import DiscreteCurve
-from .lattice import Lattice, WaveContext
+from .lattice import Lattice
 
 __all__ = [
     "OPERATOR_KINDS",
@@ -58,8 +57,6 @@ class BoundaryOperator:
     kind: str
     matrix: np.ndarray
     curve: DiscreteCurve
-    lattice: Lattice | None
-    wave: WaveContext
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(values)
@@ -216,36 +213,27 @@ def _targets(dc: DiscreteCurve, taus) -> np.ndarray:
     return dc.curve.position(np.atleast_1d(np.asarray(taus, dtype=float)))
 
 
-def assemble(kind: str, curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-             *, green: qpgreen.GreenEvaluator | None = None,
+def assemble(kind: str, curve: DiscreteCurve, *, green: qpgreen.GreenEvaluator,
              tables=None) -> BoundaryOperator:
     """Assemble a quasi-periodic boundary operator on the given curve."""
-    if wave.is_resonant:
-        raise ResonanceError("cannot assemble at a resonant wavenumber")
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
     if tables is None:
         tables = regular_tables(curve, green)
     M = _assemble_matrix(kind, curve, green.k, *tables)
-    return BoundaryOperator(kind=kind, matrix=M, curve=curve, lattice=lattice, wave=wave)
+    return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
 def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperator:
     """Assemble the free-space analogue at wavenumber k (k = 0 gives Laplace)."""
     M = _assemble_matrix(kind, curve, complex(k), None, None)
-    return BoundaryOperator(kind=kind, matrix=M, curve=curve, lattice=None,
-                            wave=WaveContext(k=complex(k)))
+    return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
 def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
-                        green: qpgreen.GreenEvaluator | None = None,
-                        k: complex | None = None, tables=None) -> np.ndarray:
-    """Off-node evaluation rows of a boundary operator at parameters taus.
+                        green: qpgreen.GreenEvaluator, tables=None) -> np.ndarray:
+    """Off-node evaluation rows of a quasi-periodic boundary operator at taus.
 
-    With ``green`` the quasi-periodic kernel is used (k taken from it), and
-    ``tables`` may carry ``regular_tables(dc, green, taus)``; without it the
-    free-space kernel at wavenumber ``k``.  taus must avoid the nodes (the
-    on-node limits live in the assembled matrices).
+    ``tables`` may carry ``regular_tables(dc, green, taus)``.  taus must avoid
+    the nodes (the on-node limits live in the assembled matrices).
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -262,13 +250,8 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     if np.any(r == 0.0):
         raise ValueError("off-node targets must avoid the quadrature nodes")
     L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
-    if green is not None:
-        kk = green.k
-        RV, RG = _regular_tables(green, d) if tables is None else tables
-    else:
-        kk = complex(k)
-        RV = RG = None
-    A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=kk, RV=RV, RG=RG)
+    RV, RG = _regular_tables(green, d) if tables is None else tables
+    A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=green.k, RV=RV, RG=RG)
     return (log_weight_rows(dc.N, taus) * A1 + (2.0 * np.pi / dc.N) * A2) \
         * dc.speeds[None, :]
 

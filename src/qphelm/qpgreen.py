@@ -37,6 +37,7 @@ from scipy import special as sp
 from .errors import (
     InsufficientDecayError,
     NearLatticePointError,
+    ResonanceError,
     SeriesTruncationError,
 )
 from .lattice import Lattice, WaveContext, dual_vector, make_wave_context
@@ -54,6 +55,8 @@ __all__ = [
 
 _CHUNK = 2048
 _EXCLUSION_FACTOR = 1e-8
+# Target accuracy of the Ewald sums and of the regular-part expansion fit.
+_TOLERANCE = 1e-12
 # Fourier-Bessel expansion of R, lengths in units of min(q): the two sampling
 # circles (no cancellation in G - S_2 there), the radius it serves (it covers
 # a square cell's half-diagonal 0.7071; closer to the outer circle the fitted
@@ -94,19 +97,22 @@ def _expn_table(u: np.ndarray, jmax: int, lowest: int) -> list[np.ndarray]:
 class GreenEvaluator:
     """Precomputed tables for one (lattice, k, split) combination.
 
-    Attributes mirror the construction arguments; index boxes are chosen
-    adaptively unless pinned by the caller.
+    The evaluator is the problem context: every operator, family and solve
+    reads its lattice, wave context and k from here.  A resonant wave is
+    refused; the index boxes are chosen adaptively to ``tolerance``.
     """
 
-    def __init__(self, lattice: Lattice, wave: WaveContext, *, ewald_split: float,
-                 tolerance: float, spectral_truncation: int | None,
-                 spatial_truncation: int | None):
+    def __init__(self, lattice: Lattice, wave: WaveContext, *, ewald_split: float):
         if lattice.dim != 2:
             raise NotImplementedError("Green evaluator implemented for dimension 2")
+        if wave.is_resonant:
+            raise ResonanceError(
+                f"k={wave.k} is resonant for q={lattice.q_diag}, eta={lattice.eta}: "
+                f"indices {list(wave.resonance_set)}")
         self.lattice = lattice
         self.wave = wave
         self.ewald_split = float(ewald_split)
-        self.tolerance = float(tolerance)
+        self.tolerance = tolerance = _TOLERANCE
         k = complex(wave.k)
         E = self.ewald_split
         A = lattice.cell_measure
@@ -130,23 +136,18 @@ class GreenEvaluator:
             cz = np.exp((k2.real - b2) / (4.0 * E * E)) / (A * np.abs(k2 - b2))
             return float(np.max(cz * np.maximum(1.0, np.sqrt(b2)))) * len(ring)
 
-        if spectral_truncation is None:
-            s, quiet = 1, 0
-            smax = 60
-            while s <= 60:
-                if spectral_shell_bound(s) < tolerance * 1e-2:
-                    quiet += 1
-                    if quiet >= 2:
-                        smax = s - 2  # the two quiet shells are dropped
-                        break
-                else:
-                    quiet = 0
-                s += 1
+        s, quiet = 1, 0
+        while s <= 60:
+            if spectral_shell_bound(s) < tolerance * 1e-2:
+                quiet += 1
+                if quiet >= 2:
+                    break
             else:
-                raise SeriesTruncationError("spectral Ewald sum did not converge")
-            self.spectral_truncation = max(smax, 1)
+                quiet = 0
+            s += 1
         else:
-            self.spectral_truncation = int(spectral_truncation)
+            raise SeriesTruncationError("spectral Ewald sum did not converge")
+        self.spectral_truncation = max(s - 2, 1)  # the two quiet shells are dropped
         rings = [_shell_indices(s, 2) for s in range(self.spectral_truncation + 1)]
         zs = np.concatenate(rings, axis=0)
         self.betas = dual_vector(lattice, zs)
@@ -163,21 +164,18 @@ class GreenEvaluator:
             u = E * E * rho * rho
             return 8 * s * suma * max(sp.exp1(u), np.exp(-u) / max(u, 1.0)) / (4 * np.pi)
 
-        if spatial_truncation is None:
-            s, quiet = 3, 0
-            while s <= 40:
-                if spatial_shell_bound(s) < tolerance * 1e-2:
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-                s += 1
+        s, quiet = 3, 0
+        while s <= 40:
+            if spatial_shell_bound(s) < tolerance * 1e-2:
+                quiet += 1
+                if quiet >= 2:
+                    break
             else:
-                raise SeriesTruncationError("spatial Ewald sum did not converge")
-            self.spatial_truncation = max(s - 2, 2)
+                quiet = 0
+            s += 1
         else:
-            self.spatial_truncation = int(spatial_truncation)
+            raise SeriesTruncationError("spatial Ewald sum did not converge")
+        self.spatial_truncation = max(s - 2, 2)
         rings = [_shell_indices(s, 2) for s in range(self.spatial_truncation + 1)]
         ms = np.concatenate(rings, axis=0)
         self.shifts = ms * lattice.q[None, :]
@@ -276,8 +274,6 @@ class GreenEvaluator:
 
 
 def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | None = None,
-                         tolerance: float = 1e-12, spectral_truncation: int | None = None,
-                         spatial_truncation: int | None = None,
                          resonance_tolerance: float | None = None) -> GreenEvaluator:
     """Build an evaluator, refusing wavenumbers on the lattice spectrum."""
     kwargs = {}
@@ -288,9 +284,7 @@ def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | N
         # sqrt(pi/A) balances the two Gaussian tails on any cell; both halves
         # carry terms of size e^{|k|^2/4E^2} that cancel, which |k|/4 caps at e^4
         ewald_split = float(max(np.sqrt(np.pi / lattice.cell_measure), abs(k) / 4.0))
-    return GreenEvaluator(lattice, wave, ewald_split=ewald_split, tolerance=tolerance,
-                          spectral_truncation=spectral_truncation,
-                          spatial_truncation=spatial_truncation)
+    return GreenEvaluator(lattice, wave, ewald_split=ewald_split)
 
 
 def _batched(x, need: str, kernel):

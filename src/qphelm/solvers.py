@@ -10,6 +10,10 @@ Neumann data by u = S[mu].  Both reduce to second-kind systems
     M =  I/2 + K*             (exterior normal derivative of S)
 
 solved densely by LU with one step of iterative refinement.
+
+The operators come from the Green evaluator ``green``, the problem context.
+The solvers also take the problem's lattice and wave context and raise
+ValueError unless ``green`` was built for that lattice and wavenumber.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ class BVPSolution:
     a_flag: int
     condition_estimate: float
     boundary_residual: float
-    lattice: Lattice
-    wave: WaveContext
     green: qpgreen.GreenEvaluator
     notes: tuple[str, ...]
 
@@ -107,23 +109,26 @@ def _midpoint_taus(N: int, n_check: int) -> np.ndarray:
 
 def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
                   n_check):
-    if green is None:
-        green = qpgreen.make_green_evaluator(lattice, wave.k)
+    if green.lattice != lattice or green.k != complex(wave.k):
+        raise ValueError(
+            f"Green evaluator built for q={green.lattice.q_diag}, "
+            f"eta={green.lattice.eta}, k={green.k}; the solve asks for "
+            f"q={lattice.q_diag}, eta={lattice.eta}, k={complex(wave.k)}")
     g = _nodal_values(curve, data)
     N = curve.N
     I = np.eye(N)
     tables = potentials.regular_tables(curve, green)
     if problem == "dirichlet":
-        K = potentials.assemble("double_boundary", curve, lattice, wave,
-                                green=green, tables=tables).matrix
+        K = potentials.assemble("double_boundary", curve, green=green,
+                                tables=tables).matrix
         A = -0.5 * I + K
         if a_flag:
-            V = potentials.assemble("single_trace", curve, lattice, wave,
-                                    green=green, tables=tables).matrix
+            V = potentials.assemble("single_trace", curve, green=green,
+                                    tables=tables).matrix
             A = A + 1j * V
     else:
-        Ks = potentials.assemble("adjoint_double", curve, lattice, wave,
-                                 green=green, tables=tables).matrix
+        Ks = potentials.assemble("adjoint_double", curve, green=green,
+                                 tables=tables).matrix
         A = 0.5 * I + Ks
     mu, cond = _lu_solve_refined(A.astype(complex), g, solve_tol)
 
@@ -155,18 +160,19 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
     return BVPSolution(problem=problem,
                        density=potentials.Density(curve=curve, values=mu),
                        a_flag=int(a_flag), condition_estimate=cond,
-                       boundary_residual=residual, lattice=lattice, wave=wave,
-                       green=green, notes=notes)
+                       boundary_residual=residual, green=green, notes=notes)
 
 
 def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                    data, a_flag: int = 0, *, green=None, solve_tol: float = 1e-10,
-                    n_check: int = 16) -> BVPSolution:
+                    data, a_flag: int = 0, *, green: qpgreen.GreenEvaluator,
+                    solve_tol: float = 1e-10, n_check: int = 16) -> BVPSolution:
     """Solve the exterior quasi-periodic Dirichlet problem around one hole.
 
     Parameters
     ----------
     curve : DiscreteCurve for the hole boundary.
+    lattice, wave : the problem's lattice and wavenumber; ``green`` must have
+        been built for the same ones (ValueError otherwise).
     data : Density, callable of the parameter, or nodal array of boundary values.
     a_flag : 0 or 1; 1 adds the i*V coupling that restores unique solvability
         when k^2 is an interior Neumann eigenvalue of the hole.
@@ -176,9 +182,12 @@ def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
 
 
 def solve_neumann(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                  data, *, green=None, solve_tol: float = 1e-10,
+                  data, *, green: qpgreen.GreenEvaluator, solve_tol: float = 1e-10,
                   n_check: int = 16) -> BVPSolution:
-    """Solve the exterior quasi-periodic Neumann problem around one hole."""
+    """Solve the exterior quasi-periodic Neumann problem around one hole.
+
+    ``green`` must have been built for ``lattice`` and ``wave.k``.
+    """
     return _solve_common("neumann", curve, lattice, wave, data, 0, green,
                          solve_tol, n_check)
 

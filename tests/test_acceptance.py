@@ -180,7 +180,7 @@ def test_criterion_6_manufactured_bvps(lat):
             f"gauge={err_gauge:.2e}")
 
 
-def test_criterion_7_rescaled_operator_identities(lat, wave, green):
+def test_criterion_7_rescaled_operator_identities(lat, green):
     prng = np.random.default_rng(3)
     probes = np.stack([0.95 + 0.05 * (prng.random(12) - 0.5),
                        0.95 + 0.05 * (prng.random(12) - 0.5)], axis=-1)
@@ -193,8 +193,7 @@ def test_criterion_7_rescaled_operator_identities(lat, wave, green):
             if eps >= geometry.containment_bound(ref, CENTER, lat):
                 continue
             res = perturbation.rescaling_identity_suite(
-                eps, theta, probes, lattice=lat, wave=wave, center=CENTER,
-                green=green)
+                eps, theta, probes, center=CENTER, green=green)
             worst = max(worst, max(res.values()))
     # log-term necessity: the truncated identity must grow like eps|log eps|
     dc64 = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
@@ -204,10 +203,9 @@ def test_criterion_7_rescaled_operator_identities(lat, wave, green):
         phys = geometry.discretize(geometry.rescale(
             geometry.HoleConfig(reference=dc64.curve, center=CENTER,
                                 epsilon=eps, lattice=lat)), 64)
-        lhs = potentials.assemble("single_trace", phys, lat, wave,
-                                  green=green).matrix @ tv
+        lhs = potentials.assemble("single_trace", phys, green=green).matrix @ tv
         parts = [perturbation.rescaled_operator(
-            "M", i, eps, dc64, lat, wave, CENTER, green=green).matrix @ tv
+            "M", i, eps, dc64, CENTER, green=green).matrix @ tv
             for i in (1, 2)]
         resid = np.max(np.abs(lhs - eps * parts[0] - eps * parts[1]))
         ratios.append(resid / (eps * abs(np.log(eps))))
@@ -217,7 +215,7 @@ def test_criterion_7_rescaled_operator_identities(lat, wave, green):
             f"[{min(ratios):.3f}, {max(ratios):.3f}]")
 
 
-def test_criterion_8_nonlinear_robin(lat, wave, green):
+def test_criterion_8_nonlinear_robin(green):
     t0 = time.time()
     disk = geometry.discretize(geometry.make_curve("circle", radius=1.0), 128)
     # (a) limit density for G == 1
@@ -228,8 +226,8 @@ def test_criterion_8_nonlinear_robin(lat, wave, green):
     pert = 0.5 * (1.0 + 0.3 * np.cos(disk.t)) + 0.1j * np.sin(2 * disk.t)
     ratio_worst, ratio_seen = 0.0, False
     for eps in (0.1, 0.05, 0.02, 0.01):
-        st = nonlinear.solve_theta(eps, Bquad, disk, lat, wave, CENTER,
-                                   green=green, start=pert, tol=1e-13)
+        st = nonlinear.solve_theta(eps, Bquad, disk, CENTER, green=green,
+                                   start=pert, tol=1e-13)
         steps = st.step_norms
         ratios = [steps[i + 1] / steps[i] ** 2 for i in range(len(steps) - 1)
                   if steps[i] > 1e-10]
@@ -238,16 +236,14 @@ def test_criterion_8_nonlinear_robin(lat, wave, green):
             ratio_worst = max(ratio_worst, max(ratios))
     # (c,d,e) full sweep with G = 1 + 0.5 u^2
     Bp = nonlinear.make_nonlinearity("poly2", offset=1.0, gamma=0.5)
-    sweep = nonlinear.continuation_sweep(Bp, disk, lat, wave, CENTER,
-                                         green=green)
+    sweep = nonlinear.continuation_sweep(Bp, disk, CENTER, green=green)
     bc_worst = max(nonlinear.boundary_condition_residual(
-        s, Bp, lattice=lat, wave=wave, center=CENTER, green=green)
+        s, Bp, center=CENTER, green=green)
         for s in sweep)
     ang = np.linspace(0, 2 * np.pi, 6, endpoint=False)
     probes = np.stack([1.65 + 0.08 * np.cos(ang), 1.35 + 0.08 * np.sin(ang)],
                       axis=1)
-    fit = nonlinear.far_field_scaling(sweep, probes, lattice=lat, wave=wave,
-                                      center=CENTER, green=green,
+    fit = nonlinear.far_field_scaling(sweep, probes, center=CENTER, green=green,
                                       fit_max_epsilon=0.07)
     exp_dev = float(np.max(np.abs(fit.exponents - 1.0)))
     tt = np.asarray(nonlinear.limit_density(disk, Bp).values)

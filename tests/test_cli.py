@@ -224,6 +224,16 @@ def test_missing_config_is_a_config_error(tmp_path):
         assert "config" in man["error"]
 
 
+def test_unknown_nonlinearity_parameter_exits_2(tmp_path):
+    bad = copy.deepcopy(ROBIN_CFG)
+    bad["problem"]["nonlinearity"]["params"] = {"ofset": 2.0}
+    cfg = cli.parse_config(json.dumps(bad))
+    assert cli.run("solve-robin", cfg, tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "ofset" in man["error"]
+
+
 def test_oversized_epsilon_exits_2(tmp_path):
     bad = copy.deepcopy(ROBIN_CFG)
     bad["geometry"]["epsilon"] = 0.3  # beyond the validated radius 0.25

@@ -135,8 +135,8 @@ def test_helmholtz_circle_eigendensity_complex_wavenumber():
 # assembled quasi-periodic operators
 # --------------------------------------------------------------------------- #
 
-def test_operator_action_is_linear(circle128, lat, wave, green, rng):
-    op = assemble("single_trace", circle128, lat, wave, green=green)
+def test_operator_action_is_linear(circle128, green, rng):
+    op = assemble("single_trace", circle128, green=green)
     mu = rng.normal(size=128) + 1j * rng.normal(size=128)
     nu = rng.normal(size=128) + 1j * rng.normal(size=128)
     a, b = 1.7 - 0.4j, -0.6 + 2.2j
@@ -145,17 +145,16 @@ def test_operator_action_is_linear(circle128, lat, wave, green, rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_assembly_is_deterministic(circle128, lat, wave, green):
-    A = assemble("double_boundary", circle128, lat, wave, green=green).matrix
-    B = assemble("double_boundary", circle128, lat, wave, green=green).matrix
+def test_assembly_is_deterministic(circle128, green):
+    A = assemble("double_boundary", circle128, green=green).matrix
+    B = assemble("double_boundary", circle128, green=green).matrix
     assert np.array_equal(A, B)
 
 
-def test_shared_regular_tables_are_exactly_reused(circle128, lat, wave, green):
+def test_shared_regular_tables_are_exactly_reused(circle128, green):
     tables = regular_tables(circle128, green)
-    A = assemble("single_trace", circle128, lat, wave, green=green).matrix
-    B = assemble("single_trace", circle128, lat, wave, green=green,
-                 tables=tables).matrix
+    A = assemble("single_trace", circle128, green=green).matrix
+    B = assemble("single_trace", circle128, green=green, tables=tables).matrix
     assert np.array_equal(A, B)
 
 
@@ -173,7 +172,8 @@ def test_assemble_rejects_resonant_wave(circle128, lat):
     wave = make_wave_context(lat, k_res)
     assert wave.is_resonant
     with pytest.raises(ResonanceError):
-        assemble("single_trace", circle128, lat, wave)
+        assemble("single_trace", circle128,
+                 green=qpgreen.make_green_evaluator(lat, k_res))
 
 
 def test_compact_operator_singular_values_decay():
@@ -186,7 +186,7 @@ def test_compact_operator_singular_values_decay():
     dc = geometry.discretize(
         geometry.make_curve("circle", radius=0.08, center=(0.5, 0.5)), 128)
     for kind in ("double_boundary", "adjoint_double"):
-        M = assemble(kind, dc, lat, wave, green=green).matrix
+        M = assemble(kind, dc, green=green).matrix
         s = np.linalg.svd(M, compute_uv=False)
         assert s[24] / s[0] < 1e-6
 

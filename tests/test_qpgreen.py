@@ -149,6 +149,14 @@ def test_resonant_wavenumber_refused(lat):
         qpgreen.make_green_evaluator(lat, k)
 
 
+def test_evaluator_refuses_a_resonant_wave_context(lat):
+    # built directly, bypassing make_green_evaluator's own check
+    wave = make_wave_context(lat, float(np.hypot(0.4, 0.7)))
+    assert wave.is_resonant
+    with pytest.raises(ResonanceError):
+        qpgreen.GreenEvaluator(lat, wave, ewald_split=2.0)
+
+
 def test_near_lattice_point_rejected(green):
     with pytest.raises(NearLatticePointError):
         qpgreen.green_eval(green, np.array([[1e-14, 0.0]]))

@@ -1,0 +1,19 @@
+"""The README's Python examples run against the current API.
+
+Every ```python block of README.md is executed, in order, in one namespace,
+so a later block may use names an earlier one defined.
+"""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks, "README.md has no python examples"
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)

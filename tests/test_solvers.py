@@ -165,6 +165,19 @@ def test_interior_eigenvalue_rescue(circle128, lat):
     assert np.max(np.abs(sol1.field(probes).values - exact)) < 1e-10
 
 
+def test_solvers_refuse_an_evaluator_for_another_problem(circle128, lat, wave,
+                                                         green):
+    other_k = qpgreen.make_green_evaluator(lat, 2.0)
+    other_lattice = qpgreen.make_green_evaluator(
+        Lattice(q_diag=(1.0, 1.2), eta=lat.eta), wave.k)
+    data = np.ones(circle128.N)
+    for ev in (other_k, other_lattice):
+        with pytest.raises(ValueError, match="Green evaluator built for"):
+            solvers.solve_dirichlet(circle128, lat, wave, data, green=ev)
+        with pytest.raises(ValueError, match="Green evaluator built for"):
+            solvers.solve_neumann(circle128, lat, wave, data, green=ev)
+
+
 def test_disk_neumann_wavenumbers_are_derivative_zeros():
     a = 0.35
     ks = solvers.disk_neumann_wavenumbers(a, max_order=3, count=3)
