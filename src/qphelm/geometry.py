@@ -26,6 +26,9 @@ __all__ = [
     "trig_interpolate",
 ]
 
+# The validated radius, where the small-hole expansion is used, as a share of eps0
+_VALIDATED_SHARE = 0.5
+
 
 @dataclass(frozen=True)
 class BoundaryCurve:
@@ -202,7 +205,7 @@ class HoleConfig:
 
     @property
     def validated_radius(self) -> float:
-        return 0.5 * self.epsilon_max
+        return _VALIDATED_SHARE * self.epsilon_max
 
 
 def rescale(cfg: HoleConfig) -> BoundaryCurve:

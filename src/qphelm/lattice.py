@@ -78,20 +78,18 @@ def dual_vector(lattice: Lattice, z) -> np.ndarray:
     return 2.0 * np.pi * z / lattice.q + lattice.eta_vec
 
 
-def _index_box(lattice: Lattice, k: complex, search_radius: int | None) -> int:
+def _index_box(lattice: Lattice, k: complex) -> int:
     """Half-width of the integer search box that surely contains all near-resonant z."""
-    if search_radius is not None:
-        return int(search_radius)
     kmag = abs(k)
     emag = float(np.max(np.abs(lattice.eta_vec))) if lattice.dim else 0.0
     qmax = float(np.max(lattice.q))
     return int(math.ceil((kmag + emag) * qmax / (2.0 * np.pi))) + 2
 
 
-def resonance_set(lattice: Lattice, k: complex, search_radius: int | None = None,
+def resonance_set(lattice: Lattice, k: complex,
                   tolerance: float = DEFAULT_RESONANCE_TOLERANCE) -> list[tuple[int, ...]]:
     """Integer indices z with k**2 = |beta_z|**2 up to tolerance (scaled by max(1, |k|^2))."""
-    half = _index_box(lattice, k, search_radius)
+    half = _index_box(lattice, k)
     tol = tolerance * max(1.0, abs(k) ** 2)
     k2 = complex(k) ** 2
     hits = []
@@ -102,9 +100,9 @@ def resonance_set(lattice: Lattice, k: complex, search_radius: int | None = None
     return hits
 
 
-def spectrum_distance(lattice: Lattice, k: complex, search_radius: int | None = None) -> float:
+def spectrum_distance(lattice: Lattice, k: complex) -> float:
     """min_z |k**2 - |beta_z|**2|, the margin from the lattice spectrum."""
-    half = _index_box(lattice, k, search_radius)
+    half = _index_box(lattice, k)
     k2 = complex(k) ** 2
     best = math.inf
     for z in itertools.product(range(-half, half + 1), repeat=lattice.dim):

@@ -9,7 +9,8 @@ the reference curve solves
           - G(eps M1[eps] theta + eps M2 theta + r M3 theta) = 0,
 
 with r the auxiliary variable standing in for eps*log(eps) (slaved to that
-value in actual solves; kept free so Lambda is analytic in (eps, r)).  At
+value in actual solves; kept free so Lambda is analytic in (eps, r), and
+``OperatorPack.residual`` and ``.jacobian`` take any r).  At
 (0, 0) this reduces to the Laplace limit equation theta/2 + K* theta = G(0),
 whose solution seeds the continuation.
 
@@ -52,6 +53,13 @@ __all__ = [
     "default_epsilon_grid",
 ]
 
+# Newton: iteration cap and step halvings per iteration
+_MAX_ITER, _MAX_HALVINGS = 40, 8
+_LIMIT_SOLVE_TOL = 1e-12
+# continuations start at this share of eps0, inside the validated radius;
+# the default sweep ends at the floor
+_START_SHARE, _EPSILON_FLOOR = 0.25, 1e-3
+
 
 @dataclass(frozen=True)
 class RobinNonlinearity:
@@ -65,18 +73,17 @@ class RobinNonlinearity:
         return self.fn(u)
 
 
-def derivative_gate(B: RobinNonlinearity, seed: int = 0, npoints: int = 20,
-                    tol: float = 1e-7) -> float:
-    """Check dfn against central differences at random complex points."""
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=npoints) + 1j * rng.normal(size=npoints)
+def derivative_gate(B: RobinNonlinearity) -> float:
+    """Check dfn against central differences at 20 seeded random complex points."""
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=20) + 1j * rng.normal(size=20)
     worst = 0.0
     for u in pts:
         h = 1e-6 * max(1.0, abs(u))
         fd = (B.fn(u + h) - B.fn(u - h)) / (2.0 * h)
         err = abs(fd - B.dfn(u)) / max(1.0, abs(B.dfn(u)))
         worst = max(worst, float(err))
-    if worst > tol:
+    if worst > 1e-7:
         raise ValueError(
             f"nonlinearity derivative mismatches finite differences by {worst:.3e}")
     return worst
@@ -184,13 +191,13 @@ class OperatorPack:
 def build_pack(epsilon: float, curve: DiscreteCurve, center, *,
                green: qpgreen.GreenEvaluator) -> OperatorPack:
     """Assemble all rescaled families needed by Lambda at one epsilon."""
+    perturbation._check_epsilon(epsilon, curve, center, green.lattice)
     tables = perturbation.scaled_regular_tables(curve, epsilon, green)
     ops = {}
     for fam in "NM":
         for idx in (1, 2, 3):
-            ops[f"{fam.lower()}{idx}"] = perturbation.rescaled_operator(
-                fam, idx, epsilon, curve, center, green=green,
-                tables=tables if idx == 2 else None).matrix
+            ops[f"{fam.lower()}{idx}"] = perturbation._family_matrix(
+                fam, idx, epsilon, curve, green, tables if idx == 2 else None)
     return OperatorPack(epsilon=float(epsilon), curve=curve, **ops)
 
 
@@ -198,17 +205,16 @@ def _slaved_r(epsilon: float) -> float:
     return float(epsilon * math.log(epsilon)) if epsilon > 0 else 0.0
 
 
-def limit_density(curve: DiscreteCurve, B: RobinNonlinearity,
-                  solve_tol: float = 1e-12) -> potentials.Density:
+def limit_density(curve: DiscreteCurve, B: RobinNonlinearity) -> potentials.Density:
     """Solve the Laplace limit equation theta/2 + K* theta = G(0)."""
     Ks = potentials.assemble_free("adjoint_double", curve, 0.0).matrix
     A = 0.5 * np.eye(curve.N) + Ks
     rhs = np.full(curve.N, complex(B.fn(0.0)))
     theta = sla.solve(A, rhs)
     res = np.max(np.abs(A @ theta - rhs))
-    if res > solve_tol:
+    if res > _LIMIT_SOLVE_TOL:
         raise IllConditionedError(
-            f"limit equation solve residual {res:.3e} exceeds {solve_tol:.1e}")
+            f"limit equation solve residual {res:.3e} exceeds {_LIMIT_SOLVE_TOL:.1e}")
     return potentials.Density(curve=curve, values=theta)
 
 
@@ -234,20 +240,20 @@ def lambda_jacobian(state: ContinuationState, B: RobinNonlinearity,
 
 
 def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
-            r: float, tol: float, max_iter: int, max_halvings: int = 8):
+            r: float, tol: float):
     theta = np.asarray(theta0, dtype=complex).copy()
     res = pack.residual(B, r, theta)
     rnorm = float(np.max(np.abs(res)))
     steps: list[float] = []
     iterations = 0
     while rnorm > tol:
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             raise NewtonDivergenceError(
-                f"Newton did not reach tolerance {tol:.1e} in {max_iter} "
+                f"Newton did not reach tolerance {tol:.1e} in {_MAX_ITER} "
                 f"iterations (residual {rnorm:.3e})")
         delta = sla.solve(pack.jacobian(B, r, theta), -res)
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = theta + scale * delta
             cres = pack.residual(B, r, cand)
             crnorm = float(np.max(np.abs(cres)))
@@ -264,21 +270,20 @@ def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
 
 
 def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, center,
-          green: qpgreen.GreenEvaluator, start, tol: float, max_iter: int,
-          r_last: float | None = None) -> list[ContinuationState]:
+          green: qpgreen.GreenEvaluator, start, tol: float) -> list[ContinuationState]:
     """Newton at each epsilon of the path, warm-started from the previous one.
 
     The walk starts from ``start`` or, without one, from the limit density;
-    r is slaved to eps*log(eps) except on the last step when ``r_last`` is set.
+    r is slaved to eps*log(eps).
     """
     if start is None:
         start = limit_density(curve, B).values
     theta = np.asarray(start, dtype=complex)
     states = []
-    for j, e in enumerate(path):
+    for e in path:
         pack = build_pack(e, curve, center, green=green)
-        r = _slaved_r(e) if r_last is None or j < len(path) - 1 else float(r_last)
-        theta, its, rnorm, steps = _newton(pack, B, theta, r, tol, max_iter)
+        r = _slaved_r(e)
+        theta, its, rnorm, steps = _newton(pack, B, theta, r, tol)
         states.append(ContinuationState(
             epsilon=float(e), r=float(r),
             theta=potentials.Density(curve=curve, values=theta),
@@ -288,8 +293,8 @@ def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, center,
 
 def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
                 center, *, green: qpgreen.GreenEvaluator,
-                start: np.ndarray | None = None, r: float | None = None,
-                tol: float = 1e-12, max_iter: int = 40) -> ContinuationState:
+                start: np.ndarray | None = None,
+                tol: float = 1e-12) -> ContinuationState:
     """Newton solve for theta at one epsilon (r slaved to eps*log(eps)).
 
     Without an explicit ``start``, a short geometric continuation from the
@@ -298,65 +303,57 @@ def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
     if epsilon <= 0:
         raise ValueError("solve_theta requires epsilon > 0")
     bound = geometry.containment_bound(curve.curve, center, green.lattice)
-    validated = 0.5 * bound
+    validated = geometry._VALIDATED_SHARE * bound
     if epsilon > validated:
         raise ValueError(
             f"epsilon={epsilon} above the validated radius {validated:.6g}")
     path = [float(epsilon)]
     if start is None:
-        eps_start = min(validated, bound / 4.0)
+        eps_start = _START_SHARE * bound
         if epsilon < eps_start:
             nseg = max(1, int(math.ceil(math.log2(eps_start / epsilon))))
             path = list(eps_start * (epsilon / eps_start) ** (np.arange(1, nseg + 1)
                                                               / nseg))
             path[-1] = float(epsilon)
-    return _walk(path, B, curve, center, green, start, tol, max_iter,
-                 r_last=r)[-1]
+    return _walk(path, B, curve, center, green, start, tol)[-1]
 
 
-def default_epsilon_grid(curve: DiscreteCurve, center, lattice: Lattice,
-                         floor: float = 1e-3) -> list[float]:
-    """Geometric sweep grid from min(validated radius, eps0/4) down to floor."""
-    bound = geometry.containment_bound(curve.curve, center, lattice)
-    start = min(0.5 * bound, bound / 4.0)
+def default_epsilon_grid(curve: DiscreteCurve, center, lattice: Lattice) -> list[float]:
+    """Halving sweep grid from a quarter of the containment bound eps0 down to 1e-3."""
+    e = _START_SHARE * geometry.containment_bound(curve.curve, center, lattice)
     grid = []
-    e = start
-    while e > floor * (1 + 1e-12):
+    while e > _EPSILON_FLOOR * (1 + 1e-12):
         grid.append(float(e))
         e *= 0.5
-    grid.append(float(floor))
+    grid.append(float(_EPSILON_FLOOR))
     return grid
 
 
 def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve, center, *,
                        green: qpgreen.GreenEvaluator, epsilons=None,
-                       tol: float = 1e-12, max_iter: int = 40
-                       ) -> list[ContinuationState]:
+                       tol: float = 1e-12) -> list[ContinuationState]:
     """Warm-started Newton sweep over a decreasing epsilon grid."""
     if epsilons is None:
         epsilons = default_epsilon_grid(curve, center, green.lattice)
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    return _walk(epsilons, B, curve, center, green, None, tol, max_iter)
+    return _walk(epsilons, B, curve, center, green, None, tol)
 
 
 def reconstruct_field(state: ContinuationState, probes, *, center,
-                      green: qpgreen.GreenEvaluator,
-                      want_gradients: bool = False) -> potentials.FieldSample:
+                      green: qpgreen.GreenEvaluator) -> potentials.FieldSample:
     """Evaluate u = S[physical-hole density] at probe points."""
     phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
                                        green.lattice)
     dens = potentials.Density(curve=phys, values=np.asarray(state.theta.values))
-    return potentials.field_eval("single", dens, probes, green=green,
-                                 want_gradients=want_gradients)
+    return potentials.field_eval("single", dens, probes, green=green)
 
 
 def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
-                                *, center, green: qpgreen.GreenEvaluator,
-                                n_check: int = 16) -> float:
+                                *, center, green: qpgreen.GreenEvaluator) -> float:
     """Sup-norm Robin defect d/dnu u - G(u) at off-node physical boundary points."""
     phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
                                        green.lattice)
-    taus = solvers._midpoint_taus(phys.N, n_check)
+    taus = solvers._midpoint_taus(phys.N)
     tv = np.asarray(state.theta.values, dtype=complex)
     th_tau = geometry.trig_interpolate(tv, taus)
     tables = potentials.regular_tables(phys, green, taus)

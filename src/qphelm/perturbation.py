@@ -80,26 +80,28 @@ def _check_epsilon(epsilon: float, curve: DiscreteCurve, center, lattice: Lattic
 
 def rescaled_operator(family: str, index: int, epsilon: float,
                       curve: DiscreteCurve, center, *,
-                      green: qpgreen.GreenEvaluator, tables=None) -> RescaledFamily:
+                      green: qpgreen.GreenEvaluator) -> RescaledFamily:
     """Assemble one rescaled family member on the reference curve.
 
     Index 1 depends on epsilon only through the wavenumber epsilon*k and is
     defined for every epsilon in (-eps0, eps0), including 0 (Laplace limit)
-    and negative values.  ``tables`` may carry the precomputed regular-part
-    pair at the scaled differences epsilon*(t-s); the index-2 table is
-    identical for all three families at one epsilon.
+    and negative values.
     """
     _check_family(family, index)
     _check_epsilon(epsilon, curve, center, green.lattice)
+    tables = scaled_regular_tables(curve, epsilon, green) if index == 2 else None
+    matrix = _family_matrix(family, index, epsilon, curve, green, tables)
+    return RescaledFamily(family, index, float(epsilon), matrix, curve)
+
+
+def _family_matrix(family: str, index: int, epsilon: float, curve: DiscreteCurve,
+                   green: qpgreen.GreenEvaluator, tables) -> np.ndarray:
+    """Matrix of one member, without checks; index 2 reads the scaled ``tables``."""
     kind = _FAMILY_KIND[family]
     if index == 1:
-        matrix = potentials.assemble_free(kind, curve, epsilon * green.k).matrix
-        return RescaledFamily(family, index, float(epsilon), matrix, curve)
-
+        return potentials.assemble_free(kind, curve, epsilon * green.k).matrix
     nu = curve.normals
     if index == 2:
-        if tables is None:
-            tables = scaled_regular_tables(curve, epsilon, green)
         RV, RG = tables
         core = potentials._layer_core(kind, nu, nu, RV=RV, RG=RG)[1]
     else:
@@ -107,8 +109,7 @@ def rescaled_operator(family: str, index: int, epsilon: float,
         y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
         r = np.sqrt(np.sum(y * y, axis=2))
         core = 2.0 * potentials._layer_core(kind, nu, nu, d=y, r=r, k=green.k)[0]
-    matrix = core * curve.weights[None, :]
-    return RescaledFamily(family, index, float(epsilon), matrix, curve)
+    return core * curve.weights[None, :]
 
 
 def physical_curve(curve: DiscreteCurve, center, epsilon: float,
@@ -135,13 +136,13 @@ _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
                       "double-boundary": ("double_boundary", "P")}
 
 
-def _boundary_identity_residual(kind, epsilon, tv, curve, phys, center, green,
+def _boundary_identity_residual(kind, epsilon, tv, curve, phys, green,
                                 phys_tables, fam_tables) -> float:
     op_kind, family = _BOUNDARY_IDENTITY[kind]
     lhs = potentials.assemble(op_kind, phys, green=green,
                               tables=phys_tables).matrix @ tv
-    parts = [rescaled_operator(family, i, epsilon, curve, center, green=green,
-                               tables=fam_tables if i == 2 else None).matrix @ tv
+    parts = [_family_matrix(family, i, epsilon, curve, green,
+                            fam_tables if i == 2 else None) @ tv
              for i in (1, 2, 3)]
     loge = math.log(epsilon)
     if family == "M":
@@ -193,6 +194,8 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
 
     Equivalent to looping :func:`rescaling_identity_check` over the kinds but
     assembles the physical-curve table and the scaled family table only once.
+    Building the physical hole checks epsilon against the containment bound,
+    so the family members are assembled without checking it again.
     """
     if kinds is None:
         kinds = IDENTITY_KINDS if probes is not None else \
@@ -212,7 +215,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
         fam_tables = scaled_regular_tables(curve, epsilon, green)
         for kind in boundary:
             out[kind] = _boundary_identity_residual(
-                kind, epsilon, tv, curve, phys, center, green,
+                kind, epsilon, tv, curve, phys, green,
                 phys_tables=phys_tables, fam_tables=fam_tables)
     for kind in kinds:
         if kind in _BOUNDARY_IDENTITY:
@@ -225,9 +228,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
 
 
 def leading_split(family: str, epsilon: float, curve: DiscreteCurve, center, *,
-                  green: qpgreen.GreenEvaluator,
-                  validated_radius: float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  green: qpgreen.GreenEvaluator) -> tuple[np.ndarray, np.ndarray]:
     """Split the index-1 family as Laplace leading term + epsilon * remainder.
 
     The remainder is the divided difference (F1[eps] - F1[0])/eps; at eps = 0
@@ -235,9 +236,8 @@ def leading_split(family: str, epsilon: float, curve: DiscreteCurve, center, *,
     even in the wavenumber.
     """
     _check_family(family, 1)
-    bound = geometry.containment_bound(curve.curve, center, green.lattice)
-    if validated_radius is None:
-        validated_radius = 0.5 * bound
+    validated_radius = geometry._VALIDATED_SHARE * geometry.containment_bound(
+        curve.curve, center, green.lattice)
     if not abs(epsilon) <= validated_radius:
         raise ContainmentError(
             f"epsilon={epsilon} outside the validated radius {validated_radius:.6g}")

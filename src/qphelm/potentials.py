@@ -44,6 +44,8 @@ __all__ = [
 
 OPERATOR_KINDS = ("single_trace", "double_boundary", "adjoint_double")
 FIELD_KINDS = ("single", "double")
+# Gauss-Legendre panels per cell edge and nodes per panel of the flux pairing
+_FLUX_PANELS, _FLUX_ORDER = 6, 12
 
 
 class AccuracyGuardWarning(UserWarning):
@@ -170,7 +172,7 @@ def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarra
             gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
             A1 = 0.5 * k2 * gJ * nd
             if L is not None:
-                J2 = specfun.fs_coefficients(2, z)[0]
+                J2 = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = nd / (r * r)
                 if ratio_diagonal is not None:
@@ -288,29 +290,29 @@ def field_eval(kind: str, density: Density, points, *,
     if check_distance:
         _distance_guard(dc, green.lattice, pts)
     d = (pts[:, None, :] - dc.points[None, :, :]).reshape(-1, 2)
+    grads = None
     if kind == "single":
         v, g = qpgreen.green_eval(green, d)
         v = v.reshape(len(pts), dc.N)
         vals = v @ mu_w
-        grads = None
         if want_gradients:
             g = g.reshape(len(pts), dc.N, 2)
             grads = np.einsum("pji,j->pi", g, mu_w)
     else:
-        _, g = qpgreen.green_eval(green, d)
+        if want_gradients:
+            _, g, H = qpgreen.green_hessian(green, d)
+            H = H.reshape(len(pts), dc.N, 2, 2)
+            grads = -np.einsum("pjil,jl,j->pi", H, dc.normals, mu_w)
+        else:
+            _, g = qpgreen.green_eval(green, d)
         g = g.reshape(len(pts), dc.N, 2)
         # d/dnu(y) G(x - y) = -nu(y) . (grad G)(x - y)
         vals = -np.einsum("pji,ji,j->p", g, dc.normals, mu_w)
-        grads = None
-        if want_gradients:
-            H = qpgreen.green_hessian(green, d).reshape(len(pts), dc.N, 2, 2)
-            grads = -np.einsum("pjil,jl,j->pi", H, dc.normals, mu_w)
     return FieldSample(points=pts, values=vals, gradients=grads)
 
 
 def cell_flux_integral(kind: str, density: Density, *,
-                       green: qpgreen.GreenEvaluator, panels: int = 6,
-                       order: int = 12) -> tuple[complex, float]:
+                       green: qpgreen.GreenEvaluator) -> tuple[complex, float]:
     """Outward flux pairing of a layer field over the cell boundary.
 
     Returns (integral of dv/dnu * conj(v) over the cell boundary, integral of
@@ -320,24 +322,24 @@ def cell_flux_integral(kind: str, density: Density, *,
 
     lat = green.lattice
     q = lat.q
-    xg, wg = roots_legendre(order)
+    xg, wg = roots_legendre(_FLUX_ORDER)
     nodes, weights, normals = [], [], []
     for axis in range(2):
         L = q[axis]
-        for pl in range(panels):
-            a = L * pl / panels
-            b = L * (pl + 1) / panels
+        for pl in range(_FLUX_PANELS):
+            a = L * pl / _FLUX_PANELS
+            b = L * (pl + 1) / _FLUX_PANELS
             s = 0.5 * (a + b) + 0.5 * (b - a) * xg
             w = 0.5 * (b - a) * wg
             for side, nrm in ((0.0, -1.0), (q[1 - axis], 1.0)):
-                pts = np.zeros((order, 2))
+                pts = np.zeros((_FLUX_ORDER, 2))
                 pts[:, axis] = s
                 pts[:, 1 - axis] = side
                 nv = np.zeros(2)
                 nv[1 - axis] = nrm
                 nodes.append(pts)
                 weights.append(w)
-                normals.append(np.tile(nv, (order, 1)))
+                normals.append(np.tile(nv, (_FLUX_ORDER, 1)))
     pts = np.concatenate(nodes, axis=0)
     ws = np.concatenate(weights, axis=0)
     nrm = np.concatenate(normals, axis=0)

@@ -80,14 +80,13 @@ def _shell_indices(s: int, dim: int) -> np.ndarray:
 def _expn_table(u: np.ndarray, jmax: int, lowest: int) -> list[np.ndarray]:
     """E_n(u) for n = lowest..jmax via exp1 plus the stable upward recurrence.
 
-    lowest may be -1; u must be positive.
+    lowest is -1 or 0; u must be positive.
     """
     e = np.exp(-u)
     table: dict[int, np.ndarray] = {}
     if lowest <= -1:
         table[-1] = e * (u + 1.0) / (u * u)
-    if lowest <= 0:
-        table[0] = e / u
+    table[0] = e / u
     table[1] = sp.exp1(u)
     for n in range(2, jmax + 1):
         table[n] = (e - u * table[n - 1]) / (n - 1.0)
@@ -231,20 +230,19 @@ class GreenEvaluator:
             )
         return d, rho2
 
-    def _spectral(self, xr: np.ndarray, need: str):
+    def _spectral(self, xr: np.ndarray, hessians: bool):
         ph = np.exp(1j * xr @ self.betas.T) * self.cz[None, :]
         val = np.sum(ph, axis=1)
-        grad = hess = None
-        if "g" in need:
-            grad = 1j * (ph @ self.betas)
-        if "h" in need:
+        grad = 1j * (ph @ self.betas)
+        hess = None
+        if hessians:
             hess = -np.einsum("ps,si,sj->pij", ph, self.betas, self.betas)
         return val, grad, hess
 
-    def _spatial(self, d: np.ndarray, rho2: np.ndarray, need: str):
+    def _spatial(self, d: np.ndarray, rho2: np.ndarray, hessians: bool):
         E = self.ewald_split
         u = E * E * rho2
-        lowest = -1 if "h" in need else (0 if "g" in need else 1)
+        lowest = -1 if hessians else 0
         tab = _expn_table(u, self.jmax + 1, lowest)
 
         def series(offset):
@@ -257,19 +255,17 @@ class GreenEvaluator:
         w = self.shift_phases[None, :]
         s1 = series(1)
         val = -(1.0 / (4 * np.pi)) * np.sum(w * s1, axis=1)
-        grad = hess = None
-        if "g" in need or "h" in need:
-            s0 = series(0)
-            pref = E * E / (2 * np.pi)
-            if "g" in need:
-                grad = pref * np.einsum("pm,pmi->pi", w * s0, d)
-            if "h" in need:
-                sm1 = series(-1)
-                eye = np.eye(2)
-                hess = pref * (
-                    np.einsum("pm,ij->pij", w * s0, eye)
-                    - 2.0 * E * E * np.einsum("pm,pmi,pmj->pij", w * sm1, d, d)
-                )
+        s0 = series(0)
+        pref = E * E / (2 * np.pi)
+        grad = pref * np.einsum("pm,pmi->pi", w * s0, d)
+        hess = None
+        if hessians:
+            sm1 = series(-1)
+            eye = np.eye(2)
+            hess = pref * (
+                np.einsum("pm,ij->pij", w * s0, eye)
+                - 2.0 * E * E * np.einsum("pm,pmi,pmj->pij", w * sm1, d, d)
+            )
         return val, grad, hess
 
 
@@ -287,56 +283,52 @@ def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | N
     return GreenEvaluator(lattice, wave, ewald_split=ewald_split)
 
 
-def _batched(x, need: str, kernel):
+def _batched(x, hessians: bool, kernel):
     """Apply kernel(points) -> (values, gradients, Hessians) in _CHUNK batches.
 
-    x has shape (..., 2); need names the outputs ("v", "g", "h") to collect.
+    x has shape (..., 2); the Hessians are collected only when ``hessians``.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = np.atleast_2d(x).reshape(-1, 2)
     vals = np.zeros(len(pts), dtype=complex)
-    grads = np.zeros((len(pts), 2), dtype=complex) if "g" in need else None
-    hesss = np.zeros((len(pts), 2, 2), dtype=complex) if "h" in need else None
+    grads = np.zeros((len(pts), 2), dtype=complex)
+    hesss = np.zeros((len(pts), 2, 2), dtype=complex) if hessians else None
     for lo in range(0, len(pts), _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, len(pts)))
         v, g, h = kernel(pts[sl])
         vals[sl] = v
-        if grads is not None:
-            grads[sl] = g
+        grads[sl] = g
         if hesss is not None:
             hesss[sl] = h
     shape = x.shape[:-1]
     vals = vals.reshape(shape) if not scalar else vals[0]
-    if grads is not None:
-        grads = grads.reshape(shape + (2,)) if not scalar else grads[0]
+    grads = grads.reshape(shape + (2,)) if not scalar else grads[0]
     if hesss is not None:
         hesss = hesss.reshape(shape + (2, 2)) if not scalar else hesss[0]
     return vals, grads, hesss
 
 
-def _green_kernel(ev: GreenEvaluator, need: str):
+def _green_kernel(ev: GreenEvaluator, hessians: bool):
     def kernel(chunk):
         xr, phase, _ = ev._reduce(chunk)
         d, rho2 = ev._guard(xr)
-        v1, g1, h1 = ev._spectral(xr, need)
-        v2, g2, h2 = ev._spatial(d, rho2, need)
-        g = phase[:, None] * (g1 + g2) if "g" in need else None
-        h = phase[:, None, None] * (h1 + h2) if "h" in need else None
-        return phase * (v1 + v2), g, h
+        v1, g1, h1 = ev._spectral(xr, hessians)
+        v2, g2, h2 = ev._spatial(d, rho2, hessians)
+        h = phase[:, None, None] * (h1 + h2) if hessians else None
+        return phase * (v1 + v2), phase[:, None] * (g1 + g2), h
     return kernel
 
 
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    v, g, _ = _batched(x, "vg", _green_kernel(ev, "vg"))
+    v, g, _ = _batched(x, False, _green_kernel(ev, False))
     return v, g
 
 
 def green_hessian(ev: GreenEvaluator, x):
-    """Hessian of the Green function (shape (..., 2, 2))."""
-    _, _, h = _batched(x, "vh", _green_kernel(ev, "vh"))
-    return h
+    """Green-function value, gradient and Hessian (shape (..., 2, 2)) at points x."""
+    return _batched(x, True, _green_kernel(ev, True))
 
 
 def _phi_table(u, nmax: int) -> np.ndarray:
@@ -506,7 +498,7 @@ def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
         r = np.sqrt(np.sum(np.atleast_2d(x.reshape(-1, 2)) ** 2, axis=1))
         if np.any(r >= 0.5 * float(np.min(ev.lattice.q))):
             raise ValueError("regular part requested outside the half-cell ball")
-    v, g, _ = _batched(x, "vg", _regular_kernel(ev))
+    v, g, _ = _batched(x, False, _regular_kernel(ev))
     return v, g
 
 

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 CONDITION_WARN_THRESHOLD = 1e8
+# off-node points at which solves and the Robin sweep check the boundary condition
+_N_CHECK = 16
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,13 @@ def _nodal_values(curve: DiscreteCurve, data) -> np.ndarray:
     return np.asarray(data, dtype=complex)
 
 
-def _midpoint_taus(N: int, n_check: int) -> np.ndarray:
+def _midpoint_taus(N: int) -> np.ndarray:
     # midpoints of the discretization grid itself are never nodes
-    idx = np.unique(np.round(np.linspace(0, N - 1, n_check)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, N - 1, _N_CHECK)).astype(int))
     return (2 * idx + 1) * np.pi / N
 
 
-def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
-                  n_check):
+def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol):
     if green.lattice != lattice or green.k != complex(wave.k):
         raise ValueError(
             f"Green evaluator built for q={green.lattice.q_diag}, "
@@ -133,7 +134,7 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
     mu, cond = _lu_solve_refined(A.astype(complex), g, solve_tol)
 
     # boundary-condition residual at off-node midpoints
-    taus = _midpoint_taus(N, n_check)
+    taus = _midpoint_taus(N)
     mu_tau = geometry.trig_interpolate(mu, taus)
     g_tau = geometry.trig_interpolate(g, taus)
     trace_tables = potentials.regular_tables(curve, green, taus)
@@ -165,7 +166,7 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol,
 
 def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
                     data, a_flag: int = 0, *, green: qpgreen.GreenEvaluator,
-                    solve_tol: float = 1e-10, n_check: int = 16) -> BVPSolution:
+                    solve_tol: float = 1e-10) -> BVPSolution:
     """Solve the exterior quasi-periodic Dirichlet problem around one hole.
 
     Parameters
@@ -178,18 +179,17 @@ def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
         when k^2 is an interior Neumann eigenvalue of the hole.
     """
     return _solve_common("dirichlet", curve, lattice, wave, data, a_flag, green,
-                         solve_tol, n_check)
+                         solve_tol)
 
 
 def solve_neumann(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
-                  data, *, green: qpgreen.GreenEvaluator, solve_tol: float = 1e-10,
-                  n_check: int = 16) -> BVPSolution:
+                  data, *, green: qpgreen.GreenEvaluator,
+                  solve_tol: float = 1e-10) -> BVPSolution:
     """Solve the exterior quasi-periodic Neumann problem around one hole.
 
     ``green`` must have been built for ``lattice`` and ``wave.k``.
     """
-    return _solve_common("neumann", curve, lattice, wave, data, 0, green,
-                         solve_tol, n_check)
+    return _solve_common("neumann", curve, lattice, wave, data, 0, green, solve_tol)
 
 
 def disk_neumann_wavenumbers(radius: float, max_order: int = 3,

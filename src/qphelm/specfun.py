@@ -114,19 +114,18 @@ class EntireSeries:
         return acc
 
 
-def _trim_degree(coeffs: np.ndarray, zmax: float, tol: float) -> int:
-    """Smallest degree whose trailing three terms stay below tol at |z| = zmax."""
+def _trim_degree(coeffs: np.ndarray) -> int:
+    """Smallest degree whose trailing three terms stay below 1e-17 at |z| = 20."""
     with np.errstate(divide="ignore"):
-        logmags = np.log(np.abs(coeffs)) + 2.0 * np.arange(len(coeffs)) * np.log(zmax)
-    logtol = np.log(tol)
+        logmags = np.log(np.abs(coeffs)) + 2.0 * np.arange(len(coeffs)) * np.log(20.0)
+    logtol = np.log(1e-17)
     for d in range(4, len(coeffs)):
         if np.all(logmags[d - 2 : d + 1] < logtol):
             return d
     return len(coeffs) - 1
 
 
-def jtilde_series(nu: float, degree: int | None = None, *, zmax: float = 20.0,
-                  target_tolerance: float = 1e-14) -> EntireSeries:
+def jtilde_series(nu: float, degree: int | None = None) -> EntireSeries:
     """Series for z**(-nu) J_nu(z): coefficients (-1)^m / (m! Gamma(m+nu+1) 2^(2m+nu)).
 
     Valid for any real order; reciprocal-Gamma zeros make negative integer
@@ -145,13 +144,12 @@ def jtilde_series(nu: float, degree: int | None = None, *, zmax: float = 20.0,
             c[m] = 0.0  # underflowed tail: keep at zero
         else:
             c[m] = -c[m - 1] / (4.0 * m * (m + nu))
-    d = _trim_degree(c, zmax, 1e-17) if degree is None else degree
+    d = _trim_degree(c) if degree is None else degree
     return EntireSeries(order=float(nu), coefficients=c[: d + 1], truncation_degree=d,
-                        target_tolerance=target_tolerance, kind="jtilde")
+                        kind="jtilde")
 
 
-def ntilde_series(p: int, degree: int | None = None, *, zmax: float = 20.0,
-                  target_tolerance: float = 1e-14) -> EntireSeries:
+def ntilde_series(p: int, degree: int | None = None) -> EntireSeries:
     """Series for the log-free part of the integer Neumann function.
 
     For p in {0, 1} this is z**p Y_p(z) - (2/pi)(log(z/2) + gamma) z**p J_p(z),
@@ -175,9 +173,9 @@ def ntilde_series(p: int, degree: int | None = None, *, zmax: float = 20.0,
             num = _harmonic(m - 1) + _harmonic(m)
             den = _harmonic(m - 2) + _harmonic(m - 1)
             c[m] = -c[m - 1] * (num / den) / (4.0 * m * (m - 1))
-    d = _trim_degree(c, zmax, 1e-17) if degree is None else degree
+    d = _trim_degree(c) if degree is None else degree
     return EntireSeries(order=float(p), coefficients=c[: d + 1], truncation_degree=d,
-                        target_tolerance=target_tolerance, kind="ntilde")
+                        kind="ntilde")
 
 
 def recurrence_residual(series: EntireSeries) -> float:

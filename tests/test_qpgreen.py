@@ -99,7 +99,7 @@ def test_gradient_consistency_fd(green, rng):
 
 def test_hessian_consistency_fd(green):
     pts = np.array([[0.37, 0.52], [0.7, 0.33]])
-    H = qpgreen.green_hessian(green, pts)
+    _, _, H = qpgreen.green_hessian(green, pts)
     h = 1e-5
     for i in range(2):
         e = np.zeros(2)
