@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 OPERATOR_KINDS = ("single_trace", "double_boundary", "adjoint_double")
-FIELD_KINDS = ("single", "double")
+# "combined" is D[mu] + i S[mu], the Dirichlet representation with a_flag = 1
+FIELD_KINDS = ("single", "double", "combined")
 # Gauss-Legendre panels per cell edge and nodes per panel of the flux pairing
 _FLUX_PANELS, _FLUX_ORDER = 6, 12
 
@@ -281,7 +282,11 @@ def _distance_guard(dc: DiscreteCurve, lattice: Lattice, points: np.ndarray):
 def field_eval(kind: str, density: Density, points, *,
                green: qpgreen.GreenEvaluator,
                want_gradients: bool = False, check_distance: bool = True) -> FieldSample:
-    """Evaluate a layer potential off the curve by plain quadrature."""
+    """Evaluate a layer potential off the curve by plain quadrature.
+
+    Every kind takes one Green call at the point-node differences: values and
+    gradients, plus Hessians for the gradient of a double layer.
+    """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -290,24 +295,25 @@ def field_eval(kind: str, density: Density, points, *,
     if check_distance:
         _distance_guard(dc, green.lattice, pts)
     d = (pts[:, None, :] - dc.points[None, :, :]).reshape(-1, 2)
-    grads = None
-    if kind == "single":
-        v, g = qpgreen.green_eval(green, d)
-        v = v.reshape(len(pts), dc.N)
-        vals = v @ mu_w
-        if want_gradients:
-            g = g.reshape(len(pts), dc.N, 2)
-            grads = np.einsum("pji,j->pi", g, mu_w)
+    shape = (len(pts), dc.N)
+    vals = np.zeros(len(pts), dtype=complex)
+    grads = np.zeros((len(pts), 2), dtype=complex) if want_gradients else None
+    if kind != "single" and want_gradients:
+        v, g, H = qpgreen.green_hessian(green, d)
     else:
-        if want_gradients:
-            _, g, H = qpgreen.green_hessian(green, d)
-            H = H.reshape(len(pts), dc.N, 2, 2)
-            grads = -np.einsum("pjil,jl,j->pi", H, dc.normals, mu_w)
-        else:
-            _, g = qpgreen.green_eval(green, d)
-        g = g.reshape(len(pts), dc.N, 2)
+        v, g = qpgreen.green_eval(green, d)
+    g = g.reshape(shape + (2,))
+    if kind != "single":
         # d/dnu(y) G(x - y) = -nu(y) . (grad G)(x - y)
-        vals = -np.einsum("pji,ji,j->p", g, dc.normals, mu_w)
+        vals -= np.einsum("pji,ji,j->p", g, dc.normals, mu_w)
+        if want_gradients:
+            H = H.reshape(shape + (2, 2))
+            grads -= np.einsum("pjil,jl,j->pi", H, dc.normals, mu_w)
+    if kind != "double":
+        c = 1.0 if kind == "single" else 1j
+        vals += c * (v.reshape(shape) @ mu_w)
+        if want_gradients:
+            grads += c * np.einsum("pji,j->pi", g, mu_w)
     return FieldSample(points=pts, values=vals, gradients=grads)
 
 

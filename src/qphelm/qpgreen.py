@@ -1,9 +1,35 @@
-"""Quasi-periodic Helmholtz Green function via an exponentially convergent split.
+"""Quasi-periodic Helmholtz Green function from its regular part in the cell.
 
-The spectral definition G(x) = (1/A) sum_z exp(i beta_z . x) / (k^2 - |beta_z|^2)
-is summed through a Gaussian split at parameter E: writing the heat-kernel
-identity for the lattice sum and cutting the t-integral at 1/(4 E^2) turns the
-slowly convergent series into
+G is served from the free-space kernel plus a fitted regular part.  The
+regular part R = G - S_2(., k) solves the Helmholtz equation in the disk
+|x| < min(q), so there it is a Fourier-Bessel (lattice-sum) series
+
+    R(x) = sum_n s_n J_n(k|x|) e^{i n theta}
+
+(Linton, SIAM Review 52 (2010) 630-674).  A point is first reduced into the
+centred cell, x' = x - q m*, and
+
+    G(x) = e^{i eta . q m*} (S_2(x') + R(x')),
+
+with values, gradients and Hessians from the same tables: the expansion's
+derivative rows are coefficient shifts, and the S_2 Hessian follows from its
+value and gradient by the Helmholtz equation.  regular_part returns
+R(x) = G(x) - S_2(x), which for unmoved points (m* = 0) is R(x') itself, so
+there is no cancellation at the origin.
+
+The coefficients are fitted once per evaluator from Ewald values of G - S_2
+on two circles inside the disk, and stored on the normalised basis
+(z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
+the raw s_n overflow.  A regular_part call fits the expansion, and so does a
+Green call with at least _FIT_MIN_POINTS points; a smaller Green call on an
+unfitted evaluator sums Ewald instead, since the fit costs tens of
+milliseconds.  A point's order count comes from a fixed ladder of radii, not
+from the other points of its call, so every point gets the same bits in any
+batch (a grid split over threads included).
+
+The Ewald sum is the oracle, ewald_oracle.  It splits the spectral definition
+G(x) = (1/A) sum_z exp(i beta_z . x) / (k^2 - |beta_z|^2) by a Gaussian at
+parameter E: cutting the heat-kernel t-integral at 1/(4 E^2) gives
 
     G = G_spec + G_spat,
     G_spec(x) = (1/A) sum_z e^{i beta_z . x} exp((k^2-|beta_z|^2)/(4E^2)) / (k^2-|beta_z|^2),
@@ -12,21 +38,9 @@ slowly convergent series into
 with E_n the generalized exponential integral (dimension 2 throughout).  Both
 tails decay like Gaussians, so small index boxes give full precision; the split
 is algebraically exact for every E > 0, which the tests exercise by comparing
-evaluators with different split parameters.
-
-The regular part R = G - S_2(., k) solves the Helmholtz equation in the disk
-|x| < min(q), so there it is a Fourier-Bessel (lattice-sum) series
-
-    R(x) = sum_n s_n J_n(k|x|) e^{i n theta}
-
-(Linton, SIAM Review 52 (2010) 630-674).  The coefficients are fitted once
-per evaluator, on its first regular_part call, from green_eval - S_2 sampled
-on two circles inside that disk, and stored on the normalised basis
-(z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
-the raw s_n overflow.  A point is first reduced into the centred cell,
-x' = x - q m*, and R(x) = e^{i eta . q m*} (S_2(x') + R(x')) - S_2(x); the
-few reduced points beyond the expansion's radius (anisotropic cells only)
-take green_eval - S_2 directly.
+evaluators with different split parameters.  Besides checking the expansion,
+it samples the fit and serves the reduced points beyond the expansion's radius
+(anisotropic cells only) and the Green calls too small to pay for a fit.
 """
 
 from __future__ import annotations
@@ -50,6 +64,7 @@ __all__ = [
     "green_hessian",
     "regular_part",
     "FourierBesselExpansion",
+    "ewald_oracle",
     "image_sum_oracle",
 ]
 
@@ -65,6 +80,15 @@ _FIT_RADII = (0.62, 0.74)
 _EXPANSION_RADIUS = 0.72
 _FIT_SAMPLES = 256
 _EXPANSION_CAP = 120
+# A Green call on an unfitted evaluator fits the expansion from this many
+# points up (the fit's own Ewald samples); a smaller one sums Ewald instead.
+_FIT_MIN_POINTS = 2 * _FIT_SAMPLES
+# The radius ladder that sets a point's order count, from the expansion's
+# radius down by _LADDER_RATIO per step, and the step the counts are rounded
+# up to: a call evaluates the points of each count as one batch.
+_LADDER_RATIO = 0.9
+_LADDER_STEPS = 48
+_TERM_STEP = 8
 
 
 def _shell_indices(s: int, dim: int) -> np.ndarray:
@@ -194,10 +218,20 @@ class GreenEvaluator:
             self._expansion = FourierBesselExpansion(self)
         return self._expansion
 
+    def expansion_for(self, npoints: int) -> FourierBesselExpansion | None:
+        """The expansion a Green call on npoints points uses, or None for Ewald.
+
+        A fitted expansion is always used; an unfitted one is fitted for a
+        call of at least _FIT_MIN_POINTS points, where the fit's cost pays.
+        """
+        if self._expansion is None and npoints < _FIT_MIN_POINTS:
+            return None
+        return self.expansion
+
     def parameters(self) -> dict:
         """Numerical parameters chosen for this evaluator (for run manifests).
 
-        The expansion entries are None until a regular_part call has fitted it.
+        The expansion entries are None until a call has fitted it.
         """
         fb = self._expansion
         return {
@@ -213,8 +247,11 @@ class GreenEvaluator:
         """Translate points into the centered cell; return (reduced, Bloch phase, m*)."""
         q = self.lattice.q
         mstar = np.round(x / q)
-        xr = x - mstar * q
-        phase = np.exp(1j * (mstar * q) @ self.lattice.eta_vec)
+        shift = mstar * q
+        xr = x - shift
+        # elementwise: a matrix-vector product rounds a single row differently
+        eta = self.lattice.eta_vec
+        phase = np.exp(1j * (shift[:, 0] * eta[0] + shift[:, 1] * eta[1]))
         return xr, phase, mstar
 
     def _exclusion(self) -> float:
@@ -309,8 +346,12 @@ def _batched(x, hessians: bool, kernel):
     return vals, grads, hesss
 
 
-def _green_kernel(ev: GreenEvaluator, hessians: bool):
+def _ewald_kernel(ev: GreenEvaluator, hessians: bool):
     def kernel(chunk):
+        if len(chunk) == 1:
+            # BLAS takes a vector path for one row, with other rounding
+            return tuple(None if a is None else a[:1]
+                         for a in kernel(np.repeat(chunk, 2, axis=0)))
         xr, phase, _ = ev._reduce(chunk)
         d, rho2 = ev._guard(xr)
         v1, g1, h1 = ev._spectral(xr, hessians)
@@ -320,33 +361,116 @@ def _green_kernel(ev: GreenEvaluator, hessians: bool):
     return kernel
 
 
+def ewald_oracle(ev: GreenEvaluator, x):
+    """G by the Ewald sum: values, gradients and Hessians at points x.
+
+    Independent of the Fourier-Bessel expansion, it is the reference the
+    expansion is fitted to and checked against; outside qpgreen only checks
+    (the tests, the CLI selftest) call it.  green_eval and green_hessian sum
+    Ewald for reduced points beyond the expansion's radius and for small
+    calls before any fit.
+    """
+    return _batched(x, True, _ewald_kernel(ev, True))
+
+
+def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
+    """[S_2, grad S_2] and, when asked, the Hessian at points x != 0.
+
+    With grad S_2 = g x, the Helmholtz equation S'' + S'/r + k^2 S = 0 gives
+    H = g I - (k^2 S_2 + 2 g) x x^T / |x|^2.
+    """
+    s = specfun.fundamental_solution(2, x, k)
+    jet = [s.value, s.gradient]
+    if hessians:
+        r2 = np.sum(x * x, axis=1)
+        g = np.sum(s.gradient * x, axis=1) / r2
+        radial = (k * k * s.value + 2.0 * g) / r2
+        jet.append(g[:, None, None] * np.eye(2)
+                   - radial[:, None, None] * x[:, :, None] * x[:, None, :])
+    return jet
+
+
+def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool,
+                 regular: bool):
+    """G, or R = G - S_2 when ``regular``, from S_2 + R in the reduced cell."""
+    k = ev.k
+    excl = ev._exclusion()
+
+    def kernel(chunk):
+        xr, phase, mstar = ev._reduce(chunk)
+        moved = np.any(mstar != 0, axis=1)
+        r2 = np.sum(xr * xr, axis=1)
+        # G is singular at every lattice point, R only at the moved ones
+        close = r2 < excl * excl
+        if np.any(close & moved if regular else close):
+            raise NearLatticePointError(
+                f"evaluation point within {excl:.1e} of a source lattice point"
+            )
+        n = len(chunk)
+        jet = [np.zeros(n, dtype=complex), np.zeros((n, 2), dtype=complex)]
+        if hessians:
+            jet.append(np.zeros((n, 2, 2), dtype=complex))
+        near = r2 <= fb.radius ** 2
+        far = ~near
+        if np.any(near):
+            for a, b in zip(jet, fb(xr[near], hessians)):
+                a[near] = b
+        # G(x) = e^{i eta . q m*} (S_2(x') + R(x'))
+        fold = near & moved if regular else near
+        if np.any(fold):
+            ph = phase[fold]
+            for a, b in zip(jet, _free_jet(xr[fold], k, hessians)):
+                a[fold] = (a[fold] + b) * ph.reshape((-1,) + (1,) * (b.ndim - 1))
+        if np.any(far):
+            for a, b in zip(jet, _ewald_kernel(ev, hessians)(chunk[far])):
+                a[far] = b
+        if regular:
+            free = fold | far
+            if np.any(free):
+                for a, b in zip(jet, _free_jet(chunk[free], k, hessians)):
+                    a[free] -= b
+        return jet[0], jet[1], jet[2] if hessians else None
+    return kernel
+
+
+def _green(ev: GreenEvaluator, x, hessians: bool):
+    n = np.size(x) // 2
+    fb = ev.expansion_for(n)
+    kernel = _ewald_kernel(ev, hessians) if fb is None else \
+        _cell_kernel(ev, fb, hessians, regular=False)
+    return _batched(x, hessians, kernel)
+
+
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    v, g, _ = _batched(x, False, _green_kernel(ev, False))
+    v, g, _ = _green(ev, x, False)
     return v, g
 
 
 def green_hessian(ev: GreenEvaluator, x):
     """Green-function value, gradient and Hessian (shape (..., 2, 2)) at points x."""
-    return _batched(x, True, _green_kernel(ev, True))
+    return _green(ev, x, True)
 
 
-def _phi_table(u, nmax: int) -> np.ndarray:
+def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     """phi_n(z) = n! (2/z)^n J_n(z) = 0F1(; n+1; -u) at u = z^2/4, rows n = 0..nmax.
 
-    The two top rows are hypergeometric series at an order >= 2|u|, where
+    The two top rows are hypergeometric series at an order >= 2 umax, where
     |phi_n - 1| < 0.65 and no term can cancel; the rest come from the backward
     recurrence phi_{n-1} = phi_n - u phi_{n+1} / (n (n+1)), stable for the
     minimal solution J_n.  phi_n(0) = 1, so the table is finite at x = 0.
+    The start order and the series length follow from the bound umax >= |u|
+    alone, so each point's rows do not depend on the other points.
     """
     u = np.asarray(u, dtype=complex)
-    top = max(nmax, int(np.ceil(2.0 * np.max(np.abs(u)))))
+    top = max(nmax, int(np.ceil(2.0 * umax)))
     phi = np.empty((top + 2,) + u.shape, dtype=complex)
     for n in (top, top + 1):
         term = acc = np.ones_like(u)
-        m = 0
-        while np.max(np.abs(term)) > 1e-17:
+        m, bound = 0, 1.0
+        while bound > 1e-17:
             m += 1
+            bound *= umax / (m * (n + m))
             term = term * (-u) / (m * (n + m))
             acc = acc + term
         phi[n] = acc
@@ -356,13 +480,13 @@ def _phi_table(u, nmax: int) -> np.ndarray:
 
 
 class FourierBesselExpansion:
-    """R(x) = sum_n c_n e_n(x) about the origin, fitted from green_eval - S_2.
+    """R(x) = sum_n c_n e_n(x) about the origin, fitted from Ewald's G - S_2.
 
     e_n = w^n phi_n(k|x|) for n >= 0 and conj(w)^|n| phi_|n|(k|x|) for n < 0,
     with w = (x_1 + i x_2) / rho and rho the outer sampling radius.  Row 0 of
     ``coefficients`` holds c_0, c_1, ...; row 1 holds 0, c_-1, c_-2, ...
     The expansion serves |x| <= ``radius``, where ``max_terms`` orders reach
-    its tolerance.
+    its tolerance for values, gradients and Hessians.
     """
 
     def __init__(self, ev: GreenEvaluator):
@@ -376,13 +500,15 @@ class FourierBesselExpansion:
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         # order n of the samples on circle j is c_n b_nj; fit c_n by least
         # squares over both circles, so no near-zero phi_n(k rho_j) divides
-        basis = (radii[:, None] / rho) ** n * _phi_table((k * radii / 2) ** 2,
-                                                       _EXPANSION_CAP).T
+        u = (k * radii / 2) ** 2
+        basis = (radii[:, None] / rho) ** n * _phi_table(u, _EXPANSION_CAP,
+                                                       float(np.max(np.abs(u)))).T
         num = np.zeros((2, len(n)), dtype=complex)
         scale = 0.0
         for rj, b in zip(radii, basis):
             pts = rj * circle
-            samples = green_eval(ev, pts)[0] - specfun.fundamental_solution(2, pts, k).value
+            ewald = _batched(pts, False, _ewald_kernel(ev, False))[0]
+            samples = ewald - specfun.fundamental_solution(2, pts, k).value
             scale = max(scale, float(np.max(np.abs(samples))))
             a = np.fft.fft(samples) / _FIT_SAMPLES
             num += np.conj(b) * np.stack([a[n], a[-n]])
@@ -402,87 +528,115 @@ class FourierBesselExpansion:
             )
         self.tolerance = max(1e-3 * ev.tolerance * scale, 16.0 * self.floor)
 
-        # Rows (value, d/dz, d/dzbar) on the same basis, orders 0..cap+1:
-        # d/dz e_n = (n/rho) e_{n-1} for n >= 1 and -(k^2 rho/4) e_{n-1}/(|n|+1)
-        # for n <= 0; d/dzbar mirrors it.
-        ext = np.zeros((2, len(n) + 2), dtype=complex)
-        ext[:, : len(n)] = c
-        ext[1, 0] = c[0, 0]  # c_0 read from the negative side
-        m = np.arange(len(n) + 1)
-        up = (m + 1) * ext[:, 1:] / rho
-        down = np.zeros_like(up)
-        down[:, 1:] = -(k * k * rho / 4.0) * ext[:, : len(n)] / m[1:]
-        self._pos = np.stack([ext[0, :-1], up[0], down[0]])
-        self._neg = np.stack([np.r_[0.0, ext[1, 1:-1]], down[1], up[1]])
-        self.max_terms = self.terms(self.radius)
+        # Coefficients over n = -L..L (index n + L) of R and of its
+        # derivatives: d/dz e_n = D_n e_{n-1} and d/dzbar e_n = Dbar_n e_{n+1},
+        # D_n = n/rho (n >= 1), Dbar_n = |n|/rho (n <= -1), and both are
+        # -(k^2 rho/4)/(|n|+1) otherwise.  Rows: R, R_z, R_zbar, R_zz, R_zbarzbar.
+        L = _EXPANSION_CAP + 2
+        full = np.zeros(2 * L + 1, dtype=complex)
+        full[L: L + len(n)] = c[0]
+        full[L - _EXPANSION_CAP: L] = c[1, :0:-1]
+        idx = np.arange(-L, L + 1)
+        low = -(k * k * rho / 4.0) / (np.abs(idx) + 1)
+        D = np.where(idx >= 1, idx / rho, low)
+        Dbar = np.where(idx <= -1, -idx / rho, low)
 
-    def terms(self, rmax: float) -> int:
-        """Highest order kept at |x| <= rmax.
+        def dz(C):
+            return np.r_[D[1:] * C[1:], 0.0]
 
-        Beyond it every (n+1)|c_n| (rmax/rho)^n max|phi_n|, a bound on the
+        def dzbar(C):
+            return np.r_[0.0, Dbar[:-1] * C[:-1]]
+
+        rows = np.stack([full, dz(full), dzbar(full), dz(dz(full)), dzbar(dzbar(full))])
+        # transposed for products with the batch as the leading dimension,
+        # whose rows BLAS computes alike however many there are
+        self._pos = np.ascontiguousarray(rows[:, L:].T)
+        self._neg = np.ascontiguousarray(rows[:, L - 1::-1].T)
+        self.max_terms = self.terms(self.radius, 2)
+        # A point's order count comes from the first ladder radius at or above
+        # |x|, rounded up to a multiple of _TERM_STEP, never from the other
+        # points of its call: a grid gives the same bits however it is batched
+        # or split over threads.
+        self._ladder = self.radius * _LADDER_RATIO ** np.arange(_LADDER_STEPS)[::-1]
+        tops = np.array([[self.terms(r, d) for r in self._ladder] for d in (1, 2)])
+        self._tops = np.minimum(_EXPANSION_CAP, -(-tops // _TERM_STEP) * _TERM_STEP)
+        # |u| = |k x|^2/4 in the phi table of a count is bounded at the
+        # largest ladder radius with that count
+        self._umax = [{t: abs(k) ** 2 * self._ladder[row == t][-1] ** 2 / 4.0
+                       for t in np.unique(row)} for row in self._tops]
+
+    def terms(self, rmax: float, derivatives: int) -> int:
+        """Highest order kept at |x| <= rmax for up to ``derivatives`` (1 or 2).
+
+        Beyond it every (n+1) |c_n| (rmax/rho)^n max|phi_n|, a bound on the
         order-n term of R and of its gradient, stays under the tolerance;
-        |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).
+        |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).  The Hessian
+        multiplies the bound by n+2 and the tolerance by the same factor at
+        the top order, where the fitted coefficients sit at their floor.
         """
         n = np.arange(len(self._cmax))
         phi_max = np.exp(np.minimum(abs(self.k.imag) * rmax,
                                     abs(self.k) ** 2 * rmax ** 2 / (4.0 * (n + 1))))
         bound = (n + 1) * self._cmax * (rmax / self.rho) ** n * phi_max
-        over = np.nonzero(bound >= self.tolerance)[0]
+        limit = self.tolerance
+        if derivatives == 2:
+            bound = bound * (n + 2)
+            limit = limit * (n[-1] + 2)
+        over = np.nonzero(bound >= limit)[0]
         if over.size and over[-1] >= len(n) - 3:
             raise SeriesTruncationError(
-                f"Fourier-Bessel tail of R not below {self.tolerance:.1e} at "
+                f"Fourier-Bessel tail of R not below {limit:.1e} at "
                 f"|x| = {rmax:.3g} within {len(n) - 1} orders"
             )
         return int(over[-1]) if over.size else 0
 
-    def __call__(self, x: np.ndarray):
-        """R and its gradient at points x of shape (P, 2) with |x| <= radius."""
+    def __call__(self, x: np.ndarray, hessians: bool) -> list:
+        """[R, grad R] and, when asked, the Hessian at points x (P, 2), |x| <= radius."""
         r2 = np.sum(x * x, axis=1)
-        top = self.terms(float(np.sqrt(np.max(r2)))) + 1  # gradients need one more
+        derivatives = 2 if hessians else 1
+        level = np.searchsorted(self._ladder, np.sqrt(r2))
+        tops = self._tops[derivatives - 1][np.minimum(level, _LADDER_STEPS - 1)]
+        jet = [np.empty(len(x), dtype=complex), np.empty((len(x), 2), dtype=complex)]
+        if hessians:
+            jet.append(np.empty((len(x), 2, 2), dtype=complex))
+        for top in np.unique(tops):
+            sel = tops == top
+            umax = self._umax[derivatives - 1][top]
+            # each derivative shifts the orders by one
+            for a, b in zip(jet, self._jet(x[sel], r2[sel], int(top) + derivatives,
+                                           umax, hessians)):
+                a[sel] = b
+        return jet
+
+    def _jet(self, x, r2, top: int, umax: float, hessians: bool) -> list:
+        if len(x) == 1:
+            # BLAS takes a vector path for one row, with other rounding
+            jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
+                            hessians)
+            return [a[:1] for a in jet]
         w = (x[:, 0] + 1j * x[:, 1]) / self.rho
-        phi = _phi_table((self.k * self.k / 4.0) * r2, top)
+        phi = _phi_table((self.k * self.k / 4.0) * r2, top, umax)
         powers = np.ones_like(phi)
         for n in range(1, top + 1):
             np.multiply(powers[n - 1], w, out=powers[n])
-        val, dz, dzbar = self._pos[:, : top + 1] @ (phi * powers) \
-            + self._neg[:, : top + 1] @ (phi * np.conj(powers))
-        return val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)
-
-
-def _regular_kernel(ev: GreenEvaluator):
-    fb = ev.expansion
-    k = ev.k
-    excl = ev._exclusion()
-
-    def kernel(chunk):
-        xr, phase, mstar = ev._reduce(chunk)
-        moved = np.any(mstar != 0, axis=1)
-        r2 = np.sum(xr * xr, axis=1)
-        if np.any(moved & (r2 < excl * excl)):
-            raise NearLatticePointError(
-                f"evaluation point within {excl:.1e} of a source lattice point"
-            )
-        val = np.zeros(len(chunk), dtype=complex)
-        grad = np.zeros((len(chunk), 2), dtype=complex)
-        near = r2 <= fb.radius ** 2
-        if np.any(near):
-            val[near], grad[near] = fb(xr[near])
-        fold = near & moved
-        if np.any(fold):
-            # R(x) = e^{i eta . q m*} (S_2(x') + R(x')) - S_2(x)
-            sr = specfun.fundamental_solution(2, xr[fold], k)
-            sx = specfun.fundamental_solution(2, chunk[fold], k)
-            ph = phase[fold]
-            val[fold] = ph * (sr.value + val[fold]) - sx.value
-            grad[fold] = ph[:, None] * (sr.gradient + grad[fold]) - sx.gradient
-        if not np.all(near):
-            far = ~near
-            gv, gg = green_eval(ev, chunk[far])
-            s = specfun.fundamental_solution(2, chunk[far], k)
-            val[far] = gv - s.value
-            grad[far] = gg - s.gradient
-        return val, grad, None
-    return kernel
+        # conj(w)^n phi_n, in place: numpy may swap the operands of a product
+        # with a large temporary, and complex products round by operand order
+        neg = np.conj(powers[1:])
+        neg *= phi[1:]
+        nrows = 5 if hessians else 3
+        out = (phi * powers).T @ self._pos[: top + 1, :nrows] \
+            + neg.T @ self._neg[:top, :nrows]
+        val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
+        jet = [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
+        if hessians:
+            dzz, dzbarzbar = out[:, 3], out[:, 4]
+            mixed = -(self.k * self.k / 2.0) * val  # 2 R_zzbar = Delta R / 2
+            hxx = dzz + dzbarzbar + mixed
+            hyy = mixed - dzz - dzbarzbar
+            hxy = 1j * (dzz - dzbarzbar)
+            jet.append(np.stack([np.stack([hxx, hxy], axis=1),
+                                 np.stack([hxy, hyy], axis=1)], axis=1))
+        return jet
 
 
 def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
@@ -498,7 +652,7 @@ def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
         r = np.sqrt(np.sum(np.atleast_2d(x.reshape(-1, 2)) ** 2, axis=1))
         if np.any(r >= 0.5 * float(np.min(ev.lattice.q))):
             raise ValueError("regular part requested outside the half-cell ball")
-    v, g, _ = _batched(x, False, _regular_kernel(ev))
+    v, g, _ = _batched(x, False, _cell_kernel(ev, ev.expansion, False, regular=True))
     return v, g
 
 

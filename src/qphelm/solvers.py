@@ -58,21 +58,9 @@ class BVPSolution:
 
     def field(self, points, want_gradients: bool = False) -> potentials.FieldSample:
         """Evaluate the represented solution away from the boundary."""
-        if self.problem == "dirichlet":
-            s = potentials.field_eval("double", self.density, points,
-                                      green=self.green, want_gradients=want_gradients)
-            if self.a_flag:
-                s1 = potentials.field_eval("single", self.density, points,
-                                           green=self.green,
-                                           want_gradients=want_gradients)
-                g = None
-                if want_gradients:
-                    g = s.gradients + 1j * s1.gradients
-                s = potentials.FieldSample(points=s.points,
-                                           values=s.values + 1j * s1.values,
-                                           gradients=g)
-            return s
-        return potentials.field_eval("single", self.density, points,
+        kind = "single" if self.problem != "dirichlet" else \
+            "combined" if self.a_flag else "double"
+        return potentials.field_eval(kind, self.density, points,
                                      green=self.green, want_gradients=want_gradients)
 
 

@@ -4,13 +4,13 @@ Run directly to regenerate the frozen constants used in test_qpgreen.py:
 
     python3 tests/oracle_qpgreen.py
 
-Two oracles, both avoiding the Ewald-split evaluation path under test:
+Two oracles, both avoiding the Fourier-Bessel expansion under test:
 
 1. R(0), the regular part at the origin, from the small-argument limit of
-   green_eval(x) - S(x): the difference is analytic, so polynomial (Richardson)
-   extrapolation in |x| over a geometric ladder converges fast.  Only the
-   *value* of green_eval at moderate arguments enters; regular_part itself is
-   never called.
+   G(x) - S(x) with G from the Ewald sum (ewald_oracle): the difference is
+   analytic, so polynomial (Richardson) extrapolation in |x| over a geometric
+   ladder converges fast.  Only the *value* of the Ewald sum at moderate
+   arguments enters; the expansion is never fitted.
 2. A spot value of the Green function at strongly absorbing wavenumber from
    the plain absolutely-convergent image sum over direct-lattice translates.
 """
@@ -29,7 +29,7 @@ def regular_part_at_origin(lattice, k, direction=(0.6, 0.8), hs=None):
         hs = 0.05 * 0.5 ** np.arange(8)
     vals = []
     for h in hs:
-        g, _ = qpgreen.green_eval(ev, (h * d)[None, :])
+        g, _, _ = qpgreen.ewald_oracle(ev, (h * d)[None, :])
         s = specfun.fundamental_solution(2, (h * d)[None, :], k).value
         vals.append((g - s)[0])
     # Neville tableau toward h = 0 (difference is analytic in x)

@@ -38,11 +38,11 @@ def test_quasi_periodicity_both_directions(lat, green, rng):
 
 def test_ewald_split_invariance(lat, wave, green):
     pts = np.array([[0.3, 0.2], [0.71, 0.55], [0.1, 0.9]])
-    v0, _ = qpgreen.green_eval(green, pts)
+    v0, _, _ = qpgreen.ewald_oracle(green, pts)
     base = green.ewald_split
     for factor in (0.8, 1.25):
         ev = qpgreen.make_green_evaluator(lat, wave.k, ewald_split=base * factor)
-        v1, _ = qpgreen.green_eval(ev, pts)
+        v1, _, _ = qpgreen.ewald_oracle(ev, pts)
         assert np.max(np.abs(v1 - v0) / np.abs(v0)) < 1e-10
 
 
@@ -137,7 +137,7 @@ def test_regular_part_seam_consistency(green, rng):
     # R = G - S holds where both sides are directly computable
     pts = rng.uniform(0.05, 0.25, size=(8, 2))
     RV, RG = qpgreen.regular_part(green, pts, enforce_ball=False)
-    g, ggrad = qpgreen.green_eval(green, pts)
+    g, ggrad, _ = qpgreen.ewald_oracle(green, pts)
     s = specfun.fundamental_solution(2, pts, green.k)
     assert np.max(np.abs(RV - (g - s.value))) < 1e-11
     assert np.max(np.abs(RG - (ggrad - s.gradient))) < 1e-9
@@ -176,7 +176,7 @@ def test_regular_part_ball_enforcement(lat, green):
 
 def _seam(ev, pts):
     """G - S_2 and its gradient straight from the Ewald sum (points away from 0)."""
-    g, gg = qpgreen.green_eval(ev, pts)
+    g, gg, _ = qpgreen.ewald_oracle(ev, pts)
     s = specfun.fundamental_solution(2, pts, ev.k)
     return g - s.value, gg - s.gradient
 
@@ -300,12 +300,126 @@ def test_green_quasi_periodic_off_the_square_cell(cell, k, seed):
 def test_split_invariance_and_seam_off_the_square_cell(cell, k, seed):
     lat, ev = _evaluator(cell, k)
     pts = _points(lat, seed, 100, 1.0)
-    g, gg = qpgreen.green_eval(ev, pts)
+    g, gg, _ = qpgreen.ewald_oracle(ev, pts)
     scale = max(1.0, float(np.max(np.abs(g))))
     other = qpgreen.make_green_evaluator(lat, k, ewald_split=1.25 * ev.ewald_split)
-    assert np.max(np.abs(qpgreen.green_eval(other, pts)[0] - g)) < 1e-12 * scale
+    assert np.max(np.abs(qpgreen.ewald_oracle(other, pts)[0] - g)) < 1e-12 * scale
     RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
     s = specfun.fundamental_solution(2, pts, k)
     assert np.max(np.abs(RV - (g - s.value))) < 1e-12 * scale
     gscale = max(1.0, float(np.max(np.abs(gg))))
     assert np.max(np.abs(RG - (gg - s.gradient))) < 1e-11 * gscale
+
+
+# --------------------------------------------------------------------------- #
+# G from S_2 + the fitted expansion, checked against the Ewald oracle
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@settings(deadline=None, max_examples=20)
+@given(cell=_CELLS, k=st.floats(0.5, 8.0), seed=st.integers(0, 2**16))
+def test_green_jet_matches_the_ewald_oracle_off_the_square_cell(cell, k, seed):
+    lat, ev = _evaluator(cell, k)
+    pts = _points(lat, seed, 100, 1.0)
+    ev.expansion  # fitted: reduced points within its radius take S_2 + R
+    v, g, H = qpgreen.green_hessian(ev, pts)
+    ref_v, ref_g, ref_H = qpgreen.ewald_oracle(ev, pts)
+    assert _rel(v, ref_v) <= 1e-12
+    assert _rel(g, ref_g) <= 1e-12
+    assert _rel(H, ref_H) <= 1e-12
+    v1, g1 = qpgreen.green_eval(ev, pts)
+    assert _rel(v1, ref_v) <= 1e-12 and _rel(g1, ref_g) <= 1e-12
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 2.5), 6.0)])
+def test_hessian_matches_differences_of_the_oracle_gradients(q, k):
+    ev = qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
+    ev.expansion
+    # unmoved and moved points, one beyond the expansion radius when q2 = 2.5
+    pts = np.array([[0.37, 0.52], [0.7, 0.33], [-0.45, 0.1], [1.2, -0.6], [0.1, 1.0]])
+    _, _, H = qpgreen.green_hessian(ev, pts)
+    h = 1e-5
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        _, gp, _ = qpgreen.ewald_oracle(ev, pts + e)
+        _, gm, _ = qpgreen.ewald_oracle(ev, pts - e)
+        fd = (gp - gm) / (2 * h)
+        assert np.max(np.abs(fd - H[:, i, :])) < 1e-7 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("fitted", [False, True])
+def test_green_refuses_points_on_a_lattice_point(lat, fitted):
+    ev = qpgreen.make_green_evaluator(lat, 1.3)
+    if fitted:
+        ev.expansion
+    for x in ([0.0, 0.0], [1.0 + 1e-12, 0.0], [1.0, -1e-12]):
+        with pytest.raises(NearLatticePointError):
+            qpgreen.green_eval(ev, np.array([x]))
+        with pytest.raises(NearLatticePointError):
+            qpgreen.green_hessian(ev, np.array([x]))
+
+
+def test_small_green_calls_sum_ewald_until_a_fit(lat):
+    ev = qpgreen.make_green_evaluator(lat, 1.3)
+    pts = _points(lat, 3, 2 * qpgreen._FIT_MIN_POINTS, 1.0)[: qpgreen._FIT_MIN_POINTS]
+    small = pts[:-1]
+    v, g = qpgreen.green_eval(ev, small)
+    assert ev.parameters()["expansion_terms"] is None
+    ref_v, ref_g, _ = qpgreen.ewald_oracle(ev, small)
+    assert np.array_equal(v, ref_v) and np.array_equal(g, ref_g)
+    qpgreen.green_eval(ev, pts)
+    assert ev.parameters()["expansion_terms"] > 0
+    v, _ = qpgreen.green_eval(ev, small)  # the fitted expansion serves every call
+    assert not np.array_equal(v, ref_v) and _rel(v, ref_v) <= 1e-12
+
+
+def test_helmholtz_residual_across_the_expansion_seam():
+    # q2 = 2.5 reduces points up to 1.25 min(q) from the origin; the fourth-order
+    # Laplacian must see one smooth solution inside, on and beyond the seam at
+    # 0.72 min(q), where the evaluation switches from S_2 + R to Ewald
+    lat = Lattice(q_diag=(1.0, 2.5), eta=(0.4, 0.7))
+    k = 4.0
+    ev = qpgreen.make_green_evaluator(lat, k)
+    seam = ev.expansion.radius
+    direction = np.array([0.28, 0.96])
+    for radius, shift in ((0.55, 0.0), (seam, 0.0), (seam, 1.0), (0.9, 0.0), (1.1, -1.0)):
+        x0 = radius * direction + shift * lat.q
+        res = []
+        for h in (2e-2, 1e-2):
+            offs = [np.zeros(2)]
+            for axis in range(2):
+                for step in (-2, -1, 1, 2):
+                    e = np.zeros(2)
+                    e[axis] = step * h
+                    offs.append(e)
+            v, _ = qpgreen.green_eval(ev, x0[None, :] + np.array(offs))
+            lap = 0.0
+            for axis in range(2):
+                m2, m1, p1, p2 = v[1 + 4 * axis:5 + 4 * axis]
+                lap += (-p2 + 16 * p1 - 30 * v[0] + 16 * m1 - m2) / (12 * h ** 2)
+            res.append(abs(lap + k ** 2 * v[0]))
+        assert np.log2(res[0] / res[1]) >= 3.5, (radius, shift, res)
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.3, 0.8), 3.0 + 0.2j)])
+def test_each_point_is_evaluated_alike_in_any_batch(q, k):
+    # the CLI splits grids over threads; every point must come out bit for bit
+    # the same whichever batch it is evaluated in, single points included
+    lat = Lattice(q_diag=q, eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, k)
+    ev.expansion
+    pts = _points(lat, 5, 3000, 1.5)
+    rng = np.random.default_rng(6)
+    cuts = np.unique(rng.choice(len(pts), size=100))
+    cuts = np.unique(np.r_[cuts, cuts + 1])  # some one-point batches
+    for call in (lambda p: qpgreen.green_hessian(ev, p),
+                 lambda p: qpgreen.regular_part(ev, p, enforce_ball=False),
+                 lambda p: qpgreen.ewald_oracle(ev, p)[:2]):
+        whole = call(pts)
+        for idx in np.split(np.arange(len(pts)), cuts):
+            for part, ref in zip(call(pts[idx]), whole):
+                assert np.array_equal(part, ref[idx])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import jvp
 
-from qphelm import geometry, qpgreen, solvers
+from qphelm import geometry, potentials, qpgreen, solvers
 from qphelm.lattice import Lattice, make_wave_context
 
 FIRST_DISK_NEUMANN_K = 5.260525089544742  # first zero of J_1' over radius 0.35
@@ -66,6 +66,30 @@ def test_dirichlet_gauge_flag_changes_density_not_field(circle128, lat, wave,
     assert np.max(np.abs(gauged.density.values - plain.density.values)) > 0.1
     u = gauged.field(manufactured["probes"]).values
     assert np.max(np.abs(u - manufactured["exact"])) < 1e-10
+
+
+def test_gauged_field_takes_one_green_call(circle128, lat, wave, green, manufactured,
+                                          monkeypatch):
+    # D[mu] + i S[mu] with gradients contracts one Green jet for both layers
+    sol = solvers.solve_dirichlet(circle128, lat, wave, manufactured["trace"],
+                                  a_flag=1, green=green)
+    probes = manufactured["probes"]
+    double = potentials.field_eval("double", sol.density, probes, green=green,
+                                   want_gradients=True)
+    single = potentials.field_eval("single", sol.density, probes, green=green,
+                                   want_gradients=True)
+    calls = []
+    for name in ("green_eval", "green_hessian"):
+        def traced(*args, _name=name, _call=getattr(qpgreen, name)):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(qpgreen, name, traced)
+    s = sol.field(probes, want_gradients=True)
+    assert calls == ["green_hessian"]
+    scale = np.max(np.abs(double.gradients))
+    assert np.max(np.abs(s.values - (double.values + 1j * single.values))) < 1e-13 * scale
+    assert np.max(np.abs(s.gradients - (double.gradients + 1j * single.gradients))) \
+        < 1e-13 * scale
 
 
 def test_zero_data_gives_zero_solution(circle128, lat, wave, green, manufactured):
