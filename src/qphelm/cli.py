@@ -411,8 +411,6 @@ def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
     dist = np.min(np.linalg.norm(pts[:, None, :] - shifts[None, :, :], axis=2),
                   axis=1)
     pts = pts[dist > cfg.exclusion_radius]
-    # decide Ewald or the expansion for the whole grid, not per thread chunk
-    green.expansion_for(len(pts))
     vals = _parallel_values(lambda p: qpgreen.green_eval(green, p)[0], pts, threads)
     _write_csv(out / "grid.csv", ["x", "y", "ReG", "ImG"],
                ((p[0], p[1], v.real, v.imag) for p, v in zip(pts, vals)))
@@ -445,7 +443,8 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
     if probes is not None:
         uvals = _parallel_values(lambda p: sol.field(p).values, probes, threads)
         if cfg.source is not None:
-            ref, _ = qpgreen.green_eval(green, probes - np.asarray(cfg.source))
+            # the solution's tables came from the expansion; check it on Ewald
+            ref, _, _ = qpgreen.ewald_oracle(green, probes - np.asarray(cfg.source))
             err = np.abs(uvals - ref)
             _write_csv(out / "probes.csv",
                        ["x", "y", "u_re", "u_im", "ref_re", "ref_im", "abs_err"],
@@ -526,7 +525,7 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
                                           fit_max_epsilon=cfg.fit_max_epsilon)
         theta0 = np.asarray(nonlinear.limit_density(ref, B).values)
         charge = np.sum(theta0 * ref.weights)
-        gref, _ = qpgreen.green_eval(green, probes - np.asarray(cfg.center))
+        gref, _, _ = qpgreen.ewald_oracle(green, probes - np.asarray(cfg.center))
         pred = gref * charge
         rel = np.abs(fit.c0 - pred) / np.maximum(np.abs(pred), 1e-300)
         _write_csv(out / "farfield.csv",

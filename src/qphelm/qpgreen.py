@@ -20,12 +20,12 @@ there is no cancellation at the origin.
 The coefficients are fitted once per evaluator from Ewald values of G - S_2
 on two circles inside the disk, and stored on the normalised basis
 (z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
-the raw s_n overflow.  A regular_part call fits the expansion, and so does a
-Green call with at least _FIT_MIN_POINTS points; a smaller Green call on an
-unfitted evaluator sums Ewald instead, since the fit costs tens of
-milliseconds.  A point's order count comes from a fixed ladder of radii, not
-from the other points of its call, so every point gets the same bits in any
-batch (a grid split over threads included).
+the raw s_n overflow.  Only a regular_part call fits the expansion; green_eval
+and green_hessian use it once it is fitted and sum Ewald before, so a few
+probe values never pay the fit's tens of milliseconds.  A point's order count
+comes from a fixed ladder of radii, not from the other points of its call, so
+every point gets the same bits in any batch (a grid split over threads
+included).
 
 The Ewald sum is the oracle, ewald_oracle.  It splits the spectral definition
 G(x) = (1/A) sum_z exp(i beta_z . x) / (k^2 - |beta_z|^2) by a Gaussian at
@@ -40,7 +40,7 @@ tails decay like Gaussians, so small index boxes give full precision; the split
 is algebraically exact for every E > 0, which the tests exercise by comparing
 evaluators with different split parameters.  Besides checking the expansion,
 it samples the fit and serves the reduced points beyond the expansion's radius
-(anisotropic cells only) and the Green calls too small to pay for a fit.
+(anisotropic cells only) and the Green calls on an unfitted evaluator.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ _FIT_RADII = (0.62, 0.74)
 _EXPANSION_RADIUS = 0.72
 _FIT_SAMPLES = 256
 _EXPANSION_CAP = 120
-# A Green call on an unfitted evaluator fits the expansion from this many
-# points up (the fit's own Ewald samples); a smaller one sums Ewald instead.
-_FIT_MIN_POINTS = 2 * _FIT_SAMPLES
 # The radius ladder that sets a point's order count, from the expansion's
 # radius down by _LADDER_RATIO per step, and the step the counts are rounded
 # up to: a call evaluates the points of each count as one batch.
@@ -217,16 +214,6 @@ class GreenEvaluator:
         if self._expansion is None:
             self._expansion = FourierBesselExpansion(self)
         return self._expansion
-
-    def expansion_for(self, npoints: int) -> FourierBesselExpansion | None:
-        """The expansion a Green call on npoints points uses, or None for Ewald.
-
-        A fitted expansion is always used; an unfitted one is fitted for a
-        call of at least _FIT_MIN_POINTS points, where the fit's cost pays.
-        """
-        if self._expansion is None and npoints < _FIT_MIN_POINTS:
-            return None
-        return self.expansion
 
     def parameters(self) -> dict:
         """Numerical parameters chosen for this evaluator (for run manifests).
@@ -366,9 +353,9 @@ def ewald_oracle(ev: GreenEvaluator, x):
 
     Independent of the Fourier-Bessel expansion, it is the reference the
     expansion is fitted to and checked against; outside qpgreen only checks
-    (the tests, the CLI selftest) call it.  green_eval and green_hessian sum
-    Ewald for reduced points beyond the expansion's radius and for small
-    calls before any fit.
+    (the tests, the CLI's reference values) call it.  green_eval and
+    green_hessian sum Ewald for reduced points beyond the expansion's radius
+    and for every point before regular_part has fitted the expansion.
     """
     return _batched(x, True, _ewald_kernel(ev, True))
 
@@ -390,19 +377,22 @@ def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
     return jet
 
 
-def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool,
-                 regular: bool):
-    """G, or R = G - S_2 when ``regular``, from S_2 + R in the reduced cell."""
+def _fold(r_jet: list, xr: np.ndarray, phase: np.ndarray, k: complex,
+          hessians: bool) -> list:
+    """G(x) = e^{i eta . q m*} (S_2(x') + R(x')) from R's jet at reduced points x'."""
+    return [(r + s) * phase.reshape((-1,) + (1,) * (s.ndim - 1))
+            for r, s in zip(r_jet, _free_jet(xr, k, hessians))]
+
+
+def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool):
+    """G from S_2 + R in the reduced cell, and from Ewald beyond the radius."""
     k = ev.k
     excl = ev._exclusion()
 
     def kernel(chunk):
-        xr, phase, mstar = ev._reduce(chunk)
-        moved = np.any(mstar != 0, axis=1)
+        xr, phase, _ = ev._reduce(chunk)
         r2 = np.sum(xr * xr, axis=1)
-        # G is singular at every lattice point, R only at the moved ones
-        close = r2 < excl * excl
-        if np.any(close & moved if regular else close):
+        if np.any(r2 < excl * excl):
             raise NearLatticePointError(
                 f"evaluation point within {excl:.1e} of a source lattice point"
             )
@@ -413,31 +403,58 @@ def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool,
         near = r2 <= fb.radius ** 2
         far = ~near
         if np.any(near):
-            for a, b in zip(jet, fb(xr[near], hessians)):
+            for a, b in zip(jet, _fold(fb(xr[near], hessians), xr[near], phase[near],
+                                       k, hessians)):
                 a[near] = b
-        # G(x) = e^{i eta . q m*} (S_2(x') + R(x'))
-        fold = near & moved if regular else near
-        if np.any(fold):
-            ph = phase[fold]
-            for a, b in zip(jet, _free_jet(xr[fold], k, hessians)):
-                a[fold] = (a[fold] + b) * ph.reshape((-1,) + (1,) * (b.ndim - 1))
         if np.any(far):
             for a, b in zip(jet, _ewald_kernel(ev, hessians)(chunk[far])):
                 a[far] = b
-        if regular:
-            free = fold | far
-            if np.any(free):
-                for a, b in zip(jet, _free_jet(chunk[free], k, hessians)):
-                    a[free] -= b
         return jet[0], jet[1], jet[2] if hessians else None
     return kernel
 
 
+def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion):
+    """R = G - S_2: R(x') itself at unmoved points, so nothing cancels at 0.
+
+    One expansion call serves every point within the radius, moved or not:
+    the expansion batches points by order count, and two calls would pay
+    each count's fixed cost twice.
+    """
+    k = ev.k
+    excl = ev._exclusion()
+
+    def kernel(chunk):
+        xr, phase, mstar = ev._reduce(chunk)
+        moved = np.any(mstar != 0, axis=1)
+        r2 = np.sum(xr * xr, axis=1)
+        # R is singular at the lattice points other than the origin
+        if np.any((r2 < excl * excl) & moved):
+            raise NearLatticePointError(
+                f"evaluation point within {excl:.1e} of a source lattice point"
+            )
+        v = np.empty(len(chunk), dtype=complex)
+        g = np.empty((len(chunk), 2), dtype=complex)
+        near = r2 <= fb.radius ** 2
+        far = ~near
+        if np.any(near):
+            v[near], g[near] = fb(xr[near], False)
+        fold = near & moved
+        if np.any(fold):
+            v[fold], g[fold] = _fold([v[fold], g[fold]], xr[fold], phase[fold], k, False)
+        if np.any(far):
+            v[far], g[far], _ = _ewald_kernel(ev, False)(chunk[far])
+        free = fold | far
+        if np.any(free):
+            sv, sg = _free_jet(chunk[free], k, False)
+            v[free] -= sv
+            g[free] -= sg
+        return v, g, None
+    return kernel
+
+
 def _green(ev: GreenEvaluator, x, hessians: bool):
-    n = np.size(x) // 2
-    fb = ev.expansion_for(n)
-    kernel = _ewald_kernel(ev, hessians) if fb is None else \
-        _cell_kernel(ev, fb, hessians, regular=False)
+    fb = ev._expansion
+    kernel = _ewald_kernel(ev, hessians) if fb is None else _cell_kernel(ev, fb, hessians)
     return _batched(x, hessians, kernel)
 
 
@@ -486,7 +503,7 @@ class FourierBesselExpansion:
     with w = (x_1 + i x_2) / rho and rho the outer sampling radius.  Row 0 of
     ``coefficients`` holds c_0, c_1, ...; row 1 holds 0, c_-1, c_-2, ...
     The expansion serves |x| <= ``radius``, where ``max_terms`` orders reach
-    its tolerance for values, gradients and Hessians.
+    its tolerance for values and gradients; see ``terms`` for the Hessian.
     """
 
     def __init__(self, ev: GreenEvaluator):
@@ -552,13 +569,16 @@ class FourierBesselExpansion:
         # whose rows BLAS computes alike however many there are
         self._pos = np.ascontiguousarray(rows[:, L:].T)
         self._neg = np.ascontiguousarray(rows[:, L - 1::-1].T)
-        self.max_terms = self.terms(self.radius, 2)
+        self.max_terms = self.terms(self.radius, 1)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
         # points of its call: a grid gives the same bits however it is batched
         # or split over threads.
         self._ladder = self.radius * _LADDER_RATIO ** np.arange(_LADDER_STEPS)[::-1]
         tops = np.array([[self.terms(r, d) for r in self._ladder] for d in (1, 2)])
+        # the Hessian's looser bound may stop earlier: never below the
+        # gradient's count, so green_hessian's values and gradients keep it
+        tops[1] = np.maximum(tops[0], tops[1])
         self._tops = np.minimum(_EXPANSION_CAP, -(-tops // _TERM_STEP) * _TERM_STEP)
         # |u| = |k x|^2/4 in the phi table of a count is bounded at the
         # largest ladder radius with that count
@@ -571,8 +591,10 @@ class FourierBesselExpansion:
         Beyond it every (n+1) |c_n| (rmax/rho)^n max|phi_n|, a bound on the
         order-n term of R and of its gradient, stays under the tolerance;
         |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).  The Hessian
-        multiplies the bound by n+2 and the tolerance by the same factor at
-        the top order, where the fitted coefficients sit at their floor.
+        multiplies the bound by n+2 and the tolerance by N+2 = 122, N the
+        cap, where the fitted coefficients sit at their floor; at low orders
+        that is a looser tolerance than the gradient's, so the Hessian rows
+        are evaluated to the larger of the two counts.
         """
         n = np.arange(len(self._cmax))
         phi_max = np.exp(np.minimum(abs(self.k.imag) * rmax,
@@ -652,7 +674,7 @@ def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
         r = np.sqrt(np.sum(np.atleast_2d(x.reshape(-1, 2)) ** 2, axis=1))
         if np.any(r >= 0.5 * float(np.min(ev.lattice.q))):
             raise ValueError("regular part requested outside the half-cell ball")
-    v, g, _ = _batched(x, False, _cell_kernel(ev, ev.expansion, False, regular=True))
+    v, g, _ = _batched(x, False, _regular_kernel(ev, ev.expansion))
     return v, g
 
 

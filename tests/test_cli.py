@@ -282,7 +282,7 @@ def test_manifest_records_the_evaluator_parameters(tmp_path):
                    tmp_path / "g") == 0
     params = _manifest(tmp_path / "g")["green_evaluator"]
     assert set(params) == keys
-    # a 12 x 12 grid is below the fit threshold, so no expansion is fitted
+    # green-eval never evaluates the regular part, so no expansion is fitted
     assert params["expansion_terms"] is None and params["expansion_radius"] is None
     assert cli.run("solve-neumann", cli.parse_config(json.dumps(NEUMANN_CFG)),
                    tmp_path / "n") == 0
@@ -290,18 +290,3 @@ def test_manifest_records_the_evaluator_parameters(tmp_path):
     assert set(params) == keys
     assert params["expansion_terms"] > 0 and params["expansion_radius"] > 0
     assert params["ewald_split"] > 0 and params["jmax"] >= 4
-
-
-def test_green_eval_grid_above_the_fit_threshold_is_thread_independent(tmp_path):
-    # 24 x 24 points exceed the expansion's fit threshold; the whole grid must
-    # take the expansion whatever the thread count splits it into
-    cfg_obj = copy.deepcopy(GREEN_CFG)
-    cfg_obj["grid"]["n"] = 24
-    cfg = cli.parse_config(json.dumps(cfg_obj))
-    outs = []
-    for name, threads in (("a", 1), ("b", 4)):
-        assert cli.run("green-eval", cfg, tmp_path / name, threads=threads) == 0
-        outs.append((tmp_path / name / "grid.csv").read_bytes())
-        assert _manifest(tmp_path / name)["green_evaluator"]["expansion_terms"] > 0
-    assert len(outs[0].decode().splitlines()) - 1 >= 512
-    assert outs[0] == outs[1]

@@ -19,6 +19,10 @@ ORACLE = "ewald_oracle"
 ALLOWED = {
     ("cli", "_cmd_selftest"): "the selftest checks the expansion and the "
                               "Ewald split against the oracle",
+    ("cli", "_cmd_solve_bvp"): "sup_probe_error compares the solved field "
+                               "with the manufactured source's G",
+    ("cli", "_cmd_sweep_epsilon"): "rel_mismatch compares the fitted far "
+                                   "field with the limit charge times G",
 }
 
 

@@ -209,11 +209,18 @@ def test_expansion_against_image_sum_complex_k(lat):
 
 def test_expansion_fit_is_lazy_and_recorded(lat, wave):
     ev = qpgreen.make_green_evaluator(lat, wave.k)
+    pts = np.array([[0.1, 0.2], [0.7, -0.3]])
+    # Green calls sum Ewald until a regular_part call fits the expansion
+    v, g, H = qpgreen.green_hessian(ev, pts)
+    assert all(np.array_equal(a, b) for a, b in zip((v, g, H), qpgreen.ewald_oracle(ev, pts)))
     params = ev.parameters()
     assert params["expansion_terms"] is None and params["expansion_radius"] is None
     qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
     params = ev.parameters()
     assert 0 < params["expansion_terms"] < qpgreen._EXPANSION_CAP
+    assert params["expansion_terms"] == ev.expansion.terms(ev.expansion.radius, 1)
+    v1, _ = qpgreen.green_eval(ev, pts)
+    assert not np.array_equal(v1, v) and np.max(np.abs(v1 - v) / np.abs(v)) <= 1e-12
     assert params["expansion_radius"] == pytest.approx(qpgreen._EXPANSION_RADIUS)
     assert params["jmax"] == ev.jmax and params["ewald_split"] == ev.ewald_split
 
@@ -361,20 +368,6 @@ def test_green_refuses_points_on_a_lattice_point(lat, fitted):
             qpgreen.green_eval(ev, np.array([x]))
         with pytest.raises(NearLatticePointError):
             qpgreen.green_hessian(ev, np.array([x]))
-
-
-def test_small_green_calls_sum_ewald_until_a_fit(lat):
-    ev = qpgreen.make_green_evaluator(lat, 1.3)
-    pts = _points(lat, 3, 2 * qpgreen._FIT_MIN_POINTS, 1.0)[: qpgreen._FIT_MIN_POINTS]
-    small = pts[:-1]
-    v, g = qpgreen.green_eval(ev, small)
-    assert ev.parameters()["expansion_terms"] is None
-    ref_v, ref_g, _ = qpgreen.ewald_oracle(ev, small)
-    assert np.array_equal(v, ref_v) and np.array_equal(g, ref_g)
-    qpgreen.green_eval(ev, pts)
-    assert ev.parameters()["expansion_terms"] > 0
-    v, _ = qpgreen.green_eval(ev, small)  # the fitted expansion serves every call
-    assert not np.array_equal(v, ref_v) and _rel(v, ref_v) <= 1e-12
 
 
 def test_helmholtz_residual_across_the_expansion_seam():
