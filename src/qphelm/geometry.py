@@ -8,6 +8,7 @@ nodes t_j = 2 pi j / N that the logarithmic Nystrom quadrature expects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,12 @@ class BoundaryCurve:
     acceleration: Callable[[np.ndarray], np.ndarray]
     name: str = "curve"
     outward_normal: bool = True
+
+    @cached_property
+    def extent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate-wise (min, max) of the curve, sampled at 4,096 parameters."""
+        pts = self.position(2.0 * np.pi * np.arange(4096) / 4096)
+        return pts.min(axis=0), pts.max(axis=0)
 
 
 def make_curve(shape: str, center=(0.0, 0.0), *, radius: float | None = None,
@@ -164,15 +171,14 @@ def discretize(curve: BoundaryCurve, N: int) -> DiscreteCurve:
 
 def containment_bound(reference: BoundaryCurve, center, lattice) -> float:
     """Largest epsilon for which center + epsilon*reference stays in the open cell."""
-    t = 2.0 * np.pi * np.arange(4096) / 4096
-    pts = reference.position(t)
     p = np.asarray(center, dtype=float)
     q = lattice.q
     if np.any(p <= 0.0) or np.any(p >= q):
         raise ContainmentError(f"hole center {tuple(p)} not inside the open cell")
+    lows, highs = reference.extent
     bound = np.inf
     for i in range(2):
-        lo, hi = float(np.min(pts[:, i])), float(np.max(pts[:, i]))
+        lo, hi = float(lows[i]), float(highs[i])
         if lo < 0.0:
             bound = min(bound, p[i] / (-lo))
         if hi > 0.0:

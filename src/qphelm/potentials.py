@@ -95,13 +95,14 @@ def log_weight_rows(N: int, taus) -> np.ndarray:
         raise ValueError("even node count required")
     n = N // 2
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    tj = 2.0 * np.pi * np.arange(N) / N
-    delta = taus[:, None] - tj[None, :]
-    out = np.zeros((len(taus), N))
-    for m in range(1, n):
-        out -= (2.0 * np.pi / n) * np.cos(m * delta) / m
-    out -= (np.pi / n ** 2) * np.cos(n * delta)
-    return out
+    m = np.arange(1, n + 1)
+    # R_j(tau) = sum_m w_m cos(m (tau - t_j)), split by the angle-difference formula
+    w = -(2.0 * np.pi / n) / m
+    w[-1] = -np.pi / n ** 2
+    at_taus = np.outer(taus, m)
+    at_nodes = np.outer(m, 2.0 * np.pi * np.arange(N) / N)
+    return np.cos(at_taus) @ (w[:, None] * np.cos(at_nodes)) \
+        + np.sin(at_taus) @ (w[:, None] * np.sin(at_nodes))
 
 
 def log_weight_matrix(N: int) -> np.ndarray:
@@ -170,6 +171,7 @@ def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarra
         else:
             k2 = k * k
             nd = _contract(kind, target_normals, source_normals, d)
+            z = specfun.ProfilePoints(z)
             gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
             A1 = 0.5 * k2 * gJ * nd
             if L is not None:

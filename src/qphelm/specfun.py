@@ -6,15 +6,16 @@ an entire remainder profile::
     S_n(x, k) = k**(n-2) * Jn(k|x|) * log|x| + Nn(k|x|) / |x|**(n-2)
 
 with Jn and Nn even entire functions (returned by :func:`fs_coefficients`).
-Near the origin both profiles are summed as power series in z**2 with explicit
-truncation control; past the series radius they are evaluated through standard
-Bessel identities after an even reflection that keeps arguments away from the
-branch cut of Y_nu.
+Near the origin both profiles are power series in w = z**2 (DLMF 10.8), each
+point summed by Horner's rule to the degree of its own rung of |z|, whatever the
+other points of the call; past the series radius they come from standard Bessel
+identities after an even reflection that keeps arguments off Y_nu's branch cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import special as sp
@@ -24,6 +25,7 @@ from .errors import SeriesTruncationError
 __all__ = [
     "EntireSeries",
     "FundamentalSolutionValue",
+    "ProfilePoints",
     "entire_bessel_J",
     "entire_neumann",
     "entire_neumann_dz_over_z",
@@ -35,6 +37,7 @@ __all__ = [
     "jtilde_series",
     "ntilde_series",
     "recurrence_residual",
+    "RUNGS",
     "SERIES_RADIUS",
 ]
 
@@ -47,6 +50,7 @@ SERIES_RADIUS = 12.0
 
 _MAX_DEGREE = 220
 _TAIL_SAFETY = 0.1
+RUNGS = 2.0 ** np.arange(-10, 5)  # upper edges of the rungs of |z|
 
 
 def _harmonic(m: int) -> float:
@@ -58,9 +62,10 @@ def _harmonic(m: int) -> float:
 class EntireSeries:
     """Even entire function stored as coefficients of z**(2m).
 
-    Evaluation sums terms in ascending order, so two series that share a
-    coefficient table but differ in truncation degree produce results whose
-    difference is exactly the omitted tail.
+    A point is summed by Horner's rule in w = z**2 to its rung's degree (see
+    :class:`ProfilePoints`).  A call raises :class:`SeriesTruncationError` when
+    the terms |c_m| max|z|**(2m) at ``truncation_degree`` exceed a tenth of
+    ``target_tolerance``.
     """
 
     order: float
@@ -69,55 +74,27 @@ class EntireSeries:
     target_tolerance: float = 1e-14
     kind: str = "generic"
 
+    @cached_property
+    def rung_degrees(self) -> np.ndarray:
+        """Degree summed on each rung of :data:`RUNGS`, then past the last one."""
+        return np.maximum.accumulate([_trim_degree(self.coefficients, rho) for rho in RUNGS]
+                                     + [self.truncation_degree])
+
+    @cached_property
+    def dz_over_z(self) -> EntireSeries:
+        """f'(z)/z, itself an even entire function."""
+        m = np.arange(1, self.truncation_degree + 1)
+        return EntireSeries(self.order, 2.0 * m * self.coefficients[m], self.truncation_degree - 1,
+                            self.target_tolerance, f"d/dz over z of {self.kind}")
+
     def __call__(self, z):
-        z = np.asarray(z)
-        z = z if np.iscomplexobj(z) else z.astype(float)
-        w = z * z
-        c = self.coefficients
-        acc = np.zeros_like(w)
-        wp = np.ones_like(w)
-        last = 0.0
-        for m in range(self.truncation_degree + 1):
-            term = c[m] * wp
-            acc = acc + term
-            if m >= self.truncation_degree - 1:
-                last = max(last, float(np.max(np.abs(term))) if term.size else 0.0)
-            wp = wp * w
-        if last > _TAIL_SAFETY * self.target_tolerance:
-            raise SeriesTruncationError(
-                f"series (kind={self.kind}, order={self.order}) not converged at "
-                f"max|z|={float(np.max(np.abs(z))):.3g}: last term {last:.3g} "
-                f"exceeds {_TAIL_SAFETY * self.target_tolerance:.3g}"
-            )
-        return acc
-
-    def eval_dz_over_z(self, z):
-        """Evaluate f'(z)/z, itself an even entire function."""
-        z = np.asarray(z)
-        z = z if np.iscomplexobj(z) else z.astype(float)
-        w = z * z
-        c = self.coefficients
-        acc = np.zeros_like(w)
-        wp = np.ones_like(w)
-        last = 0.0
-        for m in range(1, self.truncation_degree + 1):
-            term = (2.0 * m) * c[m] * wp
-            acc = acc + term
-            if m >= self.truncation_degree - 1:
-                last = max(last, float(np.max(np.abs(term))) if term.size else 0.0)
-            wp = wp * w
-        if last > _TAIL_SAFETY * self.target_tolerance:
-            raise SeriesTruncationError(
-                f"derivative series (kind={self.kind}, order={self.order}) not "
-                f"converged at max|z|={float(np.max(np.abs(z))):.3g}"
-            )
-        return acc
+        return _SeriesPoints(z).profile(self)
 
 
-def _trim_degree(coeffs: np.ndarray) -> int:
-    """Smallest degree whose trailing three terms stay below 1e-17 at |z| = 20."""
+def _trim_degree(coeffs: np.ndarray, radius: float = 20.0) -> int:
+    """Smallest degree whose trailing three terms stay below 1e-17 at |z| = radius."""
     with np.errstate(divide="ignore"):
-        logmags = np.log(np.abs(coeffs)) + 2.0 * np.arange(len(coeffs)) * np.log(20.0)
+        logmags = np.log(np.abs(coeffs)) + 2.0 * np.arange(len(coeffs)) * np.log(radius)
     logtol = np.log(1e-17)
     for d in range(4, len(coeffs)):
         if np.all(logmags[d - 2 : d + 1] < logtol):
@@ -210,52 +187,83 @@ def recurrence_residual(series: EntireSeries) -> float:
     return worst
 
 
-_jtilde_cache: dict[float, EntireSeries] = {}
-_ntilde_cache: dict[int, EntireSeries] = {}
+_get_jtilde = cache(jtilde_series)
+_get_ntilde = cache(ntilde_series)
 
 
-def _get_jtilde(nu: float) -> EntireSeries:
-    key = float(nu)
-    if key not in _jtilde_cache:
-        _jtilde_cache[key] = jtilde_series(key)
-    return _jtilde_cache[key]
+class ProfilePoints:
+    """Arguments z of the entire profiles, prepared once for all profiles taken at them.
+
+    Every profile function accepts one in place of z.  It holds the split at
+    ``radius``, the far points reflected into Re z >= 0, and the series points'
+    w = z**2 sorted by rung: rung i holds RUNGS[i]/2 < |z| <= RUNGS[i] (the
+    first, all below; one more, all above).  A point is summed to the degree
+    that meets the series' truncation criterion at its rung's upper edge, the
+    last rung to ``truncation_degree``.  ``np.asarray`` gives z.
+    """
+
+    radius = SERIES_RADIUS
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+        flat = self.z.reshape(-1)
+        absz = np.abs(flat)
+        self.far, self.reflected = absz > self.radius, None
+        if self.far.any():
+            self.reflected = np.where(flat.real >= 0.0, flat, -flat)[self.far]
+            flat, absz = flat[~self.far], absz[~self.far]
+        self.max_abs = float(absz.max(initial=0.0))
+        # one ulp below |z|, frexp's exponent e gives RUNGS[e]/2 < |z| <= RUNGS[e]
+        _, e = np.frexp(np.maximum(np.nextafter(absz, 0.0) / RUNGS[0], 0.5))
+        rung = np.minimum(e, len(RUNGS)).astype(np.uint8)
+        self.order = np.argsort(rung, kind="stable")
+        flat, rung = flat[self.order], rung[self.order]
+        self.w = flat * flat
+        self.below = np.searchsorted(rung, np.arange(len(RUNGS) + 1))  # points under rung i
+        self.top = int(rung[-1]) if rung.size else 0
+
+    def __array__(self, *args, **kwargs):
+        return self.z.__array__(*args, **kwargs)
+
+    def profile(self, series: EntireSeries, far_fn=None):
+        """``series`` inside the radius, ``far_fn`` of the reflected z outside."""
+        c, d = series.coefficients, series.truncation_degree
+        allowed = _TAIL_SAFETY * series.target_tolerance
+        with np.errstate(over="ignore", invalid="ignore"):
+            last = max(abs(c[m]) * np.float64(self.max_abs) ** (2 * m) for m in (d - 1, d))
+        if last > allowed:
+            raise SeriesTruncationError(f"series (kind={series.kind}, order={series.order}) not "
+                                        f"converged at max|z|={self.max_abs:.3g}: last term "
+                                        f"{last:.3g} exceeds {allowed:.3g}")
+        degrees, w = series.rung_degrees, self.w
+        acc, tmp = np.zeros_like(w), np.empty_like(w)
+        for m in range(degrees[self.top], -1, -1):
+            q = self.below[np.searchsorted(degrees, m)]
+            # out of place: numpy's in-place complex multiply rounds an array
+            # of one point differently from a longer one
+            np.multiply(acc[q:], w[q:], out=tmp[q:])
+            np.add(tmp[q:], c[m], out=acc[q:])
+        acc[self.order] = acc.copy()
+        if self.reflected is not None:
+            near, acc = acc, np.empty(self.z.size, dtype=self.z.dtype)
+            acc[~self.far] = near
+            acc[self.far] = far_fn(self.reflected)
+        return acc.reshape(self.z.shape)[()]
 
 
-def _get_ntilde(p: int) -> EntireSeries:
-    if p not in _ntilde_cache:
-        _ntilde_cache[p] = ntilde_series(p)
-    return _ntilde_cache[p]
+class _SeriesPoints(ProfilePoints):
+    radius = np.inf  # the series at every point, as EntireSeries is called
 
 
-def _reflect(z: np.ndarray) -> np.ndarray:
-    """Even reflection into Re w >= 0 (real arrays: |z|), off Y_nu's branch cut."""
-    if np.iscomplexobj(z):
-        return np.where(z.real >= 0.0, z, -z)
-    return np.abs(z)
-
-
-def _split_eval(z, series_fn, far_fn):
-    """Evaluate series inside SERIES_RADIUS, far formula outside, preserving shape."""
-    z = np.asarray(z)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z)
-    out = np.zeros(zf.shape, dtype=complex)
-    near = np.abs(zf) <= SERIES_RADIUS
-    if np.any(near):
-        out[near] = series_fn(zf[near])
-    if np.any(~near):
-        out[~near] = far_fn(_reflect(zf[~near]))
-    if not np.iscomplexobj(z):
-        out = out.real
-    return out[0] if scalar else out
+def _points(z) -> ProfilePoints:
+    return z if isinstance(z, ProfilePoints) else ProfilePoints(z)
 
 
 def entire_bessel_J(nu: float, z):
     """z**(-nu) J_nu(z), entire in z and even; series near 0, reflected jv beyond."""
     if abs(nu) > 10.0:
         raise ValueError(f"order out of supported range |nu| <= 10: {nu}")
-    ser = _get_jtilde(float(nu))
-    return _split_eval(z, ser, lambda w: np.power(w, -nu) * sp.jv(nu, w))
+    return _points(z).profile(_get_jtilde(nu), lambda w: np.power(w, -nu) * sp.jv(nu, w))
 
 
 def entire_neumann(n: int, z):
@@ -263,13 +271,12 @@ def entire_neumann(n: int, z):
     if n not in (2, 4):
         raise ValueError(f"entire Neumann profile provided for n in {{2, 4}}, got {n}")
     p = (n - 2) // 2
-    ser = _get_ntilde(p)
 
     def far(w):
         lg = np.log(w / 2.0) + EULER_GAMMA
         return w ** p * (sp.yv(p, w) - (2.0 / np.pi) * lg * sp.jv(p, w))
 
-    return _split_eval(z, ser, far)
+    return _points(z).profile(_get_ntilde(p), far)
 
 
 def entire_neumann_dz_over_z(n: int, z):
@@ -277,7 +284,6 @@ def entire_neumann_dz_over_z(n: int, z):
     if n not in (2, 4):
         raise ValueError(f"entire Neumann profile provided for n in {{2, 4}}, got {n}")
     p = (n - 2) // 2
-    ser = _get_ntilde(p)
 
     def far(w):
         lg = np.log(w / 2.0) + EULER_GAMMA
@@ -287,7 +293,7 @@ def entire_neumann_dz_over_z(n: int, z):
             d = w * (sp.yv(0, w) - (2.0 / np.pi) * lg * sp.jv(0, w)) - (2.0 / np.pi) * sp.jv(1, w)
         return d / w
 
-    return _split_eval(z, ser.eval_dz_over_z, far)
+    return _points(z).profile(_get_ntilde(p).dz_over_z, far)
 
 
 # Prefactor tying the half-integer Bessel series to the 3-d kernel profile:
@@ -299,27 +305,21 @@ _N3_DERIV_FACTOR = np.sqrt(np.pi / 2.0) / (4.0 * np.pi)
 
 def fs_coefficients(n: int, z):
     """Entire profiles (Jn, Nn) of the kernel split in dimension n (n in {2, 3})."""
-    z = np.asarray(z)
+    z = _points(z)
     if n == 2:
         return entire_bessel_J(0.0, z) / (2.0 * np.pi), entire_neumann(2, z) / 4.0
     if n == 3:
-        return np.zeros(z.shape), _N3_FACTOR * entire_bessel_J(-0.5, z)
+        return np.zeros(z.z.shape), _N3_FACTOR * entire_bessel_J(-0.5, z)
     raise ValueError(f"kernel profiles provided for n in {{2, 3}}, got {n}")
 
 
 def fs_coefficients_dz_over_z(n: int, z):
     """(Jn'(z)/z, Nn'(z)/z): even entire derivative profiles for gradient assembly."""
-    z = np.asarray(z)
+    z = _points(z)
     if n == 2:
-        return (
-            -entire_bessel_J(1.0, z) / (2.0 * np.pi),
-            entire_neumann_dz_over_z(2, z) / 4.0,
-        )
+        return -entire_bessel_J(1.0, z) / (2.0 * np.pi), entire_neumann_dz_over_z(2, z) / 4.0
     if n == 3:
-        return (
-            np.zeros(z.shape),
-            _N3_DERIV_FACTOR * entire_bessel_J(0.5, z),
-        )
+        return np.zeros(z.z.shape), _N3_DERIV_FACTOR * entire_bessel_J(0.5, z)
     raise ValueError(f"kernel profiles provided for n in {{2, 3}}, got {n}")
 
 
@@ -351,7 +351,7 @@ def fundamental_solution(n: int, x, k) -> FundamentalSolutionValue:
     r = _radii(x, n)
     if np.any(r == 0.0):
         raise ValueError("fundamental solution is singular at the origin")
-    z = k * r
+    z = ProfilePoints(k * r)
     J, N = fs_coefficients(n, z)
     gJ, gN = fs_coefficients_dz_over_z(n, z)
     kfac = k ** (n - 2)
@@ -372,7 +372,7 @@ def fundamental_solution_dk(n: int, x, k):
     r = _radii(x, n)
     if np.any(r == 0.0):
         raise ValueError("fundamental solution is singular at the origin")
-    z = k * r
+    z = ProfilePoints(k * r)
     J, _ = fs_coefficients(n, z)
     gJ, gN = fs_coefficients_dz_over_z(n, z)
     logr = np.log(r)
@@ -390,7 +390,7 @@ def analytic_correction(n: int, x, k) -> FundamentalSolutionValue:
     """
     x = np.asarray(x, dtype=float)
     r = _radii(x, n)
-    z = k * r
+    z = ProfilePoints(k * r)
     J, _ = fs_coefficients(n, z)
     gJ, _ = fs_coefficients_dz_over_z(n, z)
     kfac = k ** (n - 2)

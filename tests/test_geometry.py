@@ -110,6 +110,22 @@ def test_containment_bound_circle():
     assert cfg.validated_radius == pytest.approx(0.25, rel=1e-3)
 
 
+def test_containment_bound_samples_each_curve_once():
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    kite = geometry.make_curve("kite")
+    calls = []
+
+    def position(t):
+        calls.append(np.size(t))
+        return kite.position(t)
+
+    ref = geometry.BoundaryCurve(position, kite.velocity, kite.acceleration)
+    bounds = {geometry.containment_bound(ref, c, lat) for c in [(0.5, 0.5)] * 3}
+    geometry.HoleConfig(reference=ref, center=(0.5, 0.5), epsilon=0.1, lattice=lat)
+    assert calls == [4096]
+    assert bounds == {geometry.containment_bound(kite, (0.5, 0.5), lat)}
+
+
 def test_containment_violations_raise():
     lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
     disk = geometry.make_curve("circle", radius=1.0)

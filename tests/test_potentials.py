@@ -65,6 +65,18 @@ def test_log_weight_rows_exact_off_node():
         assert np.max(np.abs(got - (-2.0 * np.pi / m) * np.sin(m * taus))) < 1e-12
 
 
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
+def test_log_weight_rows_match_the_cosine_sum(N):
+    # the rows as one product against the direct sum of cos(m (tau - t_j))
+    n = N // 2
+    taus = np.r_[0.0, np.random.default_rng(N).uniform(0.0, 2.0 * np.pi, 40)]
+    delta = taus[:, None] - 2.0 * np.pi * np.arange(N)[None, :] / N
+    ref = -(np.pi / n ** 2) * np.cos(n * delta)
+    for m in range(1, n):
+        ref -= (2.0 * np.pi / n) * np.cos(m * delta) / m
+    assert np.max(np.abs(log_weight_rows(N, taus) - ref)) <= 1e-14
+
+
 def test_log_weights_require_even_node_count():
     with pytest.raises(ValueError):
         log_weight_matrix(17)

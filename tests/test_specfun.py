@@ -6,7 +6,9 @@ series cross-checked there against mpmath's own bessely/besselj to ~1e-38).
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
+import oracle_specfun as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,72 @@ def test_series_truncation_agreement():
         base = build(*args)
         longer = build(*args, degree=base.truncation_degree + 8)
         assert np.max(np.abs(base(z) - longer(z))) < base.target_tolerance
+
+
+SERIES = [
+    (sf.jtilde_series, (0.0,)),
+    (sf.jtilde_series, (1.0,)),
+    (sf.jtilde_series, (-0.5,)),
+    (sf.ntilde_series, (0,)),
+    (sf.ntilde_series, (1,)),
+]
+
+
+def _mpmath_series(build, arg, z):
+    if build is sf.jtilde_series:
+        return float(oracle.jtilde(arg, mp.mpf(z)))
+    return float(oracle.ntilde0(z) if arg == 0 else oracle.ntilde1(z))
+
+
+@pytest.mark.parametrize("build,args", SERIES)
+def test_each_rung_degree_is_safe(build, args):
+    # the degree a rung sums to agrees with the full truncation degree (Horner
+    # by np.polyval) over the whole rung, real and complex, and with mpmath at
+    # the rung's upper edge within the rounding bound of Horner's rule and of
+    # the coefficients, 3 d eps sum |c_m| |z|^(2m)
+    ser = build(*args)
+    c = ser.coefficients
+    edges = np.r_[0.0, sf.RUNGS]
+    for lo, hi, d in zip(edges[:-1], edges[1:], ser.rung_degrees):
+        r = np.r_[np.linspace(lo, hi, 24)[1:], np.nextafter(hi, 0.0)]
+        for z in (r, -r, r * np.exp(0.7j), r * 1j):
+            full = np.polyval(c[::-1], z * z)
+            assert np.max(np.abs(ser(z) - full)) < ser.target_tolerance, (lo, hi)
+        terms = np.sum(np.abs(c[: d + 1]) * hi ** (2.0 * np.arange(d + 1)))
+        bound = 3 * d * np.finfo(float).eps * terms
+        assert abs(ser(hi) - _mpmath_series(build, *args, hi)) <= bound, hi
+
+
+def test_rung_degree_follows_the_point():
+    # a return to one fixed degree for every point would sum 43 terms here
+    j0 = sf.jtilde_series(0.0)
+    assert j0.rung_degrees[np.searchsorted(sf.RUNGS, 1.0)] <= 12
+    assert j0.rung_degrees[-1] == j0.truncation_degree
+
+
+@pytest.mark.parametrize("complex_z", [False, True])
+def test_profiles_are_evaluated_alike_in_any_batch(complex_z):
+    # every point's bits come from its own rung: slices, single points,
+    # scalars, 2-D arrays and shared ProfilePoints all reproduce the whole call
+    rng = np.random.default_rng(5)
+    mags = np.r_[0.0, sf.RUNGS, sf.SERIES_RADIUS, 2.0 ** rng.uniform(-12, np.log2(14.0), 400)]
+    phase = np.exp(2j * np.pi * rng.uniform(size=mags.size)) if complex_z \
+        else rng.choice([-1.0, 1.0], size=mags.size)
+    z = mags * phase
+    cuts = np.unique(rng.choice(z.size, size=40))
+    for fn in (sf.fs_coefficients, sf.fs_coefficients_dz_over_z):
+        whole = fn(2, z)
+        for part, ref in zip(fn(2, sf.ProfilePoints(z)), whole):
+            assert np.array_equal(part, ref)
+        for idx in np.split(np.arange(z.size), np.unique(np.r_[cuts, cuts + 1])):
+            for part, ref in zip(fn(2, z[idx]), whole):
+                assert np.array_equal(part, ref[idx])
+        for i in range(z.size):
+            for part, ref in zip(fn(2, z[i]), whole):
+                assert np.array_equal(part, ref[i])
+        grid = z[:408].reshape(24, 17)
+        for part, ref in zip(fn(2, grid), whole):
+            assert np.array_equal(part, ref[:408].reshape(24, 17))
 
 
 def test_series_recurrence_recomputation():
