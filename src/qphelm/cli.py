@@ -3,8 +3,8 @@
 Subcommands: green-eval, solve-dirichlet, solve-neumann, solve-robin,
 sweep-epsilon, check-rescaling, selftest.  One run per process; a
 run_manifest.json is written before any result file, then rewritten with the
-final status so partial outputs are always identifiable.  Exit codes:
-2 config error, 3 resonant wavenumber, 4 solver failure, 5 I/O failure.
+final status so partial outputs are always identifiable.  The configuration
+entries are the rows of ``_FIELDS`` and the exit codes those of ``_EXITS``.
 
 All floating-point output is printed with 17 significant digits and complex
 quantities are split into _re/_im columns, so reruns of the same config are
@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -54,11 +54,16 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (one JSON file per run)."""
+    """Validated run configuration (one JSON file per run).
 
-    q_diag: tuple[float, float]
-    eta: tuple[float, float]
-    k: complex
+    The defaults here are the configuration's defaults: an entry that is
+    missing or null keeps them.
+    """
+
+    k_re: float
+    k_im: float = 0.0
+    q_diag: tuple[float, float] = (1.0, 1.0)
+    eta: tuple[float, float] = (0.0, 0.0)
     shape: str | None = None
     shape_params: dict = field(default_factory=dict)
     center: tuple[float, float] | None = None
@@ -77,20 +82,123 @@ class RunConfig:
     exclusion_radius: float = 0.1
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
+    @property
+    def k(self) -> complex:
+        return complex(self.k_re, self.k_im)
+
     def lattice(self) -> Lattice:
         return Lattice(q_diag=self.q_diag, eta=self.eta)
 
 
-def _pair(obj, what: str) -> tuple[float, float]:
-    try:
-        a, b = (float(v) for v in obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a pair of numbers, got {obj!r}") from exc
-    return (a, b)
+# Each parser takes a JSON value and its "section.key" and returns the field
+# value, or raises ConfigError naming the key.
 
 
-_TOP_KEYS = {"lattice", "wave", "geometry", "problem", "data", "probes", "grid",
-             "tolerances"}
+def _number(v, name: str) -> float:
+    # the bound refuses NaN, infinities and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _integer(v, name: str) -> int:
+    if not _number(v, name).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _pair(v, name: str) -> tuple[float, float]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"{name} must be a pair of numbers, got {v!r}")
+    return (_number(v[0], name), _number(v[1], name))
+
+
+def _object(v, name: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{name} must be an object, got {v!r}")
+    return dict(v)
+
+
+def _list(item):
+    """A non-empty list, each entry parsed by item."""
+    def parse(v, name: str) -> tuple:
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{name} must be a non-empty list, got {v!r}")
+        return tuple(item(x, f"{name}[{i}]") for i, x in enumerate(v))
+    return parse
+
+
+def _rule(parse, text: str, ok):
+    """parse, then require ok(value); text states the rule."""
+    def check(v, name: str):
+        value = parse(v, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {text}, got {v!r}")
+        return value
+    return check
+
+
+def _one_of(*choices):
+    return _rule(lambda v, name: v, f"one of {list(choices)}", lambda v: v in choices)
+
+
+_positive = _rule(_number, "positive", lambda x: x > 0)
+
+
+def _nonlinearity(v, name: str) -> dict:
+    v = _object(v, name)
+    if set(v) - {"kind", "params"} or not isinstance(v.get("kind"), str):
+        raise ConfigError(f"{name} takes a string 'kind' and optional 'params', "
+                          f"got {v!r}")
+    return {"kind": v["kind"], "params": _object(v.get("params", {}), f"{name}.params")}
+
+
+def _tolerances(v, name: str) -> dict:
+    v = _object(v, name)
+    unknown = set(v) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return {**DEFAULT_TOLERANCES, **{k: _number(x, f"{name}.{k}") for k, x in v.items()}}
+
+
+# One row per configuration entry: (section, or None for a top-level key, key,
+# RunConfig field, parser).  The field's default is the entry's default.
+_FIELDS = (
+    ("lattice", "q_diag", "q_diag",
+     _rule(_pair, "a pair of positive numbers", lambda p: min(p) > 0)),
+    ("lattice", "eta", "eta", _pair),
+    ("wave", "k_re", "k_re", _number),
+    ("wave", "k_im", "k_im", _number),
+    ("geometry", "shape", "shape", _one_of("circle", "ellipse", "kite")),
+    ("geometry", "params", "shape_params", _object),
+    ("geometry", "center", "center", _pair),
+    ("geometry", "epsilon", "epsilon", _positive),
+    ("geometry", "epsilon_sweep", "epsilon_sweep", _list(_positive)),
+    ("geometry", "N", "n_nodes",
+     _rule(_integer, "an even integer >= 16", lambda n: n >= 16 and n % 2 == 0)),
+    ("problem", "kind", "problem",
+     _one_of("dirichlet", "neumann", "robin", "green-eval", "check-rescaling")),
+    ("problem", "a_flag", "a_flag", _rule(_integer, "0 or 1", lambda n: n in (0, 1))),
+    ("problem", "nonlinearity", "nonlinearity", _nonlinearity),
+    ("problem", "identity_kinds", "identity_kinds",
+     _list(_one_of(*perturbation.IDENTITY_KINDS))),
+    ("problem", "fit_max_epsilon", "fit_max_epsilon", _positive),
+    ("data", "source", "source", _pair),
+    ("data", "coefficients", "coefficients",
+     _list(lambda v, name: complex(*_pair(v, name)))),
+    (None, "probes", "probes", _list(_pair)),
+    ("grid", "n", "grid_n", _rule(_integer, "an integer >= 2", lambda n: n >= 2)),
+    ("grid", "exclusion_radius", "exclusion_radius", _number),
+    (None, "tolerances", "tolerances", _tolerances),
+)
+# section -> its keys; the None entry holds the top-level keys and sections
+_KEYS = {s: {key for s2, key, _, _ in _FIELDS if s2 == s} for s, _, _, _ in _FIELDS}
+_KEYS[None] |= set(_KEYS) - {None}
+# field -> its "section.key", or the key alone at the top level
+_ENTRY = {name: key if s is None else f"{s}.{key}" for s, key, name, _ in _FIELDS}
+_REQUIRED = sorted(f.name for f in fields(RunConfig)
+                   if f.default is MISSING and f.default_factory is MISSING)
 
 
 def parse_config(text_or_obj) -> RunConfig:
@@ -98,175 +206,52 @@ def parse_config(text_or_obj) -> RunConfig:
     if isinstance(text_or_obj, (str, bytes)):
         try:
             obj = json.loads(text_or_obj)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, overlong integers
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
         obj = text_or_obj
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    def _check_keys(section, mapping, allowed):
-        if mapping is None:
-            return
-        if not isinstance(mapping, dict):
+    for section, keys in _KEYS.items():
+        block = obj if section is None else obj.get(section)
+        if block is not None and not isinstance(block, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        extra = set(mapping) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys in {section}: {sorted(extra)}")
-
-    _check_keys("lattice", obj.get("lattice"), {"q_diag", "eta"})
-    _check_keys("wave", obj.get("wave"), {"k_re", "k_im"})
-    _check_keys("geometry", obj.get("geometry"),
-                {"shape", "params", "N", "center", "epsilon", "epsilon_sweep"})
-    _check_keys("problem", obj.get("problem"),
-                {"kind", "a_flag", "nonlinearity", "identity_kinds",
-                 "fit_max_epsilon"})
-    _check_keys("data", obj.get("data"), {"source", "coefficients"})
-    _check_keys("grid", obj.get("grid"), {"n", "exclusion_radius"})
-
-    lat = obj.get("lattice", {})
-    wave = obj.get("wave", {})
-    if "k_re" not in wave:
-        raise ConfigError("wave.k_re is required")
-    kwargs = dict(
-        q_diag=_pair(lat.get("q_diag", (1.0, 1.0)), "lattice.q_diag"),
-        eta=_pair(lat.get("eta", (0.0, 0.0)), "lattice.eta"),
-        k=complex(float(wave["k_re"]), float(wave.get("k_im", 0.0))),
-    )
-    if kwargs["q_diag"][0] <= 0 or kwargs["q_diag"][1] <= 0:
-        raise ConfigError("lattice.q_diag entries must be positive")
-
-    geo = obj.get("geometry")
-    if geo is not None:
-        shape = geo.get("shape")
-        if shape is not None and shape not in ("circle", "ellipse", "kite"):
-            raise ConfigError(f"unknown geometry.shape {shape!r}")
-        kwargs["shape"] = shape
-        kwargs["shape_params"] = dict(geo.get("params", {}))
-        if "center" in geo:
-            kwargs["center"] = _pair(geo["center"], "geometry.center")
-        if "epsilon" in geo and geo["epsilon"] is not None:
-            eps = float(geo["epsilon"])
-            if eps <= 0:
-                raise ConfigError("geometry.epsilon must be positive")
-            kwargs["epsilon"] = eps
-        if "epsilon_sweep" in geo and geo["epsilon_sweep"] is not None:
-            sweep = tuple(float(e) for e in geo["epsilon_sweep"])
-            if not sweep or min(sweep) <= 0:
-                raise ConfigError("geometry.epsilon_sweep must be positive values")
-            kwargs["epsilon_sweep"] = sweep
-        n = int(geo.get("N", 128))
-        if n < 16 or n % 2:
-            raise ConfigError("geometry.N must be an even integer >= 16")
-        kwargs["n_nodes"] = n
-
-    prob = obj.get("problem")
-    if prob is not None:
-        kind = prob.get("kind")
-        if kind is not None and kind not in (
-                "dirichlet", "neumann", "robin", "green-eval", "check-rescaling"):
-            raise ConfigError(f"unknown problem.kind {kind!r}")
-        kwargs["problem"] = kind
-        a_flag = int(prob.get("a_flag", 0))
-        if a_flag not in (0, 1):
-            raise ConfigError("problem.a_flag must be 0 or 1")
-        kwargs["a_flag"] = a_flag
-        if "nonlinearity" in prob and prob["nonlinearity"] is not None:
-            nl = prob["nonlinearity"]
-            if not isinstance(nl, dict) or set(nl) - {"kind", "params"}:
-                raise ConfigError(
-                    "problem.nonlinearity accepts only 'kind' and 'params'")
-            if "kind" not in nl:
-                raise ConfigError("problem.nonlinearity.kind is required")
-            kwargs["nonlinearity"] = {"kind": nl["kind"],
-                                      "params": dict(nl.get("params", {}))}
-        if "identity_kinds" in prob and prob["identity_kinds"] is not None:
-            kinds = tuple(prob["identity_kinds"])
-            bad = set(kinds) - set(perturbation.IDENTITY_KINDS)
-            if bad:
-                raise ConfigError(f"unknown identity kinds: {sorted(bad)}")
-            kwargs["identity_kinds"] = kinds
-        if "fit_max_epsilon" in prob and prob["fit_max_epsilon"] is not None:
-            kwargs["fit_max_epsilon"] = float(prob["fit_max_epsilon"])
-
-    data = obj.get("data")
-    if data is not None:
-        if "source" in data and data["source"] is not None:
-            kwargs["source"] = _pair(data["source"], "data.source")
-        if "coefficients" in data and data["coefficients"] is not None:
-            try:
-                kwargs["coefficients"] = tuple(
-                    complex(float(c[0]), float(c[1])) for c in data["coefficients"])
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ConfigError(
-                    "data.coefficients must be a list of [re, im] pairs") from exc
-
-    if "probes" in obj and obj["probes"] is not None:
-        kwargs["probes"] = tuple(_pair(p, "probes entry") for p in obj["probes"])
-
-    grid = obj.get("grid")
-    if grid is not None:
-        gn = int(grid.get("n", 50))
-        if gn < 2:
-            raise ConfigError("grid.n must be >= 2")
-        kwargs["grid_n"] = gn
-        kwargs["exclusion_radius"] = float(grid.get("exclusion_radius", 0.1))
-
-    tol = dict(DEFAULT_TOLERANCES)
-    for key, val in obj.get("tolerances", {}).items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        tol[key] = float(val)
-    kwargs["tolerances"] = tol
+        unknown = set(block or {}) - keys
+        if unknown:
+            raise ConfigError(f"unknown keys in {section or 'the config root'}: "
+                              f"{sorted(unknown)}")
+    kwargs = {}
+    for section, key, name, parse in _FIELDS:
+        value = (obj if section is None else obj.get(section) or {}).get(key)
+        if value is not None:
+            kwargs[name] = parse(value, _ENTRY[name])
+    missing = [_ENTRY[name] for name in _REQUIRED if name not in kwargs]
+    if missing:
+        raise ConfigError(f"config is missing required entries: {missing}")
     return RunConfig(**kwargs)
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """Serialize back to the JSON layout accepted by parse_config."""
-    obj = {
-        "lattice": {"q_diag": list(cfg.q_diag), "eta": list(cfg.eta)},
-        "wave": {"k_re": cfg.k.real, "k_im": cfg.k.imag},
-        "tolerances": dict(cfg.tolerances),
-    }
-    if cfg.shape is not None or cfg.center is not None:
-        geo = {"N": cfg.n_nodes}
-        if cfg.shape is not None:
-            geo["shape"] = cfg.shape
-            geo["params"] = dict(cfg.shape_params)
-        if cfg.center is not None:
-            geo["center"] = list(cfg.center)
-        if cfg.epsilon is not None:
-            geo["epsilon"] = cfg.epsilon
-        if cfg.epsilon_sweep is not None:
-            geo["epsilon_sweep"] = list(cfg.epsilon_sweep)
-        obj["geometry"] = geo
-    prob = {}
-    if cfg.problem is not None:
-        prob["kind"] = cfg.problem
-    if cfg.a_flag:
-        prob["a_flag"] = cfg.a_flag
-    if cfg.nonlinearity is not None:
-        prob["nonlinearity"] = {"kind": cfg.nonlinearity["kind"],
-                                "params": dict(cfg.nonlinearity["params"])}
-    if cfg.identity_kinds is not None:
-        prob["identity_kinds"] = list(cfg.identity_kinds)
-    if cfg.fit_max_epsilon is not None:
-        prob["fit_max_epsilon"] = cfg.fit_max_epsilon
-    if prob:
-        obj["problem"] = prob
-    data = {}
-    if cfg.source is not None:
-        data["source"] = list(cfg.source)
-    if cfg.coefficients is not None:
-        data["coefficients"] = [[c.real, c.imag] for c in cfg.coefficients]
-    if data:
-        obj["data"] = data
-    if cfg.probes is not None:
-        obj["probes"] = [list(p) for p in cfg.probes]
-    obj["grid"] = {"n": cfg.grid_n, "exclusion_radius": cfg.exclusion_radius}
+    """Every field that is not None, defaults included, in parse_config's layout."""
+    obj = {}
+    for section, key, name, _ in _FIELDS:
+        value = getattr(cfg, name)
+        if value is not None:
+            block = obj if section is None else obj.setdefault(section, {})
+            block[key] = _jsonify(value)
+    return obj
+
+
+def _jsonify(obj):
+    """JSON-ready copy: tuples become lists, complex numbers [re, im] pairs."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     return obj
 
 
@@ -342,9 +327,9 @@ class _Manifest:
 
 
 def _require(cfg: RunConfig, *names: str):
-    missing = [n for n in names if getattr(cfg, n) is None]
+    missing = [_ENTRY[n] for n in names if getattr(cfg, n) is None]
     if missing:
-        raise ConfigError(f"config is missing required fields: {missing}")
+        raise ConfigError(f"config is missing required entries: {missing}")
 
 
 def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
@@ -598,7 +583,7 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
         err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
     checks.append(("kernel rescaling identity", err, 1e-12))
 
-    _, ev = _setup(RunConfig(q_diag=(1.0, 1.0), eta=(0.4, 0.7), k=1.3), manifest)
+    _, ev = _setup(RunConfig(k_re=1.3, eta=(0.4, 0.7)), manifest)
     lat = ev.lattice
     pts = rng.uniform(0.15, 0.85, size=(5, 2))
     v0, _ = qpgreen.green_eval(ev, pts)
@@ -613,7 +598,7 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
                    float(np.max(np.abs(w2 - w0) / np.abs(w0))), 1e-10))
     # points past the half cell fold through m* != 0 into the centred cell
     xs = np.vstack([pts - 0.5, pts, [[0.8, 0.3]]])
-    rv, _ = qpgreen.regular_part(ev, xs, enforce_ball=False)
+    rv, _ = qpgreen.regular_part(ev, xs)
     gv, _, _ = qpgreen.ewald_oracle(ev, xs)
     sv = specfun.fundamental_solution(2, xs, ev.k).value
     checks.append(("regular part expansion against G - S",
@@ -669,6 +654,19 @@ SUBCOMMANDS = tuple(_COMMANDS)
 # driver
 
 
+# (error types, exit code, stderr prefix); an error takes the first row it
+# matches, so the base class QphelmError comes after its subclasses
+_EXITS = (
+    ((ConfigError, ContainmentError, NearLatticePointError, ValueError), 2,
+     "config error"),
+    ((ResonanceError,), 3, "resonance"),
+    ((IllConditionedError, NewtonDivergenceError, SeriesTruncationError), 4,
+     "solver failure"),
+    ((QphelmError,), 1, "failure"),
+    ((OSError,), 5, "I/O error"),
+)
+
+
 def run(subcommand: str, cfg: RunConfig | None, out_dir: str | Path,
         threads: int = 1, seed: int = 0) -> int:
     """Execute one subcommand; returns the process exit code."""
@@ -688,42 +686,18 @@ def run(subcommand: str, cfg: RunConfig | None, out_dir: str | Path,
             results = command(out, manifest, seed)
         elif cfg is None:
             raise ConfigError(f"subcommand {subcommand!r} requires a config")
+        elif cfg.problem not in (None, kind):
+            raise ConfigError(f"problem.kind {cfg.problem!r} does not match "
+                              f"subcommand {subcommand!r}")
         else:
             results = command(cfg, out, manifest, threads)
-    except (ConfigError, ContainmentError, NearLatticePointError,
-            ValueError) as exc:
+    except tuple(t for types, _, _ in _EXITS for t in types) as exc:
+        code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
         manifest.finish("failed", error=str(exc))
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ResonanceError as exc:
-        manifest.finish("failed", error=str(exc))
-        print(f"resonance: {exc}", file=sys.stderr)
-        return 3
-    except (IllConditionedError, NewtonDivergenceError,
-            SeriesTruncationError) as exc:
-        manifest.finish("failed", error=str(exc))
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 4
-    except QphelmError as exc:
-        manifest.finish("failed", error=str(exc))
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        manifest.finish("failed", error=str(exc))
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 5
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     manifest.finish("complete", results=_jsonify(results))
     return 0
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def main(argv=None) -> None:
@@ -738,30 +712,14 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized invariant draws")
     args = parser.parse_args(argv)
-
-    expected = _COMMANDS[args.subcommand][0]
-    cfg = None
-    if expected is not None:
-        if not args.config:
-            print("error: --config is required for this subcommand",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            cfg = parse_config(text)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-        if cfg.problem is not None and cfg.problem != expected:
-            print(f"config error: problem.kind {cfg.problem!r} does not match "
-                  f"subcommand {args.subcommand!r}", file=sys.stderr)
-            raise SystemExit(2)
     if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
+        parser.error("--threads must be >= 1")
+    cfg = None
+    if args.config:
+        try:
+            cfg = parse_config(Path(args.config).read_text())
+        except (OSError, ConfigError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     raise SystemExit(run(args.subcommand, cfg, args.out, threads=args.threads,
                          seed=args.seed))

@@ -128,7 +128,7 @@ def _smooth_log_ratio(r: np.ndarray, dt: np.ndarray, diag_speeds: np.ndarray | N
 
 def _regular_tables(green: qpgreen.GreenEvaluator, d: np.ndarray):
     flat = d.reshape(-1, 2)
-    RV, RG = qpgreen.regular_part(green, flat, enforce_ball=False)
+    RV, RG = qpgreen.regular_part(green, flat)
     return RV.reshape(d.shape[:-1]), RG.reshape(d.shape)
 
 

@@ -661,19 +661,13 @@ class FourierBesselExpansion:
         return jet
 
 
-def regular_part(ev: GreenEvaluator, x, *, enforce_ball: bool = True):
+def regular_part(ev: GreenEvaluator, x):
     """R = G - S_2(., k) and its gradient; analytic through the origin.
 
-    The public contract keeps |x| < min(q)/2 so the nearest source point is the
-    origin; assembly code sets enforce_ball=False after checking its own
-    separation from the nonzero lattice points.  The first call fits the
+    R is singular at the lattice points other than the origin: a point too
+    close to one raises NearLatticePointError.  The first call fits the
     evaluator's Fourier-Bessel expansion.
     """
-    x = np.asarray(x, dtype=float)
-    if enforce_ball:
-        r = np.sqrt(np.sum(np.atleast_2d(x.reshape(-1, 2)) ** 2, axis=1))
-        if np.any(r >= 0.5 * float(np.min(ev.lattice.q))):
-            raise ValueError("regular part requested outside the half-cell ball")
     v, g, _ = _batched(x, False, _regular_kernel(ev, ev.expansion))
     return v, g
 

@@ -6,6 +6,7 @@ determinism is checked byte-for-byte on the emitted CSV files.
 """
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -88,6 +89,49 @@ def test_config_round_trip():
         first = cli.serialize_config(cfg)
         second = cli.serialize_config(cli.parse_config(first))
         assert first == second
+
+
+def test_serialize_then_parse_gives_the_same_config(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from qpbench import workloads
+
+    bare = {"wave": {"k_re": 1.3}, "geometry": {"epsilon": 0.05, "N": 64}}
+    sweep = workloads.sweep_config(
+        workloads.sweep_probes(np.random.default_rng(0)))
+    for obj in ALL_CONFIGS + (bare, sweep):
+        cfg = cli.parse_config(json.dumps(obj))
+        assert cli.parse_config(cli.serialize_config(cfg)) == cfg
+    echo = cli.serialize_config(cli.parse_config(bare))
+    assert echo["geometry"]["epsilon"] == 0.05 and echo["geometry"]["N"] == 64
+
+
+def test_field_table_states_each_config_field_once():
+    names = [name for _, _, name, _ in cli._FIELDS]
+    assert len(names) == len(set(names))
+    assert set(names) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("wave", "k_re", "fast"),
+    ("tolerances", "solve", None),
+    ("geometry", "N", 64.9),
+    ("geometry", "center", [0.5]),
+    ("geometry", "epsilon_sweep", []),
+    ("data", "coefficients", [[1.0]]),
+    ("problem", "fit_max_epsilon", -0.1),
+])
+def test_malformed_values_exit_2_without_traceback(tmp_path, capsys, section,
+                                                   key, value):
+    bad = copy.deepcopy(GREEN_CFG)
+    bad.setdefault(section, {})[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green-eval", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and f"{section}.{key}" in err
 
 
 def test_config_rejects_unknown_keys():
@@ -255,6 +299,17 @@ def test_main_requires_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve-dirichlet", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_run_refuses_a_mismatched_kind_or_a_missing_config(tmp_path):
+    cfg = cli.parse_config(json.dumps(DIRICHLET_CFG))
+    assert cli.run("solve-neumann", cfg, tmp_path / "run") == 2
+    man = _manifest(tmp_path / "run")
+    assert man["status"] == "failed" and "problem.kind" in man["error"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-dirichlet", "--out", str(tmp_path / "main")])
+    assert exc.value.code == 2
+    assert _manifest(tmp_path / "main")["status"] == "failed"
 
 
 def test_main_green_eval_end_to_end(tmp_path):

@@ -136,7 +136,7 @@ def test_green_log_divergence_matches_kernel(lat, wave, green):
 def test_regular_part_seam_consistency(green, rng):
     # R = G - S holds where both sides are directly computable
     pts = rng.uniform(0.05, 0.25, size=(8, 2))
-    RV, RG = qpgreen.regular_part(green, pts, enforce_ball=False)
+    RV, RG = qpgreen.regular_part(green, pts)
     g, ggrad, _ = qpgreen.ewald_oracle(green, pts)
     s = specfun.fundamental_solution(2, pts, green.k)
     assert np.max(np.abs(RV - (g - s.value))) < 1e-11
@@ -164,9 +164,7 @@ def test_near_lattice_point_rejected(green):
 
 def test_regular_part_ball_enforcement(lat, green):
     big = np.array([[0.55, 0.0]])  # outside the half-cell ball |x| < min(q)/2
-    with pytest.raises(ValueError):
-        qpgreen.regular_part(green, big)
-    RV, _ = qpgreen.regular_part(green, big, enforce_ball=False)
+    RV, _ = qpgreen.regular_part(green, big)
     assert np.isfinite(RV).all()
 
 
@@ -190,7 +188,7 @@ def test_expansion_matches_ewald_seam(lat, k):
     corner = np.array([[0.5, 0.5], [-0.5, 0.5]])
     moved = np.array([[0.8, 0.3], [-0.7, -0.9], [1.0 + 1e-3, 0.0], [0.2, 0.97]])
     pts = np.concatenate([cell, corner, moved])
-    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    RV, RG = qpgreen.regular_part(ev, pts)
     ref_v, ref_g = _seam(ev, pts)
     assert np.max(np.abs(RV - ref_v)) < 1e-13
     assert np.max(np.abs(RG - ref_g)) < 1e-12 * max(1.0, np.max(np.abs(ref_g)))
@@ -201,7 +199,7 @@ def test_expansion_against_image_sum_complex_k(lat):
     ev = qpgreen.make_green_evaluator(lat, k)
     pts = np.array([[0.31, 0.47], [-0.22, 0.18], [0.05, -0.41], [0.5, -0.5], [0.01, 0.0]])
     ref, tail = qpgreen.image_sum_oracle(lat, k, pts, truncation=40)
-    RV, _ = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    RV, _ = qpgreen.regular_part(ev, pts)
     s = specfun.fundamental_solution(2, pts, k).value
     assert tail < 1e-12
     assert np.max(np.abs(RV - (ref - s))) < 1e-11
@@ -234,7 +232,7 @@ def test_anisotropic_cell_reaches_beyond_the_expansion_radius():
     rr = np.hypot(reduced[:, 0], reduced[:, 1])
     pts = pts[rr > 0.05]
     rr = rr[rr > 0.05]
-    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    RV, RG = qpgreen.regular_part(ev, pts)
     assert np.any(rr > ev.expansion.radius) and np.any(rr < ev.expansion.radius)
     ref_v, ref_g = _seam(ev, pts)
     assert np.max(np.abs(RV - ref_v)) < 1e-13
@@ -243,9 +241,9 @@ def test_anisotropic_cell_reaches_beyond_the_expansion_radius():
 
 def test_regular_part_refuses_points_on_a_shifted_source(green):
     with pytest.raises(NearLatticePointError):
-        qpgreen.regular_part(green, np.array([[1.0 + 1e-12, 0.0]]), enforce_ball=False)
+        qpgreen.regular_part(green, np.array([[1.0 + 1e-12, 0.0]]))
     # the origin itself is a regular point of R
-    RV, _ = qpgreen.regular_part(green, np.array([[1e-12, 0.0]]), enforce_ball=False)
+    RV, _ = qpgreen.regular_part(green, np.array([[1e-12, 0.0]]))
     assert abs(RV[0] - R_AT_ZERO) < 1e-12
 
 
@@ -311,7 +309,7 @@ def test_split_invariance_and_seam_off_the_square_cell(cell, k, seed):
     scale = max(1.0, float(np.max(np.abs(g))))
     other = qpgreen.make_green_evaluator(lat, k, ewald_split=1.25 * ev.ewald_split)
     assert np.max(np.abs(qpgreen.ewald_oracle(other, pts)[0] - g)) < 1e-12 * scale
-    RV, RG = qpgreen.regular_part(ev, pts, enforce_ball=False)
+    RV, RG = qpgreen.regular_part(ev, pts)
     s = specfun.fundamental_solution(2, pts, k)
     assert np.max(np.abs(RV - (g - s.value))) < 1e-12 * scale
     gscale = max(1.0, float(np.max(np.abs(gg))))
@@ -410,7 +408,7 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     cuts = np.unique(rng.choice(len(pts), size=100))
     cuts = np.unique(np.r_[cuts, cuts + 1])  # some one-point batches
     for call in (lambda p: qpgreen.green_hessian(ev, p),
-                 lambda p: qpgreen.regular_part(ev, p, enforce_ball=False),
+                 lambda p: qpgreen.regular_part(ev, p),
                  lambda p: qpgreen.ewald_oracle(ev, p)[:2]):
         whole = call(pts)
         for idx in np.split(np.arange(len(pts)), cuts):
