@@ -16,6 +16,7 @@ single-threaded ones.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -154,6 +155,11 @@ def _nonlinearity(v, name: str) -> dict:
     return {"kind": v["kind"], "params": _object(v.get("params", {}), f"{name}.params")}
 
 
+def _problem_kind(v, name: str) -> str:
+    # the kinds the subcommands of _COMMANDS take, read when a config is parsed
+    return _one_of(*dict.fromkeys(k for k, _ in _COMMANDS.values() if k))(v, name)
+
+
 def _tolerances(v, name: str) -> dict:
     v = _object(v, name)
     unknown = set(v) - set(DEFAULT_TOLERANCES)
@@ -177,8 +183,7 @@ _FIELDS = (
     ("geometry", "epsilon_sweep", "epsilon_sweep", _list(_positive)),
     ("geometry", "N", "n_nodes",
      _rule(_integer, "an even integer >= 16", lambda n: n >= 16 and n % 2 == 0)),
-    ("problem", "kind", "problem",
-     _one_of("dirichlet", "neumann", "robin", "green-eval", "check-rescaling")),
+    ("problem", "kind", "problem", _problem_kind),
     ("problem", "a_flag", "a_flag", _rule(_integer, "0 or 1", lambda n: n in (0, 1))),
     ("problem", "nonlinearity", "nonlinearity", _nonlinearity),
     ("problem", "identity_kinds", "identity_kinds",
@@ -493,10 +498,12 @@ def _cmd_sweep_epsilon(cfg: RunConfig, out: Path, manifest: _Manifest,
     for s in states:
         defect = nonlinear.boundary_condition_residual(
             s, B, center=cfg.center, green=green)
+        steps = s.step_norms or (0.0,)
         rows.append((s.epsilon, s.r, str(s.newton_iterations), s.residual_norm,
-                     defect))
+                     defect, steps[-1], max(steps)))
     _write_csv(out / "sweep.csv",
-               ["epsilon", "r", "newton_iterations", "residual_norm", "bc_defect"],
+               ["epsilon", "r", "newton_iterations", "residual_norm", "bc_defect",
+                "final_step_norm", "max_step_norm"],
                rows)
     manifest.add_output("sweep.csv")
     results = {"states": len(states),
@@ -720,6 +727,11 @@ def main(argv=None) -> None:
             cfg = parse_config(Path(args.config).read_text())
         except (OSError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):
+                out = Path(args.out)
+                out.mkdir(parents=True, exist_ok=True)
+                _Manifest(out, args.subcommand, None, args.threads,
+                          args.seed).finish("failed", error=str(exc))
             raise SystemExit(2)
     raise SystemExit(run(args.subcommand, cfg, args.out, threads=args.threads,
                          seed=args.seed))

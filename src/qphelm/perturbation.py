@@ -126,9 +126,11 @@ def scaled_regular_tables(curve: DiscreteCurve, epsilon: float,
 
     These feed the index-2 families; the table is shared by M2, N2 and P2 at
     one epsilon, so precomputing it once saves the dominant assembly cost.
+    epsilon * d is antisymmetric bit for bit, so ``qpgreen.regular_part``
+    evaluates only its upper triangle.
     """
     d = curve.points[:, None, :] - curve.points[None, :, :]
-    return potentials._regular_tables(green, epsilon * d)
+    return qpgreen.regular_part(green, epsilon * d)
 
 
 _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),

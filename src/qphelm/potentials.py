@@ -126,12 +126,6 @@ def _smooth_log_ratio(r: np.ndarray, dt: np.ndarray, diag_speeds: np.ndarray | N
     return L
 
 
-def _regular_tables(green: qpgreen.GreenEvaluator, d: np.ndarray):
-    flat = d.reshape(-1, 2)
-    RV, RG = qpgreen.regular_part(green, flat)
-    return RV.reshape(d.shape[:-1]), RG.reshape(d.shape)
-
-
 def _contract(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
               v: np.ndarray) -> np.ndarray:
     """Normal derivative taken by a double-type kind of a pairwise vector table.
@@ -164,7 +158,9 @@ def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarra
     if k is not None:
         z = k * r
         if single:
-            J2, N2 = specfun.fs_coefficients(2, z)
+            # without L only the J-profile is read: sum no Neumann profile
+            J2, N2 = (specfun.fs_coefficients(2, z) if L is not None
+                      else (specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi), None))
             A1 = 0.5 * J2
             if L is not None:
                 A2 = J2 * L + N2
@@ -172,7 +168,8 @@ def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarra
             k2 = k * k
             nd = _contract(kind, target_normals, source_normals, d)
             z = specfun.ProfilePoints(z)
-            gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
+            gJ, gN = (specfun.fs_coefficients_dz_over_z(2, z) if L is not None
+                      else (-specfun.entire_bessel_J(1.0, z) / (2.0 * np.pi), None))
             A1 = 0.5 * k2 * gJ * nd
             if L is not None:
                 J2 = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
@@ -206,10 +203,13 @@ def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=Non
     Precompute once and pass via ``tables=`` to :func:`assemble` (node rows)
     or :func:`boundary_trace_rows` (the same ``taus``) when several operator
     kinds share one curve — the table is the dominant cost and is identical
-    across kinds.
+    across kinds.  The node table is antisymmetric, d[j, i] = -d[i, j], so
+    ``qpgreen.regular_part`` evaluates its upper triangle and takes each
+    lower entry from the antipode; rows at ``taus`` are evaluated point by
+    point.
     """
     d = _targets(curve, taus)[:, None, :] - curve.points[None, :, :]
-    return _regular_tables(green, d)
+    return qpgreen.regular_part(green, d)
 
 
 def _targets(dc: DiscreteCurve, taus) -> np.ndarray:
@@ -255,7 +255,7 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     if np.any(r == 0.0):
         raise ValueError("off-node targets must avoid the quadrature nodes")
     L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
-    RV, RG = _regular_tables(green, d) if tables is None else tables
+    RV, RG = qpgreen.regular_part(green, d) if tables is None else tables
     A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=green.k, RV=RV, RG=RG)
     return (log_weight_rows(dc.N, taus) * A1 + (2.0 * np.pi / dc.N) * A2) \
         * dc.speeds[None, :]

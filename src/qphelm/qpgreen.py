@@ -27,6 +27,13 @@ comes from a fixed ladder of radii, not from the other points of its call, so
 every point gets the same bits in any batch (a grid split over threads
 included).
 
+A node-pair table x[i, j] = y_i - y_j is antisymmetric bit for bit, and
+e_n(-x) = (-1)^n e_n(x), so regular_part evaluates such a table on its upper
+triangle and fills each entry [j, i] from the antipode: the basis at x'
+contracted with the coefficient rows signed by (-1)^n gives the jet at -x',
+and S_2(-x) = S_2(x) with its gradient negated.  Negation is exact and
+rounding is symmetric, so the table has the bits of the pointwise path.
+
 The Ewald sum is the oracle, ewald_oracle.  It splits the spectral definition
 G(x) = (1/A) sum_z exp(i beta_z . x) / (k^2 - |beta_z|^2) by a Gaussian at
 parameter E: cutting the heat-kernel t-integral at 1/(4 E^2) gives
@@ -307,30 +314,23 @@ def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | N
     return GreenEvaluator(lattice, wave, ewald_split=ewald_split)
 
 
-def _batched(x, hessians: bool, kernel):
-    """Apply kernel(points) -> (values, gradients, Hessians) in _CHUNK batches.
+def _batched(x, kernel, trailing):
+    """Apply kernel(points) -> arrays with one row per point, in _CHUNK batches.
 
-    x has shape (..., 2); the Hessians are collected only when ``hessians``.
+    x has shape (..., 2); output i has shape (...) + trailing[i].
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x).reshape(-1, 2)
-    vals = np.zeros(len(pts), dtype=complex)
-    grads = np.zeros((len(pts), 2), dtype=complex)
-    hesss = np.zeros((len(pts), 2, 2), dtype=complex) if hessians else None
+    pts = x.reshape(-1, 2)
+    out = [np.empty((len(pts),) + t, dtype=complex) for t in trailing]
     for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, len(pts)))
-        v, g, h = kernel(pts[sl])
-        vals[sl] = v
-        grads[sl] = g
-        if hesss is not None:
-            hesss[sl] = h
-    shape = x.shape[:-1]
-    vals = vals.reshape(shape) if not scalar else vals[0]
-    grads = grads.reshape(shape + (2,)) if not scalar else grads[0]
-    if hesss is not None:
-        hesss = hesss.reshape(shape + (2, 2)) if not scalar else hesss[0]
-    return vals, grads, hesss
+        sl = slice(lo, lo + _CHUNK)
+        for a, b in zip(out, kernel(pts[sl])):
+            a[sl] = b
+    return tuple(a.reshape(x.shape[:-1] + a.shape[1:])[()] for a in out)
+
+
+# trailing shapes of a value, a gradient and a Hessian
+_JET = ((), (2,), (2, 2))
 
 
 def _ewald_kernel(ev: GreenEvaluator, hessians: bool):
@@ -357,7 +357,7 @@ def ewald_oracle(ev: GreenEvaluator, x):
     green_hessian sum Ewald for reduced points beyond the expansion's radius
     and for every point before regular_part has fitted the expansion.
     """
-    return _batched(x, True, _ewald_kernel(ev, True))
+    return _batched(x, _ewald_kernel(ev, True), _JET)
 
 
 def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
@@ -377,11 +377,10 @@ def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
     return jet
 
 
-def _fold(r_jet: list, xr: np.ndarray, phase: np.ndarray, k: complex,
-          hessians: bool) -> list:
-    """G(x) = e^{i eta . q m*} (S_2(x') + R(x')) from R's jet at reduced points x'."""
+def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
+    """G(x) = e^{i eta . q m*} (S_2(x') + R(x')) from the jets of R and S_2 at x'."""
     return [(r + s) * phase.reshape((-1,) + (1,) * (s.ndim - 1))
-            for r, s in zip(r_jet, _free_jet(xr, k, hessians))]
+            for r, s in zip(r_jet, s_jet)]
 
 
 def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool):
@@ -403,8 +402,8 @@ def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool)
         near = r2 <= fb.radius ** 2
         far = ~near
         if np.any(near):
-            for a, b in zip(jet, _fold(fb(xr[near], hessians), xr[near], phase[near],
-                                       k, hessians)):
+            for a, b in zip(jet, _fold(fb(xr[near], hessians, False),
+                                       _free_jet(xr[near], k, hessians), phase[near])):
                 a[near] = b
         if np.any(far):
             for a, b in zip(jet, _ewald_kernel(ev, hessians)(chunk[far])):
@@ -413,15 +412,19 @@ def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool)
     return kernel
 
 
-def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion):
+def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, antipodes: bool):
     """R = G - S_2: R(x') itself at unmoved points, so nothing cancels at 0.
 
     One expansion call serves every point within the radius, moved or not:
     the expansion batches points by order count, and two calls would pay
-    each count's fixed cost twice.
+    each count's fixed cost twice.  With ``antipodes`` the kernel returns
+    R and its gradient at x, then at -x: -x reduces to -x', the expansion
+    serves it from the basis at x', and S_2(-x) = S_2(x) with the gradient
+    negated, so both come out as a call at -x would give them.
     """
     k = ev.k
     excl = ev._exclusion()
+    signs = (1.0, -1.0) if antipodes else (1.0,)
 
     def kernel(chunk):
         xr, phase, mstar = ev._reduce(chunk)
@@ -432,36 +435,41 @@ def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion):
             raise NearLatticePointError(
                 f"evaluation point within {excl:.1e} of a source lattice point"
             )
-        v = np.empty(len(chunk), dtype=complex)
-        g = np.empty((len(chunk), 2), dtype=complex)
+        out = [np.empty((len(chunk),) + t, dtype=complex) for t in _JET[:2] * len(signs)]
+        jets = [out[i:i + 2] for i in range(0, len(out), 2)]
         near = r2 <= fb.radius ** 2
         far = ~near
         if np.any(near):
-            v[near], g[near] = fb(xr[near], False)
+            for a, b in zip(out, fb(xr[near], False, antipodes)):
+                a[near] = b
         fold = near & moved
         if np.any(fold):
-            v[fold], g[fold] = _fold([v[fold], g[fold]], xr[fold], phase[fold], k, False)
+            sv, sg = _free_jet(xr[fold], k, False)
+            for s, (v, g) in zip(signs, jets):
+                ph = phase[fold] if s > 0 else ev._reduce(-chunk[fold])[1]
+                v[fold], g[fold] = _fold([v[fold], g[fold]], [sv, s * sg], ph)
         if np.any(far):
-            v[far], g[far], _ = _ewald_kernel(ev, False)(chunk[far])
+            for s, (v, g) in zip(signs, jets):
+                v[far], g[far], _ = _ewald_kernel(ev, False)(s * chunk[far])
         free = fold | far
         if np.any(free):
             sv, sg = _free_jet(chunk[free], k, False)
-            v[free] -= sv
-            g[free] -= sg
-        return v, g, None
+            for s, (v, g) in zip(signs, jets):
+                v[free] -= sv
+                g[free] -= s * sg
+        return out
     return kernel
 
 
 def _green(ev: GreenEvaluator, x, hessians: bool):
     fb = ev._expansion
     kernel = _ewald_kernel(ev, hessians) if fb is None else _cell_kernel(ev, fb, hessians)
-    return _batched(x, hessians, kernel)
+    return _batched(x, kernel, _JET[:2 + hessians])
 
 
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    v, g, _ = _green(ev, x, False)
-    return v, g
+    return _green(ev, x, False)
 
 
 def green_hessian(ev: GreenEvaluator, x):
@@ -524,7 +532,7 @@ class FourierBesselExpansion:
         scale = 0.0
         for rj, b in zip(radii, basis):
             pts = rj * circle
-            ewald = _batched(pts, False, _ewald_kernel(ev, False))[0]
+            ewald = _batched(pts, _ewald_kernel(ev, False), _JET[:1])[0]
             samples = ewald - specfun.fundamental_solution(2, pts, k).value
             scale = max(scale, float(np.max(np.abs(samples))))
             a = np.fft.fft(samples) / _FIT_SAMPLES
@@ -569,6 +577,11 @@ class FourierBesselExpansion:
         # whose rows BLAS computes alike however many there are
         self._pos = np.ascontiguousarray(rows[:, L:].T)
         self._neg = np.ascontiguousarray(rows[:, L - 1::-1].T)
+        # e_n(-x) = (-1)^n e_n(x): the rows with order n signed by (-1)^n
+        # contract the basis at x into the jet at -x, bit for bit
+        sign = (-1.0) ** np.arange(L + 1)[:, None]
+        self._pos_antipode = self._pos * sign
+        self._neg_antipode = self._neg * -sign[:-1]
         self.max_terms = self.terms(self.radius, 1)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
@@ -612,29 +625,31 @@ class FourierBesselExpansion:
             )
         return int(over[-1]) if over.size else 0
 
-    def __call__(self, x: np.ndarray, hessians: bool) -> list:
-        """[R, grad R] and, when asked, the Hessian at points x (P, 2), |x| <= radius."""
+    def __call__(self, x: np.ndarray, hessians: bool, antipodes: bool) -> list:
+        """[R, grad R] and, when asked, the Hessian at points x (P, 2), |x| <= radius.
+
+        With ``antipodes`` the same jet at -x follows, from the same basis.
+        """
         r2 = np.sum(x * x, axis=1)
         derivatives = 2 if hessians else 1
         level = np.searchsorted(self._ladder, np.sqrt(r2))
         tops = self._tops[derivatives - 1][np.minimum(level, _LADDER_STEPS - 1)]
-        jet = [np.empty(len(x), dtype=complex), np.empty((len(x), 2), dtype=complex)]
-        if hessians:
-            jet.append(np.empty((len(x), 2, 2), dtype=complex))
+        jet = [np.empty((len(x),) + t, dtype=complex)
+               for t in _JET[:1 + derivatives] * (1 + antipodes)]
         for top in np.unique(tops):
             sel = tops == top
             umax = self._umax[derivatives - 1][top]
             # each derivative shifts the orders by one
             for a, b in zip(jet, self._jet(x[sel], r2[sel], int(top) + derivatives,
-                                           umax, hessians)):
+                                           umax, hessians, antipodes)):
                 a[sel] = b
         return jet
 
-    def _jet(self, x, r2, top: int, umax: float, hessians: bool) -> list:
+    def _jet(self, x, r2, top: int, umax: float, hessians: bool, antipodes: bool) -> list:
         if len(x) == 1:
             # BLAS takes a vector path for one row, with other rounding
             jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
-                            hessians)
+                            hessians, antipodes)
             return [a[:1] for a in jet]
         w = (x[:, 0] + 1j * x[:, 1]) / self.rho
         phi = _phi_table((self.k * self.k / 4.0) * r2, top, umax)
@@ -645,19 +660,22 @@ class FourierBesselExpansion:
         # with a large temporary, and complex products round by operand order
         neg = np.conj(powers[1:])
         neg *= phi[1:]
+        pos = (phi * powers).T
         nrows = 5 if hessians else 3
-        out = (phi * powers).T @ self._pos[: top + 1, :nrows] \
-            + neg.T @ self._neg[:top, :nrows]
-        val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
-        jet = [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
-        if hessians:
-            dzz, dzbarzbar = out[:, 3], out[:, 4]
-            mixed = -(self.k * self.k / 2.0) * val  # 2 R_zzbar = Delta R / 2
-            hxx = dzz + dzbarzbar + mixed
-            hyy = mixed - dzz - dzbarzbar
-            hxy = 1j * (dzz - dzbarzbar)
-            jet.append(np.stack([np.stack([hxx, hxy], axis=1),
-                                 np.stack([hxy, hyy], axis=1)], axis=1))
+        rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
+        jet = []
+        for cpos, cneg in rows[:1 + antipodes]:
+            out = pos @ cpos[: top + 1, :nrows] + neg.T @ cneg[:top, :nrows]
+            val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
+            jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
+            if hessians:
+                dzz, dzbarzbar = out[:, 3], out[:, 4]
+                mixed = -(self.k * self.k / 2.0) * val  # 2 R_zzbar = Delta R / 2
+                hxx = dzz + dzbarzbar + mixed
+                hyy = mixed - dzz - dzbarzbar
+                hxy = 1j * (dzz - dzbarzbar)
+                jet.append(np.stack([np.stack([hxx, hxy], axis=1),
+                                     np.stack([hxy, hyy], axis=1)], axis=1))
         return jet
 
 
@@ -666,10 +684,22 @@ def regular_part(ev: GreenEvaluator, x):
 
     R is singular at the lattice points other than the origin: a point too
     close to one raises NearLatticePointError.  The first call fits the
-    evaluator's Fourier-Bessel expansion.
+    evaluator's Fourier-Bessel expansion.  A node-pair table, x of shape
+    (N, N, 2) with x[j, i] = -x[i, j] (pairwise differences, scaled or not),
+    is evaluated on its upper triangle and each entry [j, i] comes from its
+    antipode: the same bits as the points taken one by one, for half the work.
     """
-    v, g, _ = _batched(x, False, _regular_kernel(ev, ev.expansion))
-    return v, g
+    x = np.asarray(x, dtype=float)
+    fb = ev.expansion
+    if not (x.ndim == 3 and x.shape[0] == x.shape[1]
+            and np.array_equal(x, -x.swapaxes(0, 1))):
+        return _batched(x, _regular_kernel(ev, fb, False), _JET[:2])
+    i, j = np.triu_indices(len(x))
+    v, g, va, ga = _batched(x[i, j], _regular_kernel(ev, fb, True), _JET[:2] * 2)
+    rv, rg = np.empty(x.shape[:2], dtype=complex), np.empty(x.shape, dtype=complex)
+    rv[j, i], rg[j, i] = va, ga
+    rv[i, j], rg[i, j] = v, g  # last, so the diagonal keeps its own point
+    return rv, rg
 
 
 def image_sum_oracle(lattice: Lattice, k: complex, x, truncation: int = 12):

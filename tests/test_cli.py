@@ -312,6 +312,47 @@ def test_run_refuses_a_mismatched_kind_or_a_missing_config(tmp_path):
     assert _manifest(tmp_path / "main")["status"] == "failed"
 
 
+@pytest.mark.parametrize("case", ["unreadable", "malformed"])
+def test_main_writes_a_failed_manifest_for_a_bad_config_file(tmp_path, case):
+    p = tmp_path / "cfg.json"
+    if case == "malformed":
+        bad = copy.deepcopy(GREEN_CFG)
+        bad["wave"]["k_re"] = "fast"
+        p.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green-eval", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    man = _manifest(tmp_path / "out")
+    assert man["status"] == "failed" and man["subcommand"] == "green-eval"
+    assert ("wave.k_re" if case == "malformed" else "cfg.json") in man["error"]
+
+
+def test_every_subcommand_kind_parses_and_an_unknown_kind_exits_2(tmp_path, capsys):
+    kinds = {kind for kind, _ in cli._COMMANDS.values() if kind is not None}
+    for kind in kinds:
+        assert cli.parse_config({**GREEN_CFG, "problem": {"kind": kind}}).problem == kind
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**GREEN_CFG, "problem": {"kind": "helmholtz"}}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green-eval", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "problem.kind" in capsys.readouterr().err
+
+
+def test_sweep_csv_reports_the_newton_step_norms(tmp_path):
+    cfg = cli.parse_config(json.dumps(SWEEP_CFG))
+    with pytest.warns(UserWarning, match="sweep is short"):
+        assert cli.run("sweep-epsilon", cfg, tmp_path) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[-2:] == ["final_step_norm", "max_step_norm"]
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == len(SWEEP_CFG["geometry"]["epsilon_sweep"])
+    for row in rows:
+        final, largest = float(row["final_step_norm"]), float(row["max_step_norm"])
+        assert int(row["newton_iterations"]) > 0 and 0.0 < final <= largest
+
+
 def test_main_green_eval_end_to_end(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(GREEN_CFG))

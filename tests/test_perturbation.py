@@ -11,7 +11,7 @@ epsilon, and the necessity of the log-epsilon term are checked separately.
 import numpy as np
 import pytest
 
-from qphelm import geometry, perturbation, potentials, qpgreen
+from qphelm import geometry, perturbation, potentials, qpgreen, specfun
 from qphelm.errors import ContainmentError
 from qphelm.lattice import Lattice
 
@@ -89,6 +89,37 @@ def test_log_family_at_zero_averages_the_density(green):
     tv = np.cos(dc.t) + 2.0
     ref = np.sum(tv * dc.weights) / (2.0 * np.pi)
     assert np.max(np.abs(m3 @ tv - ref)) < 1e-13
+
+
+def _index3_from_both_profiles(family, epsilon, dc, k):
+    """The index-3 member read off the full profile pairs, the J half kept."""
+    kind = perturbation._FAMILY_KIND[family]
+    y = epsilon * (dc.points[:, None, :] - dc.points[None, :, :])
+    r = np.sqrt(np.sum(y * y, axis=2))
+    if kind == "single_trace":
+        A1 = 0.5 * specfun.fs_coefficients(2, k * r)[0]
+    else:
+        nd = potentials._contract(kind, dc.normals, dc.normals, y)
+        gJ = specfun.fs_coefficients_dz_over_z(2, specfun.ProfilePoints(k * r))[0]
+        A1 = 0.5 * (k * k) * gJ * nd
+    return 2.0 * A1 * dc.weights[None, :]
+
+
+@pytest.mark.parametrize("family", ["M", "N", "P"])
+def test_log_family_sums_only_the_j_profile(green, monkeypatch, family):
+    dc = geometry.discretize(geometry.make_curve("kite"), 64)
+    refs = {eps: _index3_from_both_profiles(family, eps, dc, green.k)
+            for eps in (0.1, 1e-3)}
+
+    def refuse(*args):
+        raise AssertionError("an index-3 family summed a Neumann profile")
+
+    monkeypatch.setattr(specfun, "entire_neumann", refuse)
+    monkeypatch.setattr(specfun, "entire_neumann_dz_over_z", refuse)
+    for eps, ref in refs.items():
+        got = perturbation.rescaled_operator(family, 3, eps, dc, CENTER,
+                                             green=green).matrix
+        assert np.array_equal(got, ref)
 
 
 def test_normal_family_regular_part_at_zero_has_rank_structure(green):

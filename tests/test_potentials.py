@@ -16,7 +16,7 @@ import pytest
 from scipy.special import jv, jvp, yv, yvp
 
 from jump_oracle import one_sided_limits
-from qphelm import geometry, qpgreen
+from qphelm import geometry, perturbation, qpgreen
 from qphelm.errors import ResonanceError
 from qphelm.lattice import Lattice, make_wave_context
 from qphelm.potentials import (
@@ -177,6 +177,33 @@ def test_shared_trace_tables_give_bit_identical_rows(circle128, green):
         alone = boundary_trace_rows(kind, circle128, taus, green=green)
         shared = boundary_trace_rows(kind, circle128, taus, green=green, tables=tables)
         assert np.array_equal(alone, shared)
+
+
+def _pointwise_tables(green, d):
+    """qpgreen.regular_part point by point on the flattened differences d."""
+    v, g = qpgreen.regular_part(green, d.reshape(-1, 2))
+    return v.reshape(d.shape[:-1]), g.reshape(d.shape)
+
+
+def test_node_tables_assemble_bit_identically_to_pointwise_tables(circle128, green):
+    p = circle128.points
+    pointwise = _pointwise_tables(green, p[:, None, :] - p[None, :, :])
+    tables = regular_tables(circle128, green)
+    assert all(np.array_equal(a, b) for a, b in zip(tables, pointwise))
+    for kind in ("single_trace", "double_boundary", "adjoint_double"):
+        A = assemble(kind, circle128, green=green).matrix
+        B = assemble(kind, circle128, green=green, tables=pointwise).matrix
+        assert np.array_equal(A, B), kind
+
+
+@pytest.mark.parametrize("epsilon", [0.125, 1e-3])
+def test_scaled_tables_are_bit_identical_to_pointwise_tables(disk96, kite96, green,
+                                                              epsilon):
+    for curve in (disk96, kite96):
+        d = curve.points[:, None, :] - curve.points[None, :, :]
+        scaled = perturbation.scaled_regular_tables(curve, epsilon, green)
+        for a, b in zip(scaled, _pointwise_tables(green, epsilon * d)):
+            assert np.array_equal(a, b)
 
 
 def test_assemble_rejects_resonant_wave(circle128, lat):

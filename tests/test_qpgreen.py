@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qphelm import qpgreen, specfun
+from qphelm import geometry, qpgreen, specfun
 from qphelm.errors import (
     InsufficientDecayError,
     NearLatticePointError,
@@ -414,3 +414,61 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
         for idx in np.split(np.arange(len(pts)), cuts):
             for part, ref in zip(call(pts[idx]), whole):
                 assert np.array_equal(part, ref[idx])
+
+
+# --------------------------------------------------------------------------- #
+# node-pair tables: the lower triangle from the antipodes
+
+
+def _pair_table(shape: str, N: int) -> np.ndarray:
+    curve = geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5)) \
+        if shape == "circle" else geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5))
+    p = geometry.discretize(curve, N).points
+    return p[:, None, :] - p[None, :, :]
+
+
+def _one_by_one(ev, x):
+    """regular_part on the flattened points: the pointwise path."""
+    v, g = qpgreen.regular_part(ev, x.reshape(-1, 2))
+    return v.reshape(x.shape[:-1]), g.reshape(x.shape)
+
+
+@pytest.mark.parametrize("shape", ["circle", "kite"])
+@pytest.mark.parametrize("k", [1.3, 6.0, 6.0 + 0.5j])
+def test_antisymmetric_table_is_bit_identical_to_the_pointwise_path(lat, shape, k):
+    ev = qpgreen.make_green_evaluator(lat, k)
+    d = _pair_table(shape, 64)
+    assert np.array_equal(d, -d.swapaxes(0, 1))
+    # pairs with a difference component of exactly 0 are among them
+    assert np.any(d[~np.eye(64, dtype=bool)] == 0.0)
+    for a, b in zip(qpgreen.regular_part(ev, d), _one_by_one(ev, d)):
+        assert np.array_equal(a, b)
+
+
+def test_antisymmetric_table_beyond_the_expansion_radius():
+    lat = Lattice(q_diag=(1.0, 1.7), eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, 2.1)
+    d = _pair_table("kite", 64)
+    reduced = d - np.round(d / lat.q) * lat.q
+    assert np.any(np.hypot(reduced[..., 0], reduced[..., 1]) > ev.expansion.radius)
+    for a, b in zip(qpgreen.regular_part(ev, d), _one_by_one(ev, d)):
+        assert np.array_equal(a, b)
+
+
+def test_a_table_that_is_not_antisymmetric_is_evaluated_point_by_point(green):
+    d = _pair_table("kite", 32)
+    d[3, 5] += 1e-3
+    RV, RG = qpgreen.regular_part(green, d)
+    ref_v, ref_g = _one_by_one(green, d)
+    assert np.array_equal(RV, ref_v) and np.array_equal(RG, ref_g)
+    # the entry below the perturbed one is R at its own point, not at the antipode
+    v, _ = qpgreen.regular_part(green, -d[3, 5])
+    assert RV[5, 3] != v
+
+
+def test_antisymmetric_table_near_a_shifted_source_raises(green):
+    p = np.array([[0.1, 0.2], [0.4, 0.5], [1.1 - 5e-9, 0.2]])
+    for order in ([0, 1, 2], [2, 1, 0]):
+        d = p[order][:, None, :] - p[order][None, :, :]
+        with pytest.raises(NearLatticePointError):
+            qpgreen.regular_part(green, d)
