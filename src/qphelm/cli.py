@@ -428,6 +428,8 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
         "condition_estimate": sol.condition_estimate,
         "boundary_residual": sol.boundary_residual,
         "a_flag": cfg.a_flag if kind == "dirichlet" else None,
+        # the basis order of the separable tables, None for regular_part's
+        "separable_order": qpgreen.separable_order(green, dc.curve.disk[1]),
     }
     probes = _probe_array(cfg)
     if probes is not None:

@@ -47,10 +47,21 @@ class BoundaryCurve:
     outward_normal: bool = True
 
     @cached_property
+    def _samples(self) -> np.ndarray:
+        return self.position(2.0 * np.pi * np.arange(4096) / 4096)
+
+    @cached_property
     def extent(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate-wise (min, max) of the curve, sampled at 4,096 parameters."""
-        pts = self.position(2.0 * np.pi * np.arange(4096) / 4096)
-        return pts.min(axis=0), pts.max(axis=0)
+        return self._samples.min(axis=0), self._samples.max(axis=0)
+
+    @cached_property
+    def disk(self) -> tuple[np.ndarray, float]:
+        """(centre, radius) of a disk holding the curve: the extent's midpoint and
+        the largest distance of the 4,096 samples from it."""
+        lo, hi = self.extent
+        center = 0.5 * (lo + hi)
+        return center, float(np.max(np.hypot(*(self._samples - center).T)))
 
 
 def make_curve(shape: str, center=(0.0, 0.0), *, radius: float | None = None,

@@ -1,7 +1,7 @@
 """Rectangular periodicity lattices, dual vectors, and resonance bookkeeping.
 
-The period cell is the box prod_j [0, q_j) with diagonal period matrix
-diag(q_1..q_n); quasi-momentum eta shifts the dual lattice, so the plane-wave
+The period cell is the box [0, q_1) x [0, q_2) with diagonal period matrix
+diag(q_1, q_2); quasi-momentum eta shifts the dual lattice, so the plane-wave
 frequencies are beta_z = 2 pi z / q + eta for integer z.  A wavenumber k is
 resonant when k**2 equals some |beta_z|**2: evaluation of the periodic Green
 function is refused there.
@@ -36,8 +36,8 @@ class Lattice:
 
     Attributes
     ----------
-    q_diag : tuple of positive floats, the cell edge lengths
-    eta : tuple of floats, the quasi-momentum (same length)
+    q_diag : pair of positive floats, the cell edge lengths
+    eta : pair of floats, the quasi-momentum
     """
 
     q_diag: tuple[float, ...]
@@ -48,8 +48,8 @@ class Lattice:
         e = tuple(float(v) for v in self.eta)
         if len(q) != len(e):
             raise ValueError("q_diag and eta must have the same length")
-        if len(q) not in (2, 3):
-            raise ValueError("only dimensions 2 and 3 are supported")
+        if len(q) != 2:
+            raise ValueError(f"only dimension 2 is supported, got {len(q)}")
         if any(v <= 0.0 for v in q):
             raise ValueError("cell edges must be positive")
         object.__setattr__(self, "q_diag", q)
@@ -81,7 +81,7 @@ def dual_vector(lattice: Lattice, z) -> np.ndarray:
 def _index_box(lattice: Lattice, k: complex) -> int:
     """Half-width of the integer search box that surely contains all near-resonant z."""
     kmag = abs(k)
-    emag = float(np.max(np.abs(lattice.eta_vec))) if lattice.dim else 0.0
+    emag = float(np.max(np.abs(lattice.eta_vec)))
     qmax = float(np.max(lattice.q))
     return int(math.ceil((kmag + emag) * qmax / (2.0 * np.pi))) + 2
 
@@ -93,7 +93,7 @@ def resonance_set(lattice: Lattice, k: complex,
     tol = tolerance * max(1.0, abs(k) ** 2)
     k2 = complex(k) ** 2
     hits = []
-    for z in itertools.product(range(-half, half + 1), repeat=lattice.dim):
+    for z in itertools.product(range(-half, half + 1), repeat=2):
         beta = dual_vector(lattice, z)
         if abs(k2 - float(beta @ beta)) <= tol:
             hits.append(tuple(z))
@@ -105,7 +105,7 @@ def spectrum_distance(lattice: Lattice, k: complex) -> float:
     half = _index_box(lattice, k)
     k2 = complex(k) ** 2
     best = math.inf
-    for z in itertools.product(range(-half, half + 1), repeat=lattice.dim):
+    for z in itertools.product(range(-half, half + 1), repeat=2):
         beta = dual_vector(lattice, z)
         best = min(best, abs(k2 - float(beta @ beta)))
     return best

@@ -126,11 +126,19 @@ def scaled_regular_tables(curve: DiscreteCurve, epsilon: float,
 
     These feed the index-2 families; the table is shared by M2, N2 and P2 at
     one epsilon, so precomputing it once saves the dominant assembly cost.
-    epsilon * d is antisymmetric bit for bit, so ``qpgreen.regular_part``
-    evaluates only its upper triangle.
+    The scaled nodes lie in the curve's disk scaled by epsilon (centre
+    epsilon*c, radius |epsilon|*r0), which every epsilon small enough for
+    ``qpgreen.separable_order`` serves by ``qpgreen.separable_tables``;
+    otherwise ``qpgreen.regular_part`` evaluates the antisymmetric table
+    epsilon * d on its upper triangle.
     """
-    d = curve.points[:, None, :] - curve.points[None, :, :]
-    return qpgreen.regular_part(green, epsilon * d)
+    center, radius = curve.curve.disk
+    y = epsilon * curve.points
+    tables = qpgreen.separable_tables(green, y, y, epsilon * center, abs(epsilon) * radius)
+    if tables is None:
+        d = curve.points[:, None, :] - curve.points[None, :, :]
+        tables = qpgreen.regular_part(green, epsilon * d)
+    return tables
 
 
 _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),

@@ -202,14 +202,19 @@ def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=Non
     Rows are the nodes, or with ``taus`` the curve points at those parameters.
     Precompute once and pass via ``tables=`` to :func:`assemble` (node rows)
     or :func:`boundary_trace_rows` (the same ``taus``) when several operator
-    kinds share one curve — the table is the dominant cost and is identical
-    across kinds.  The node table is antisymmetric, d[j, i] = -d[i, j], so
-    ``qpgreen.regular_part`` evaluates its upper triangle and takes each
-    lower entry from the antipode; rows at ``taus`` are evaluated point by
-    point.
+    kinds share one curve — the table is identical across kinds.  A curve
+    whose enclosing disk (``BoundaryCurve.disk``) passes
+    ``qpgreen.separable_order`` takes ``qpgreen.separable_tables``: a matrix
+    product of basis tables, within rounding of the pointwise values.  Any
+    other curve takes ``qpgreen.regular_part``, which evaluates the
+    antisymmetric node table on its upper triangle and rows at ``taus`` point
+    by point.  Either way a row does not depend on the other ``taus``.
     """
-    d = _targets(curve, taus)[:, None, :] - curve.points[None, :, :]
-    return qpgreen.regular_part(green, d)
+    targets = _targets(curve, taus)
+    tables = qpgreen.separable_tables(green, targets, curve.points, *curve.curve.disk)
+    if tables is None:
+        tables = qpgreen.regular_part(green, targets[:, None, :] - curve.points[None, :, :])
+    return tables
 
 
 def _targets(dc: DiscreteCurve, taus) -> np.ndarray:
@@ -255,7 +260,7 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     if np.any(r == 0.0):
         raise ValueError("off-node targets must avoid the quadrature nodes")
     L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
-    RV, RG = qpgreen.regular_part(green, d) if tables is None else tables
+    RV, RG = regular_tables(dc, green, taus) if tables is None else tables
     A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=green.k, RV=RV, RG=RG)
     return (log_weight_rows(dc.N, taus) * A1 + (2.0 * np.pi / dc.N) * A2) \
         * dc.speeds[None, :]

@@ -27,9 +27,19 @@ comes from a fixed ladder of radii, not from the other points of its call, so
 every point gets the same bits in any batch (a grid split over threads
 included).
 
-A node-pair table x[i, j] = y_i - y_j is antisymmetric bit for bit, and
-e_n(-x) = (-1)^n e_n(x), so regular_part evaluates such a table on its upper
-triangle and fills each entry [j, i] from the antipode: the basis at x'
+Tables at the differences y_i - y_j of points inside a disk about c of
+radius r0 with 2 r0 within the expansion's radius are separable.  Graf's
+addition theorem, J_n(k|u-v|) e^{i n theta_{u-v}} = sum_m F_{n-m}(u) F_m(-v)
+with F_p(u) = J_p(k|u|) e^{i p theta_u}, gives
+
+    R(u_i - u_j) = sum_{p,m} F_p(u_i) s_{p+m} F_m(-u_j),    u = y - c,
+
+a product of two basis tables and a Hankel matrix (the multipole method for
+cylinder arrays: Nicorovici, McPhedran & Botten, Phys. Rev. E 52 (1995)
+1135).  separable_order chooses that path and its order; separable_tables
+computes it, within rounding of regular_part.  Elsewhere regular_part
+evaluates a node-pair table x[i, j] = y_i - y_j, antisymmetric bit for bit,
+on its upper triangle: e_n(-x) = (-1)^n e_n(x), so the basis at x'
 contracted with the coefficient rows signed by (-1)^n gives the jet at -x',
 and S_2(-x) = S_2(x) with its gradient negated.  Negation is exact and
 rounding is symmetric, so the table has the bits of the pointwise path.
@@ -70,12 +80,17 @@ __all__ = [
     "green_eval",
     "green_hessian",
     "regular_part",
+    "separable_order",
+    "separable_tables",
     "FourierBesselExpansion",
     "ewald_oracle",
     "image_sum_oracle",
 ]
 
 _CHUNK = 2048
+# Rows per product in separable_tables (at least two, so BLAS never takes its
+# one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
+_ROW_BLOCK = 16
 _EXCLUSION_FACTOR = 1e-8
 # Target accuracy of the Ewald sums and of the regular-part expansion fit.
 _TOLERANCE = 1e-12
@@ -95,12 +110,12 @@ _LADDER_STEPS = 48
 _TERM_STEP = 8
 
 
-def _shell_indices(s: int, dim: int) -> np.ndarray:
-    """Integer multi-indices with sup-norm exactly s."""
+def _shell_indices(s: int) -> np.ndarray:
+    """Integer index pairs with sup-norm exactly s."""
     if s == 0:
-        return np.zeros((1, dim), dtype=int)
+        return np.zeros((1, 2), dtype=int)
     rng = np.arange(-s, s + 1)
-    grid = np.stack(np.meshgrid(*([rng] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    grid = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
     keep = np.max(np.abs(grid), axis=1) == s
     return grid[keep]
 
@@ -130,8 +145,6 @@ class GreenEvaluator:
     """
 
     def __init__(self, lattice: Lattice, wave: WaveContext, *, ewald_split: float):
-        if lattice.dim != 2:
-            raise NotImplementedError("Green evaluator implemented for dimension 2")
         if wave.is_resonant:
             raise ResonanceError(
                 f"k={wave.k} is resonant for q={lattice.q_diag}, eta={lattice.eta}: "
@@ -157,7 +170,7 @@ class GreenEvaluator:
         k2 = k * k
 
         def spectral_shell_bound(s: int) -> float:
-            ring = _shell_indices(s, 2)
+            ring = _shell_indices(s)
             bs = dual_vector(lattice, ring)
             b2 = np.sum(bs * bs, axis=1)
             cz = np.exp((k2.real - b2) / (4.0 * E * E)) / (A * np.abs(k2 - b2))
@@ -175,7 +188,7 @@ class GreenEvaluator:
         else:
             raise SeriesTruncationError("spectral Ewald sum did not converge")
         self.spectral_truncation = max(s - 2, 1)  # the two quiet shells are dropped
-        rings = [_shell_indices(s, 2) for s in range(self.spectral_truncation + 1)]
+        rings = [_shell_indices(s) for s in range(self.spectral_truncation + 1)]
         zs = np.concatenate(rings, axis=0)
         self.betas = dual_vector(lattice, zs)
         b2 = np.sum(self.betas * self.betas, axis=1)
@@ -203,7 +216,7 @@ class GreenEvaluator:
         else:
             raise SeriesTruncationError("spatial Ewald sum did not converge")
         self.spatial_truncation = max(s - 2, 2)
-        rings = [_shell_indices(s, 2) for s in range(self.spatial_truncation + 1)]
+        rings = [_shell_indices(s) for s in range(self.spatial_truncation + 1)]
         ms = np.concatenate(rings, axis=0)
         self.shifts = ms * lattice.q[None, :]
         self.shift_phases = np.exp(1j * self.shifts @ lattice.eta_vec)
@@ -504,6 +517,22 @@ def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     return phi[: nmax + 1]
 
 
+def _basis(w, u, top: int, umax: float):
+    """Basis rows w^n phi_n (n = 0..top) and conj(w)^n phi_n (n = 1..top), one per point.
+
+    u = z^2/4 is the phi table's argument and umax bounds |u|; see _phi_table.
+    """
+    phi = _phi_table(u, top, umax)
+    powers = np.ones_like(phi)
+    for n in range(1, top + 1):
+        np.multiply(powers[n - 1], w, out=powers[n])
+    # conj(w)^n phi_n, in place: numpy may swap the operands of a product
+    # with a large temporary, and complex products round by operand order
+    neg = np.conj(powers[1:])
+    neg *= phi[1:]
+    return (phi * powers).T, neg.T
+
+
 class FourierBesselExpansion:
     """R(x) = sum_n c_n e_n(x) about the origin, fitted from Ewald's G - S_2.
 
@@ -651,21 +680,13 @@ class FourierBesselExpansion:
             jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
                             hessians, antipodes)
             return [a[:1] for a in jet]
-        w = (x[:, 0] + 1j * x[:, 1]) / self.rho
-        phi = _phi_table((self.k * self.k / 4.0) * r2, top, umax)
-        powers = np.ones_like(phi)
-        for n in range(1, top + 1):
-            np.multiply(powers[n - 1], w, out=powers[n])
-        # conj(w)^n phi_n, in place: numpy may swap the operands of a product
-        # with a large temporary, and complex products round by operand order
-        neg = np.conj(powers[1:])
-        neg *= phi[1:]
-        pos = (phi * powers).T
+        pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho,
+                          (self.k * self.k / 4.0) * r2, top, umax)
         nrows = 5 if hessians else 3
         rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
         jet = []
         for cpos, cneg in rows[:1 + antipodes]:
-            out = pos @ cpos[: top + 1, :nrows] + neg.T @ cneg[:top, :nrows]
+            out = pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
             val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
             jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
             if hessians:
@@ -700,6 +721,115 @@ def regular_part(ev: GreenEvaluator, x):
     rv[j, i], rg[j, i] = va, ga
     rv[i, j], rg[i, j] = v, g  # last, so the diagonal keeps its own point
     return rv, rg
+
+
+def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
+    """Basis order P of the separable tables of points within ``radius`` of a centre.
+
+    None when 2 radius exceeds the expansion's radius: differences of such
+    points may leave the disk the series is fitted on, and their tables take
+    regular_part.  Otherwise P is the highest order the expansion keeps at
+    |x| = 2 radius, plus one for the gradient's order shift: summed over
+    p + m = n, the terms |F_p(u) s_{p+m} F_m(-v)| are bounded by the order-n
+    term of R at |x| = 2 radius.
+    """
+    fb = ev.expansion
+    if 2.0 * radius > fb.radius:
+        return None
+    return fb.terms(2.0 * radius, 1) + 1
+
+
+def _disk_basis(k: complex, u: np.ndarray, scale: float, P: int) -> np.ndarray:
+    """(u/scale)^|p| phi_|p|(k|u|), conjugated for p < 0: one row per point, p = -P..P."""
+    pos, neg = _basis((u[:, 0] + 1j * u[:, 1]) / scale,
+                      (k * k / 4.0) * np.sum(u * u, axis=1), P,
+                      abs(k) ** 2 * scale ** 2 / 4.0)
+    return np.concatenate([neg[:, ::-1], pos], axis=1)
+
+
+def _graf_weights(fb: FourierBesselExpansion, scale: float, P: int) -> np.ndarray:
+    """Entries [p, m] of R's product on the normalised disk basis, p = -P-1..P+1, m = -P..P.
+
+    F_p = J_p(k|u|) e^{i p theta} is sigma_p a_|p| times the basis, with
+    a_p = (k scale/2)^p / p! and sigma_p = (-1)^p for p < 0, and the
+    expansion's s_n is sigma_n c_n / b_|n| with b_n = (k rho/2)^n / n!.  So
+    entry [p, m] is sigma_p sigma_m sigma_n c_n a_|p| a_|m| / b_|n| at
+    n = p + m, times (-1)^|m| for the basis taken at u_j instead of -u_j.
+    The ratio a_|p| a_|m| / b_|n| (for same-sign p, m it is
+    C(n, p) (scale/rho)^n) is summed in logs, so none of its factors
+    overflows; k enters only through (k scale/2)^e, e = |p| + |m| - |n| >= 0.
+    """
+    c = fb.coefficients
+    cap = c.shape[1] - 1
+    rows, cols = np.arange(-P - 1, P + 2), np.arange(-P, P + 1)
+    coeff = np.concatenate([c[1, :0:-1], c[0]])  # c_n at index n + cap
+    coeff[cap - 1::-2] *= -1.0  # sigma_n c_n
+    n = rows[:, None] + cols[None, :]
+    an, ap, am = np.abs(n), np.abs(rows)[:, None], np.abs(cols)[None, :]
+    keep = an <= cap
+    ks = fb.k * scale / 2.0
+    lg = sp.gammaln(np.arange(2 * P + 3) + 1.0)
+    e = ap + am - an
+    with np.errstate(divide="ignore"):
+        log_ks = np.log(abs(ks))
+    # at k = 0 only the e = 0 terms stay
+    log_size = (np.multiply(e, log_ks, out=np.zeros(e.shape), where=e > 0)
+                + an * np.log(scale / fb.rho) + lg[an] - lg[ap] - lg[am])
+    phase = np.exp(1j * np.angle(ks) * np.arange(2 * P + 3))
+    w = np.exp(np.where(keep, log_size, -np.inf)) * phase[e] \
+        * coeff[np.where(keep, n + cap, 0)]
+    # sigma_p sigma_m (-1)^|m|: -1 for odd negative p and for odd positive m
+    w[(rows < 0) & (rows % 2 == 1)] *= -1.0
+    w[:, (cols > 0) & (cols % 2 == 1)] *= -1.0
+    return w
+
+
+def separable_tables(ev: GreenEvaluator, targets, sources, center, radius: float):
+    """R and its gradient at targets[i] - sources[j] as one matrix product, or None.
+
+    Both point sets lie in the disk of ``radius`` about ``center``.  With
+    u = y - center, Graf's addition theorem turns the series of R into
+    R(u_i - u_j) = sum_{p,m} F_p(u_i) s_{p+m} F_m(-u_j), so the table is
+    Phi(u_t) S Phi(-u_s)^T on basis tables of N (2P + 1) entries, S[p, m] =
+    s_{p+m} a Hankel matrix.  d/dz F_p = (k/2) F_{p-1} and d/dzbar F_p =
+    -(k/2) F_{p+1}, so the gradient takes the rows of S shifted by one and
+    scaled.  The basis is the expansion's, normalised by the radius, so the
+    raw s_n are never formed.  None when separable_order refuses the disk:
+    the caller takes regular_part then.  This path agrees with regular_part
+    to rounding, not bit for bit.  A row's bits depend on the row's own
+    target, the sources and the disk, never on the other targets of the call.
+    Gradients are taken at the target, as regular_part's are.
+    """
+    P = separable_order(ev, radius)
+    if P is None:
+        return None
+    fb = ev.expansion
+    c = np.asarray(center, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    # any basis scale serves the point disk of radius 0
+    scale = radius if radius > 0.0 else fb.rho
+    bt = _disk_basis(ev.k, targets - c, scale, P)
+    bs = bt if sources is targets else _disk_basis(ev.k, np.asarray(sources) - c, scale, P)
+    q = _graf_weights(fb, scale, P) @ bs.T
+    # on the normalised basis, row p of R_z is row p + 1 of R times
+    # (p + 1)/scale for p >= 0 and -k^2 scale/(4|p|) for p < 0; R_zbar mirrors it
+    p = np.arange(-P, P + 1)
+    up = np.where(p >= 0, (p + 1) / scale, -(ev.k * ev.k * scale / 4.0) / np.maximum(-p, 1))
+    # BLAS picks its kernel and threading by the product's shape, and other
+    # shapes round otherwise, so the targets go through in _ROW_BLOCK-row
+    # blocks of one shape, the last padded with zero rows
+    n = len(bt)
+    rows = np.zeros((n + (-n) % _ROW_BLOCK, bt.shape[1]), dtype=complex)
+    rows[:n] = bt
+    v, dz, dzbar = (np.empty((len(rows), q.shape[1]), dtype=complex) for _ in range(3))
+    for m, out in zip((q[1:-1], up[:, None] * q[2:], up[::-1, None] * q[:-2]), (v, dz, dzbar)):
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            np.matmul(rows[lo:lo + _ROW_BLOCK], m, out=out[lo:lo + _ROW_BLOCK])
+    v, dz, dzbar = v[:n], dz[:n], dzbar[:n]
+    grad = np.empty(v.shape + (2,), dtype=complex)
+    np.add(dz, dzbar, out=grad[..., 0])
+    np.multiply(dz - dzbar, 1j, out=grad[..., 1])
+    return v, grad
 
 
 def image_sum_oracle(lattice: Lattice, k: complex, x, truncation: int = 12):

@@ -41,6 +41,26 @@ def regular_part_at_origin(lattice, k, direction=(0.6, 0.8), hs=None):
     return v[0]
 
 
+def regular_part_by_ewald(ev, x):
+    """R = G - S_2 and its gradient from the Ewald sum, at points x off the lattice."""
+    g, dg, _ = qpgreen.ewald_oracle(ev, x)
+    s = specfun.fundamental_solution(2, x, ev.k)
+    return g - s.value, dg - s.gradient
+
+
+def assert_tables_agree(tables, pointwise, ewald=None, off=None):
+    """Values and gradients within 1e-13 of ``pointwise`` and 1e-12 of ``ewald``.
+
+    Both are relative to the table's maximum.  ``ewald`` holds
+    regular_part_by_ewald at the entries ``off`` (S_2 is singular at a zero
+    difference), or only its values.
+    """
+    for a, b in zip(tables, pointwise):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    for a, c in zip(tables, () if ewald is None else ewald):
+        assert np.max(np.abs(a[off] - c)) <= 1e-12 * np.max(np.abs(a))
+
+
 def main():
     lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
     wave = make_wave_context(lat, 1.3)

@@ -386,3 +386,18 @@ def test_manifest_records_the_evaluator_parameters(tmp_path):
     assert set(params) == keys
     assert params["expansion_terms"] > 0 and params["expansion_radius"] > 0
     assert params["ewald_split"] > 0 and params["jmax"] >= 4
+
+
+def test_manifest_reports_the_separable_order(tmp_path):
+    # a circle inside the expansion disk reports its basis order, and the
+    # benchmark's kite (r0 = 0.570 > 0.36), on the pointwise path, null
+    assert cli.run("solve-dirichlet", cli.parse_config(json.dumps(DIRICHLET_CFG)),
+                   tmp_path / "circle") == 0
+    order = _manifest(tmp_path / "circle")["results"]["separable_order"]
+    assert isinstance(order, int) and order > 0
+    kite = copy.deepcopy(NEUMANN_CFG)
+    kite["geometry"] = {"shape": "kite", "params": {"scale": 0.3, "center": [0.5, 0.5]},
+                        "N": 64}
+    assert cli.run("solve-neumann", cli.parse_config(json.dumps(kite)),
+                   tmp_path / "kite") == 0
+    assert _manifest(tmp_path / "kite")["results"]["separable_order"] is None

@@ -34,6 +34,11 @@ def test_invalid_lattice_rejected():
         Lattice(q_diag=(1.0, -2.0), eta=(0.0, 0.0))
 
 
+def test_lattice_refuses_dimension_3():
+    with pytest.raises(ValueError):
+        Lattice(q_diag=(1.0, 1.0, 1.0), eta=(0.0, 0.0, 0.0))
+
+
 def test_spectrum_distance_brute_force(lat):
     # independent oracle: scan a generous index box directly
     k = 1.3

@@ -1,10 +1,16 @@
-"""Only qpgreen calls the Ewald oracle.
+"""Only qpgreen calls the Ewald oracle and the pointwise regular part.
 
 ``qpgreen.ewald_oracle`` sums G by Ewald's split.  Inside qpgreen it samples
 the Fourier-Bessel fit and serves the reduced points beyond the expansion's
 radius; everywhere else it is the independent reference that checks the
 expansion.  A library module that called it would put an Ewald sum back on a
 hot path, and a check computed by the code under test would show nothing.
+
+``qpgreen.regular_part`` evaluates R point by point.  The curve tables take
+``qpgreen.separable_tables`` where the curve's disk allows it and fall back to
+``regular_part`` only in the two table builders; a new caller would build an
+N^2 difference table past the separable path.
+
 Each module of ``src/qphelm`` is scanned with the ast module; a call, a
 reference passed on or an import of the name all count.
 """
@@ -25,9 +31,18 @@ ALLOWED = {
                                    "field with the limit charge times G",
 }
 
+# (module, enclosing function) outside qpgreen that may call regular_part.
+REGULAR_PART_ALLOWED = {
+    ("potentials", "regular_tables"): "node and trace tables of a curve whose "
+                                      "disk fails separable_order",
+    ("perturbation", "scaled_regular_tables"): "epsilon-scaled tables whose "
+                                               "scaled disk fails separable_order",
+    ("cli", "_cmd_selftest"): "the selftest checks regular_part itself "
+                              "against the oracle",
+}
 
-def _oracle_uses():
-    """(module, enclosing top-level name) of every reference to the oracle.
+def _uses(name):
+    """(module, enclosing top-level name) of every reference to ``name``.
 
     Calls, references passed on and ``from .qpgreen import`` all count.
     """
@@ -37,11 +52,11 @@ def _oracle_uses():
         for top in tree.body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
-                    used = node.id == ORACLE
+                    used = node.id == name
                 elif isinstance(node, ast.Attribute):
-                    used = node.attr == ORACLE
+                    used = node.attr == name
                 elif isinstance(node, ast.ImportFrom):
-                    used = any(alias.name == ORACLE for alias in node.names)
+                    used = any(alias.name == name for alias in node.names)
                 else:
                     used = False
                 if used:
@@ -50,11 +65,23 @@ def _oracle_uses():
 
 
 def test_only_qpgreen_calls_the_ewald_oracle():
-    outside = sorted(f"{module}.{func}" for module, func in _oracle_uses()
+    outside = sorted(f"{module}.{func}" for module, func in _uses(ORACLE)
                      if module != "qpgreen" and (module, func) not in ALLOWED)
     assert not outside, "Ewald oracle called outside qpgreen: " + ", ".join(outside)
 
 
+def test_only_the_table_builders_call_regular_part():
+    outside = sorted(f"{module}.{func}" for module, func in _uses("regular_part")
+                     if module != "qpgreen"
+                     and (module, func) not in REGULAR_PART_ALLOWED)
+    assert not outside, "regular_part called outside qpgreen: " + ", ".join(outside)
+
+
 def test_allowlist_names_real_callers():
-    uses = _oracle_uses()
+    uses = _uses(ORACLE)
     assert set(ALLOWED) <= uses, sorted(set(ALLOWED) - uses)
+
+
+def test_regular_part_allowlist_names_real_callers():
+    uses = _uses("regular_part")
+    assert set(REGULAR_PART_ALLOWED) <= uses, sorted(set(REGULAR_PART_ALLOWED) - uses)

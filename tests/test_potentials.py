@@ -16,6 +16,7 @@ import pytest
 from scipy.special import jv, jvp, yv, yvp
 
 from jump_oracle import one_sided_limits
+from oracle_qpgreen import assert_tables_agree, regular_part_by_ewald
 from qphelm import geometry, perturbation, qpgreen
 from qphelm.errors import ResonanceError
 from qphelm.lattice import Lattice, make_wave_context
@@ -185,25 +186,64 @@ def _pointwise_tables(green, d):
     return v.reshape(d.shape[:-1]), g.reshape(d.shape)
 
 
-def test_node_tables_assemble_bit_identically_to_pointwise_tables(circle128, green):
-    p = circle128.points
-    pointwise = _pointwise_tables(green, p[:, None, :] - p[None, :, :])
-    tables = regular_tables(circle128, green)
-    assert all(np.array_equal(a, b) for a, b in zip(tables, pointwise))
-    for kind in ("single_trace", "double_boundary", "adjoint_double"):
-        A = assemble(kind, circle128, green=green).matrix
-        B = assemble(kind, circle128, green=green, tables=pointwise).matrix
-        assert np.array_equal(A, B), kind
+def test_node_tables_match_pointwise_tables(circle128, green):
+    kite = geometry.discretize(
+        geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 128)
+    for curve in (circle128, kite):
+        p = curve.points
+        pointwise = _pointwise_tables(green, p[:, None, :] - p[None, :, :])
+        tables = regular_tables(curve, green)
+        if qpgreen.separable_order(green, curve.curve.disk[1]) is not None:
+            assert_tables_agree(tables, pointwise)
+            continue
+        # bvp's kite (r0 = 0.570) falls back: the bits of the pointwise path
+        assert curve is kite
+        assert all(np.array_equal(a, b) for a, b in zip(tables, pointwise))
+        for kind in ("single_trace", "double_boundary", "adjoint_double"):
+            A = assemble(kind, curve, green=green).matrix
+            B = assemble(kind, curve, green=green, tables=pointwise).matrix
+            assert np.array_equal(A, B), kind
 
 
-@pytest.mark.parametrize("epsilon", [0.125, 1e-3])
-def test_scaled_tables_are_bit_identical_to_pointwise_tables(disk96, kite96, green,
-                                                              epsilon):
+@pytest.mark.parametrize("epsilon", [0.125, 1e-3, -0.125, 0.3])
+def test_scaled_tables_match_pointwise_tables(disk96, kite96, green, epsilon):
     for curve in (disk96, kite96):
         d = curve.points[:, None, :] - curve.points[None, :, :]
         scaled = perturbation.scaled_regular_tables(curve, epsilon, green)
-        for a, b in zip(scaled, _pointwise_tables(green, epsilon * d)):
-            assert np.array_equal(a, b)
+        pointwise = _pointwise_tables(green, epsilon * d)
+        radius = abs(epsilon) * curve.curve.disk[1]
+        if qpgreen.separable_order(green, radius) is not None:
+            off = np.any(d != 0.0, axis=-1) & (np.arange(96) % 5 == 0)
+            ewald = regular_part_by_ewald(green, epsilon * d[off])
+            if abs(epsilon) < 0.01:
+                # Ewald's grad G - grad S_2 cancels ~1/(2 pi |x|) there and
+                # keeps ~1e-11 of the table's maximum, as regular_part's does
+                ewald = ewald[:1]
+            assert_tables_agree(scaled, pointwise, ewald, off)
+            continue
+        # the kite near its containment bound 1/3 falls back, bit for bit
+        assert curve is kite96 and epsilon == 0.3
+        assert all(np.array_equal(a, b) for a, b in zip(scaled, pointwise))
+
+
+def test_trace_rows_match_pointwise_rows_whatever_the_other_taus(circle128, green):
+    kite = geometry.discretize(
+        geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 64)
+    taus = (2 * np.arange(0, 128, 6) + 1) * np.pi / 128
+    rng = np.random.default_rng(3)
+    subsets = [[4], [0, 1], [len(taus) - 1], rng.choice(len(taus), 7, replace=False),
+               np.arange(2, 15)]
+    for curve in (circle128, kite):
+        whole = regular_tables(curve, green, taus)
+        d = curve.curve.position(taus)[:, None, :] - curve.points[None, :, :]
+        pointwise = _pointwise_tables(green, d)
+        if curve is kite:
+            assert all(np.array_equal(a, b) for a, b in zip(whole, pointwise))
+        else:
+            assert_tables_agree(whole, pointwise)
+        for idx in subsets:
+            for part, ref in zip(regular_tables(curve, green, taus[idx]), whole):
+                assert np.array_equal(part, ref[idx])
 
 
 def test_assemble_rejects_resonant_wave(circle128, lat):

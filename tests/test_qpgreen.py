@@ -2,7 +2,8 @@
 
 Frozen reference values were produced by tests/oracle_qpgreen.py (Richardson
 limit of G - S for the regular part; absolutely convergent image sum at
-absorbing wavenumber for the spot value).
+absorbing wavenumber for the spot value); the separable tables are checked
+against its Ewald G - S_2.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracle_qpgreen import assert_tables_agree, regular_part_by_ewald
 from qphelm import geometry, qpgreen, specfun
 from qphelm.errors import (
     InsufficientDecayError,
@@ -472,3 +474,46 @@ def test_antisymmetric_table_near_a_shifted_source_raises(green):
         d = p[order][:, None, :] - p[order][None, :, :]
         with pytest.raises(NearLatticePointError):
             qpgreen.regular_part(green, d)
+
+
+# --------------------------------------------------------------------------- #
+# separable tables: Graf's addition theorem inside the expansion disk
+
+
+def test_separable_order_follows_the_expansion_radius(green):
+    circle = geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5))
+    kite = geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5))
+    fb = green.expansion
+    assert qpgreen.separable_order(green, circle.disk[1]) == fb.terms(0.7, 1) + 1
+    assert qpgreen.separable_order(green, 0.5 * fb.radius) is not None
+    # the benchmark's kite (r0 = 0.570) keeps regular_part
+    assert kite.disk[1] > 0.5 * fb.radius
+    assert qpgreen.separable_order(green, kite.disk[1]) is None
+    assert qpgreen.separable_tables(green, np.zeros((2, 2)), np.zeros((2, 2)),
+                                    *kite.disk) is None
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0),
+                                  ((1.0, 1.0), 6.0 + 0.5j), ((1.0, 1.7), 2.1),
+                                  ((1.0, 1.0), 0.0)])
+def test_separable_tables_match_regular_part_and_the_oracle(q, k):
+    ev = qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
+    curve = geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5))
+    nodes = geometry.discretize(curve, 128).points
+    taus = (2 * np.arange(0, 128, 5) + 1) * np.pi / 128
+    for targets in (nodes, curve.position(taus)):
+        tables = qpgreen.separable_tables(ev, targets, nodes, *curve.disk)
+        d = targets[:, None, :] - nodes[None, :, :]
+        v, g = qpgreen.regular_part(ev, d.reshape(-1, 2))
+        off = np.any(d != 0.0, axis=-1) & (np.arange(len(nodes)) % 7 == 0)
+        assert_tables_agree(tables, (v.reshape(d.shape[:-1]), g.reshape(d.shape)),
+                            regular_part_by_ewald(ev, d[off]), off)
+
+
+def test_separable_tables_of_a_point_disk_hold_R_at_zero(green):
+    # epsilon = 0: every scaled node sits at the centre
+    zeros = np.zeros((6, 2))
+    v, g = qpgreen.separable_tables(green, zeros, zeros, np.zeros(2), 0.0)
+    v0, g0 = qpgreen.regular_part(green, np.zeros((1, 2)))
+    assert np.max(np.abs(v - v0[0])) <= 1e-13 * abs(v0[0])
+    assert np.max(np.abs(g - g0[0])) <= 1e-13 * np.max(np.abs(g0))
