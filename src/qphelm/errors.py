@@ -19,10 +19,6 @@ class NearLatticePointError(QphelmError):
     """Green-function evaluation requested too close to a source lattice point."""
 
 
-class InsufficientDecayError(QphelmError):
-    """Image-sum oracle called with too little exponential decay (Im k too small)."""
-
-
 class ContainmentError(QphelmError):
     """A rescaled hole does not fit inside the periodicity cell."""
 

@@ -36,15 +36,12 @@ class BoundaryCurve:
     """Smooth closed curve given by position/velocity/acceleration callables.
 
     Each callable maps parameter arrays of shape (...) to points (..., 2).
-    outward_normal records the convention that (x2', -x1')/|x'| is the
-    outward normal (true for counterclockwise parametrizations).
     """
 
     position: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
     acceleration: Callable[[np.ndarray], np.ndarray]
     name: str = "curve"
-    outward_normal: bool = True
 
     @cached_property
     def _samples(self) -> np.ndarray:
@@ -172,8 +169,6 @@ def discretize(curve: BoundaryCurve, N: int) -> DiscreteCurve:
     if np.any(speed <= 0.0):
         raise ValueError("degenerate parametrization: |x'| vanishes at a node")
     normals = np.stack([v[:, 1], -v[:, 0]], axis=-1) / speed[:, None]
-    if not curve.outward_normal:
-        normals = -normals
     curvature = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / speed ** 3
     weights = (2.0 * np.pi / N) * speed
     return DiscreteCurve(curve=curve, N=N, t=t, points=x, velocity=v, speeds=speed,
@@ -240,8 +235,7 @@ def rescale(cfg: HoleConfig) -> BoundaryCurve:
     def acc(t):
         return eps * ref.acceleration(t)
 
-    return BoundaryCurve(pos, vel, acc, name=f"{ref.name}@p={tuple(p)},eps={eps}",
-                         outward_normal=ref.outward_normal)
+    return BoundaryCurve(pos, vel, acc, name=f"{ref.name}@p={tuple(p)},eps={eps}")
 
 
 def trig_interpolate(values: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ whose solution seeds the continuation.
 
 The Green evaluator is the problem context: the pack, Newton, sweep and
 reconstruction functions take it as ``green`` and read the lattice and k from
-it.  ``lambda_residual`` and ``lambda_jacobian`` take the operator pack, which
-must be built at the state's epsilon.
+it.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ __all__ = [
     "derivative_gate",
     "build_pack",
     "limit_density",
-    "lambda_residual",
-    "lambda_jacobian",
     "solve_theta",
     "continuation_sweep",
     "reconstruct_field",
@@ -218,27 +215,6 @@ def limit_density(curve: DiscreteCurve, B: RobinNonlinearity) -> potentials.Dens
     return potentials.Density(curve=curve, values=theta)
 
 
-def _check_pack(state: ContinuationState, pack: OperatorPack):
-    if pack.epsilon != state.epsilon:
-        raise ValueError(f"operator pack built at epsilon={pack.epsilon}, "
-                         f"state at epsilon={state.epsilon}")
-
-
-def lambda_residual(state: ContinuationState, B: RobinNonlinearity,
-                    pack: OperatorPack) -> potentials.Density:
-    """Nodal values of Lambda[eps, r, theta]; ``pack`` must be at the state's eps."""
-    _check_pack(state, pack)
-    return potentials.Density(curve=state.theta.curve,
-                              values=pack.residual(B, state.r, state.theta.values))
-
-
-def lambda_jacobian(state: ContinuationState, B: RobinNonlinearity,
-                    pack: OperatorPack) -> np.ndarray:
-    """Frechet derivative of Lambda in theta; ``pack`` must be at the state's eps."""
-    _check_pack(state, pack)
-    return pack.jacobian(B, state.r, state.theta.values)
-
-
 def _newton(pack: OperatorPack, B: RobinNonlinearity, theta0: np.ndarray,
             r: float, tol: float):
     theta = np.asarray(theta0, dtype=complex).copy()
@@ -384,11 +360,17 @@ def far_field_scaling(states, probes, *, center, green: qpgreen.GreenEvaluator,
 
     The three-term model eps*(c0 + c1 eps + c2 eps log eps) is asymptotic;
     ``fit_max_epsilon`` restricts the fit to the small-epsilon tail of the
-    sweep where the neglected O(eps^2 log^2 eps) terms are negligible.
+    sweep where the neglected O(eps^2 log^2 eps) terms are negligible.  Fewer
+    than three states in the window cannot determine the three coefficients
+    and raise ValueError.
     """
     states = sorted(states, key=lambda s: s.epsilon)
     if fit_max_epsilon is not None:
         states = [s for s in states if s.epsilon <= fit_max_epsilon]
+    if len(states) < 3:
+        raise ValueError(
+            f"far-field fit needs at least 3 states for its 3 coefficients; "
+            f"fit_max_epsilon={fit_max_epsilon} keeps {len(states)}")
     if len(states) < 4:
         warnings.warn("epsilon sweep is short; far-field fit may be degenerate",
                       stacklevel=2)

@@ -43,7 +43,6 @@ __all__ = [
     "rescaling_identity_suite",
     "scaled_regular_tables",
     "physical_curve",
-    "leading_split",
     "IDENTITY_KINDS",
 ]
 
@@ -235,27 +234,3 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
         out[kind] = _far_identity_residual(kind, epsilon, tv, curve, phys,
                                            center, probes, green)
     return out
-
-
-def leading_split(family: str, epsilon: float, curve: DiscreteCurve, center, *,
-                  green: qpgreen.GreenEvaluator) -> tuple[np.ndarray, np.ndarray]:
-    """Split the index-1 family as Laplace leading term + epsilon * remainder.
-
-    The remainder is the divided difference (F1[eps] - F1[0])/eps; at eps = 0
-    it is the series limit, which vanishes because the free-space kernels are
-    even in the wavenumber.
-    """
-    _check_family(family, 1)
-    validated_radius = geometry._VALIDATED_SHARE * geometry.containment_bound(
-        curve.curve, center, green.lattice)
-    if not abs(epsilon) <= validated_radius:
-        raise ContainmentError(
-            f"epsilon={epsilon} outside the validated radius {validated_radius:.6g}")
-    kind = _FAMILY_KIND[family]
-    leading = potentials.assemble_free(kind, curve, 0.0).matrix
-    if epsilon == 0.0:
-        remainder = np.zeros_like(leading)
-    else:
-        full = potentials.assemble_free(kind, curve, epsilon * green.k).matrix
-        remainder = (full - leading) / epsilon
-    return leading, remainder

@@ -253,8 +253,6 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     vt = curve.velocity(taus)
     st = np.sqrt(np.sum(vt * vt, axis=-1))
     nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
-    if not curve.outward_normal:
-        nut = -nut
     d = xt[:, None, :] - dc.points[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=2))
     if np.any(r == 0.0):

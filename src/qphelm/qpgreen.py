@@ -66,7 +66,6 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import (
-    InsufficientDecayError,
     NearLatticePointError,
     ResonanceError,
     SeriesTruncationError,
@@ -84,7 +83,6 @@ __all__ = [
     "separable_tables",
     "FourierBesselExpansion",
     "ewald_oracle",
-    "image_sum_oracle",
 ]
 
 _CHUNK = 2048
@@ -136,6 +134,17 @@ def _expn_table(u: np.ndarray, jmax: int, lowest: int) -> list[np.ndarray]:
     return [table[n] for n in range(lowest, jmax + 1)]
 
 
+def _last_loud_shell(bound, first: int, last: int, what: str) -> int:
+    """The shell before the first two consecutive shells in first..last whose
+    ``bound`` falls below a hundredth of the tolerance; the quiet pair is dropped."""
+    quiet = 0
+    for s in range(first, last + 1):
+        quiet = quiet + 1 if bound(s) < _TOLERANCE * 1e-2 else 0
+        if quiet == 2:
+            return s - 2
+    raise SeriesTruncationError(f"{what} Ewald sum did not converge")
+
+
 class GreenEvaluator:
     """Precomputed tables for one (lattice, k, split) combination.
 
@@ -176,18 +185,8 @@ class GreenEvaluator:
             cz = np.exp((k2.real - b2) / (4.0 * E * E)) / (A * np.abs(k2 - b2))
             return float(np.max(cz * np.maximum(1.0, np.sqrt(b2)))) * len(ring)
 
-        s, quiet = 1, 0
-        while s <= 60:
-            if spectral_shell_bound(s) < tolerance * 1e-2:
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-            s += 1
-        else:
-            raise SeriesTruncationError("spectral Ewald sum did not converge")
-        self.spectral_truncation = max(s - 2, 1)  # the two quiet shells are dropped
+        self.spectral_truncation = max(
+            _last_loud_shell(spectral_shell_bound, 1, 60, "spectral"), 1)
         rings = [_shell_indices(s) for s in range(self.spectral_truncation + 1)]
         zs = np.concatenate(rings, axis=0)
         self.betas = dual_vector(lattice, zs)
@@ -204,18 +203,8 @@ class GreenEvaluator:
             u = E * E * rho * rho
             return 8 * s * suma * max(sp.exp1(u), np.exp(-u) / max(u, 1.0)) / (4 * np.pi)
 
-        s, quiet = 3, 0
-        while s <= 40:
-            if spatial_shell_bound(s) < tolerance * 1e-2:
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-            s += 1
-        else:
-            raise SeriesTruncationError("spatial Ewald sum did not converge")
-        self.spatial_truncation = max(s - 2, 2)
+        self.spatial_truncation = max(
+            _last_loud_shell(spatial_shell_bound, 3, 40, "spatial"), 2)
         rings = [_shell_indices(s) for s in range(self.spatial_truncation + 1)]
         ms = np.concatenate(rings, axis=0)
         self.shifts = ms * lattice.q[None, :]
@@ -830,41 +819,3 @@ def separable_tables(ev: GreenEvaluator, targets, sources, center, radius: float
     np.add(dz, dzbar, out=grad[..., 0])
     np.multiply(dz - dzbar, 1j, out=grad[..., 1])
     return v, grad
-
-
-def image_sum_oracle(lattice: Lattice, k: complex, x, truncation: int = 12):
-    """Absolutely convergent image sum -(i/4) sum_m H0(k|x-qm|) e^{i eta . qm}.
-
-    Requires Im k >= 0.3 so the Hankel tail decays exponentially; returns
-    (value, tail_bound) with a crude but safe geometric tail estimate.
-    Points should lie in the centered cell (|x_j| <= q_j / 2).
-    """
-    k = complex(k)
-    if k.imag < 0.3:
-        raise InsufficientDecayError(
-            f"image sum requires Im k >= 0.3 for certified decay, got {k.imag}"
-        )
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x.reshape(-1, 2))
-    qmin = float(np.min(lattice.q))
-    if np.any(np.abs(pts) > 0.5 * np.asarray(lattice.q) + 1e-12):
-        raise ValueError("image-sum oracle expects points inside the centered cell")
-    rng = np.arange(-truncation, truncation + 1)
-    ms = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    shifts = ms * lattice.q[None, :]
-    phases = np.exp(1j * shifts @ lattice.eta_vec)
-    d = pts[:, None, :] - shifts[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=2))
-    if np.any(r < _EXCLUSION_FACTOR * qmin):
-        raise NearLatticePointError("image-sum point too close to a source lattice point")
-    vals = -0.25j * np.sum(sp.hankel1(0, k * r) * phases[None, :], axis=1)
-    # tail: shells s > truncation have >= (s - 1/2) qmin separation and 8s terms
-    tail = 0.0
-    for s in range(truncation + 1, truncation + 160):
-        rs = (s - 0.5) * qmin
-        tail += 8 * s * 0.25 * 1.5 * np.sqrt(2.0 / (np.pi * abs(k) * rs)) * np.exp(-k.imag * rs)
-        if 8 * s * np.exp(-k.imag * rs) < 1e-300:
-            break
-    vals = vals.reshape(x.shape[:-1]) if not scalar else vals[0]
-    return vals, float(tail)

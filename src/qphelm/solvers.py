@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.special import jnp_zeros
 
 from . import geometry, potentials, qpgreen
 from .errors import IllConditionedError
@@ -35,7 +34,6 @@ __all__ = [
     "BVPSolution",
     "solve_dirichlet",
     "solve_neumann",
-    "disk_neumann_wavenumbers",
     "CONDITION_WARN_THRESHOLD",
 ]
 
@@ -58,8 +56,7 @@ class BVPSolution:
 
     def field(self, points, want_gradients: bool = False) -> potentials.FieldSample:
         """Evaluate the represented solution away from the boundary."""
-        kind = "single" if self.problem != "dirichlet" else \
-            "combined" if self.a_flag else "double"
+        kind = _representation(self.problem, self.a_flag)[0]
         return potentials.field_eval(kind, self.density, points,
                                      green=self.green, want_gradients=want_gradients)
 
@@ -97,6 +94,19 @@ def _midpoint_taus(N: int) -> np.ndarray:
     return (2 * idx + 1) * np.pi / N
 
 
+def _representation(problem: str, a_flag: int):
+    """(field kind, jump, [(operator kind, coefficient)]) of a problem's ansatz.
+
+    Its boundary operator is jump*I + sum(coefficient * operator), taken on
+    the nodes for the solve and off them for the boundary residual.
+    """
+    if problem == "dirichlet":
+        if a_flag:
+            return "combined", -0.5, [("double_boundary", 1), ("single_trace", 1j)]
+        return "double", -0.5, [("double_boundary", 1)]
+    return "single", 0.5, [("adjoint_double", 1)]
+
+
 def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol):
     if green.lattice != lattice or green.k != complex(wave.k):
         raise ValueError(
@@ -104,41 +114,22 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol)
             f"eta={green.lattice.eta}, k={green.k}; the solve asks for "
             f"q={lattice.q_diag}, eta={lattice.eta}, k={complex(wave.k)}")
     g = _nodal_values(curve, data)
-    N = curve.N
-    I = np.eye(N)
+    _, jump, terms = _representation(problem, a_flag)
     tables = potentials.regular_tables(curve, green)
-    if problem == "dirichlet":
-        K = potentials.assemble("double_boundary", curve, green=green,
-                                tables=tables).matrix
-        A = -0.5 * I + K
-        if a_flag:
-            V = potentials.assemble("single_trace", curve, green=green,
-                                    tables=tables).matrix
-            A = A + 1j * V
-    else:
-        Ks = potentials.assemble("adjoint_double", curve, green=green,
-                                 tables=tables).matrix
-        A = 0.5 * I + Ks
+    A = jump * np.eye(curve.N)
+    for kind, c in terms:
+        A = A + c * potentials.assemble(kind, curve, green=green, tables=tables).matrix
     mu, cond = _lu_solve_refined(A.astype(complex), g, solve_tol)
 
     # boundary-condition residual at off-node midpoints
-    taus = _midpoint_taus(N)
-    mu_tau = geometry.trig_interpolate(mu, taus)
-    g_tau = geometry.trig_interpolate(g, taus)
+    taus = _midpoint_taus(curve.N)
     trace_tables = potentials.regular_tables(curve, green, taus)
-    if problem == "dirichlet":
-        rows = potentials.boundary_trace_rows("double_boundary", curve, taus,
-                                              green=green, tables=trace_tables)
-        trace = -0.5 * mu_tau + rows @ mu
-        if a_flag:
-            vrows = potentials.boundary_trace_rows("single_trace", curve, taus,
-                                                   green=green, tables=trace_tables)
-            trace = trace + 1j * (vrows @ mu)
-    else:
-        rows = potentials.boundary_trace_rows("adjoint_double", curve, taus,
-                                              green=green, tables=trace_tables)
-        trace = 0.5 * mu_tau + rows @ mu
-    residual = float(np.max(np.abs(trace - g_tau)))
+    trace = jump * geometry.trig_interpolate(mu, taus)
+    for kind, c in terms:
+        rows = potentials.boundary_trace_rows(kind, curve, taus, green=green,
+                                              tables=trace_tables)
+        trace = trace + c * (rows @ mu)
+    residual = float(np.max(np.abs(trace - geometry.trig_interpolate(g, taus))))
 
     notes = ()
     if cond > CONDITION_WARN_THRESHOLD:
@@ -178,12 +169,3 @@ def solve_neumann(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
     ``green`` must have been built for ``lattice`` and ``wave.k``.
     """
     return _solve_common("neumann", curve, lattice, wave, data, 0, green, solve_tol)
-
-
-def disk_neumann_wavenumbers(radius: float, max_order: int = 3,
-                             count: int = 3) -> np.ndarray:
-    """Interior Neumann eigen-wavenumbers of a disk, from zeros of J_m'."""
-    ks = []
-    for m in range(max_order + 1):
-        ks.extend(jnp_zeros(m, count) / radius)
-    return np.sort(np.asarray(ks))

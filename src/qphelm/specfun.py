@@ -32,11 +32,9 @@ __all__ = [
     "fs_coefficients",
     "fs_coefficients_dz_over_z",
     "fundamental_solution",
-    "fundamental_solution_dk",
     "analytic_correction",
     "jtilde_series",
     "ntilde_series",
-    "recurrence_residual",
     "RUNGS",
     "SERIES_RADIUS",
 ]
@@ -153,38 +151,6 @@ def ntilde_series(p: int, degree: int | None = None) -> EntireSeries:
     d = _trim_degree(c) if degree is None else degree
     return EntireSeries(order=float(p), coefficients=c[: d + 1], truncation_degree=d,
                         kind="ntilde")
-
-
-def recurrence_residual(series: EntireSeries) -> float:
-    """Max relative mismatch between the stored table and a recurrence recomputation."""
-    c = series.coefficients
-    nu = series.order
-    worst = 0.0
-    if series.kind == "jtilde":
-        for m in range(1, series.truncation_degree + 1):
-            if abs(m + nu) < 1e-12:
-                continue
-            pred = -c[m - 1] / (4.0 * m * (m + nu))
-            scale = max(abs(c[m]), abs(pred), 1e-300)
-            worst = max(worst, abs(c[m] - pred) / scale)
-    elif series.kind == "ntilde":
-        p = int(nu)
-        for m in range(2, series.truncation_degree + 1):
-            if p == 0:
-                num, den = _harmonic(m), _harmonic(m - 1)
-                fac = 4.0 * m * m
-            else:
-                num = _harmonic(m - 1) + _harmonic(m)
-                den = _harmonic(m - 2) + _harmonic(m - 1)
-                fac = 4.0 * m * (m - 1)
-            if den == 0.0:
-                continue
-            pred = -c[m - 1] * (num / den) / fac
-            scale = max(abs(c[m]), abs(pred), 1e-300)
-            worst = max(worst, abs(c[m] - pred) / scale)
-    else:
-        raise ValueError(f"no recurrence known for kind={series.kind!r}")
-    return worst
 
 
 _get_jtilde = cache(jtilde_series)
@@ -364,22 +330,6 @@ def fundamental_solution(n: int, x, k) -> FundamentalSolutionValue:
     )
     gradient = x * radial[..., None]
     return FundamentalSolutionValue(value=value, gradient=gradient)
-
-
-def fundamental_solution_dk(n: int, x, k):
-    """Derivative of the kernel value with respect to the wavenumber."""
-    x = np.asarray(x, dtype=float)
-    r = _radii(x, n)
-    if np.any(r == 0.0):
-        raise ValueError("fundamental solution is singular at the origin")
-    z = ProfilePoints(k * r)
-    J, _ = fs_coefficients(n, z)
-    gJ, gN = fs_coefficients_dz_over_z(n, z)
-    logr = np.log(r)
-    out = k ** (n - 1) * r ** 2 * gJ * logr + k * r ** 2 * gN / r ** (n - 2)
-    if n != 2:
-        out = out + (n - 2) * k ** (n - 3) * J * logr
-    return out
 
 
 def analytic_correction(n: int, x, k) -> FundamentalSolutionValue:

@@ -353,6 +353,16 @@ def test_sweep_csv_reports_the_newton_step_norms(tmp_path):
         assert int(row["newton_iterations"]) > 0 and 0.0 < final <= largest
 
 
+@pytest.mark.parametrize("fit_max_epsilon, kept", [(1e-3, 0), (0.03, 2)])
+def test_a_far_field_window_under_3_states_exits_2(tmp_path, fit_max_epsilon, kept):
+    cfg = copy.deepcopy(SWEEP_CFG)
+    cfg["problem"]["fit_max_epsilon"] = fit_max_epsilon
+    assert cli.run("sweep-epsilon", cli.parse_config(json.dumps(cfg)), tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert f"fit_max_epsilon={fit_max_epsilon} keeps {kept}" in man["error"]
+
+
 def test_main_green_eval_end_to_end(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(GREEN_CFG))

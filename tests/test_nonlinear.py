@@ -70,15 +70,12 @@ def test_limit_density_is_constant_on_disk(disk96, poly2):
 
 
 def test_residual_and_jacobian_at_limit_state(disk96, green, poly2):
-    theta = nonlinear.limit_density(disk96, poly2)
-    state = nonlinear.ContinuationState(epsilon=0.0, r=0.0, theta=theta,
-                                        newton_iterations=0, residual_norm=0.0,
-                                        step_norms=())
+    theta = nonlinear.limit_density(disk96, poly2).values
     pack = nonlinear.build_pack(0.0, disk96, CENTER, green=green)
-    res = nonlinear.lambda_residual(state, poly2, pack)
-    assert np.max(np.abs(res.values)) < 1e-12
+    res = pack.residual(poly2, 0.0, theta)
+    assert np.max(np.abs(res)) < 1e-12
     # at epsilon = r = 0 the Jacobian degenerates to the limit operator
-    J = nonlinear.lambda_jacobian(state, poly2, pack)
+    J = pack.jacobian(poly2, 0.0, theta)
     ref = 0.5 * np.eye(disk96.N) + potentials.assemble_free(
         "adjoint_double", disk96, 0.0).matrix
     assert np.max(np.abs(J - ref)) < 1e-14
@@ -87,37 +84,18 @@ def test_residual_and_jacobian_at_limit_state(disk96, green, poly2):
 def test_jacobian_matches_directional_finite_difference(disk96, green, poly2,
                                                         rng):
     eps = 0.05
+    r = eps * np.log(eps)
     tv = 1.0 + 0.2 * np.cos(disk96.t) + 0.1j * np.sin(2 * disk96.t)
-    state = nonlinear.ContinuationState(
-        epsilon=eps, r=eps * np.log(eps),
-        theta=potentials.Density(curve=disk96, values=tv),
-        newton_iterations=0, residual_norm=0.0, step_norms=())
     pack = nonlinear.build_pack(eps, disk96, CENTER, green=green)
-    J = nonlinear.lambda_jacobian(state, poly2, pack)
+    J = pack.jacobian(poly2, r, tv)
     v = rng.normal(size=disk96.N) + 1j * rng.normal(size=disk96.N)
     h = 1e-6
 
     def residual_at(values):
-        s = nonlinear.ContinuationState(
-            epsilon=eps, r=state.r,
-            theta=potentials.Density(curve=disk96, values=values),
-            newton_iterations=0, residual_norm=0.0, step_norms=())
-        return np.asarray(nonlinear.lambda_residual(s, poly2, pack).values)
+        return pack.residual(poly2, r, values)
 
     fd = (residual_at(tv + h * v) - residual_at(tv - h * v)) / (2 * h)
     assert np.max(np.abs(J @ v - fd)) < 1e-6 * max(1.0, np.max(np.abs(J @ v)))
-
-
-def test_pack_at_another_epsilon_is_refused(disk96, green, poly2):
-    pack = nonlinear.build_pack(0.08, disk96, CENTER, green=green)
-    state = nonlinear.ContinuationState(
-        epsilon=0.05, r=0.05 * np.log(0.05),
-        theta=nonlinear.limit_density(disk96, poly2),
-        newton_iterations=0, residual_norm=0.0, step_norms=())
-    with pytest.raises(ValueError, match="epsilon"):
-        nonlinear.lambda_residual(state, poly2, pack)
-    with pytest.raises(ValueError, match="epsilon"):
-        nonlinear.lambda_jacobian(state, poly2, pack)
 
 
 def test_residual_is_affine_for_affine_nonlinearity(disk96, green, rng):
@@ -125,11 +103,7 @@ def test_residual_is_affine_for_affine_nonlinearity(disk96, green, rng):
     pack = nonlinear.build_pack(0.08, disk96, CENTER, green=green)
 
     def res(values):
-        s = nonlinear.ContinuationState(
-            epsilon=0.08, r=0.08 * np.log(0.08),
-            theta=potentials.Density(curve=disk96, values=values),
-            newton_iterations=0, residual_norm=0.0, step_norms=())
-        return np.asarray(nonlinear.lambda_residual(s, B, pack).values)
+        return pack.residual(B, 0.08 * np.log(0.08), values)
 
     t1 = rng.normal(size=disk96.N) + 1j * rng.normal(size=disk96.N)
     t2 = rng.normal(size=disk96.N) + 1j * rng.normal(size=disk96.N)
@@ -198,6 +172,16 @@ def test_far_field_scaling_law(sweep_states, disk96, green, poly2):
     gref, _ = qpgreen.green_eval(green, probes - np.asarray(CENTER))
     pred = gref * charge
     assert np.max(np.abs(fit.c0 - pred) / np.abs(pred)) < 2e-2
+
+
+@pytest.mark.parametrize("fit_max_epsilon, kept", [(1e-3, 0), (0.0075, 2)])
+def test_far_field_fit_refuses_fewer_than_3_states(sweep_states, green,
+                                                   fit_max_epsilon, kept):
+    # the model has 3 coefficients; 2 states would fit them exactly
+    probes = np.array([[1.65, 1.35]])
+    with pytest.raises(ValueError, match=f"fit_max_epsilon={fit_max_epsilon} keeps {kept}"):
+        nonlinear.far_field_scaling(sweep_states, probes, center=CENTER, green=green,
+                                    fit_max_epsilon=fit_max_epsilon)
 
 
 def test_zero_nonlinearity_gives_zero_branch(disk96, green):
