@@ -27,9 +27,6 @@ __all__ = [
     "trig_interpolate",
 ]
 
-# The validated radius, where the small-hole expansion is used, as a share of eps0
-_VALIDATED_SHARE = 0.5
-
 
 @dataclass(frozen=True)
 class BoundaryCurve:
@@ -217,7 +214,8 @@ class HoleConfig:
 
     @property
     def validated_radius(self) -> float:
-        return _VALIDATED_SHARE * self.epsilon_max
+        """Where the small-hole expansion is used: half the containment bound."""
+        return 0.5 * self.epsilon_max
 
 
 def rescale(cfg: HoleConfig) -> BoundaryCurve:

@@ -278,14 +278,15 @@ def solve_theta(epsilon: float, B: RobinNonlinearity, curve: DiscreteCurve,
     """
     if epsilon <= 0:
         raise ValueError("solve_theta requires epsilon > 0")
-    bound = geometry.containment_bound(curve.curve, center, green.lattice)
-    validated = geometry._VALIDATED_SHARE * bound
-    if epsilon > validated:
+    # the hole itself refuses an epsilon at or past the containment bound
+    hole = geometry.HoleConfig(reference=curve.curve, center=tuple(center),
+                               epsilon=float(epsilon), lattice=green.lattice)
+    if epsilon > hole.validated_radius:
         raise ValueError(
-            f"epsilon={epsilon} above the validated radius {validated:.6g}")
+            f"epsilon={epsilon} above the validated radius {hole.validated_radius:.6g}")
     path = [float(epsilon)]
     if start is None:
-        eps_start = _START_SHARE * bound
+        eps_start = _START_SHARE * hole.epsilon_max
         if epsilon < eps_start:
             nseg = max(1, int(math.ceil(math.log2(eps_start / epsilon))))
             path = list(eps_start * (epsilon / eps_start) ** (np.arange(1, nseg + 1)

@@ -3,11 +3,14 @@
 A hole p + eps*Omega carries boundary operators whose eps-dependence untangles
 into three fixed assemblies on the *reference* curve:
 
-  index 1: free-space kernel at the rescaled wavenumber eps*k (log-quadrature),
+  index 1: free-space kernel at the rescaled wavenumber eps*k
+           (``potentials.assemble_free``, log-quadrature),
   index 2: regular part R of the periodic Green function at rescaled distances
-           eps*(x(t)-x(s)) (trapezoid; analytic through zero),
+           eps*(x(t)-x(s)), contracted by operator kind as the periodic
+           assembly does (trapezoid; analytic through zero),
   index 3: the log-rescaling correction profile T(y) = J-profile(k|y|) at
-           rescaled distances (trapezoid; the eps*log(eps) term of the split).
+           rescaled distances, or its normal derivative; no Neumann profile
+           enters (trapezoid; the eps*log(eps) term of the split).
 
 With d = x(t)-x(s) on the reference curve, the physical-curve identities are
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, potentials, qpgreen
+from . import geometry, potentials, qpgreen, specfun
 from .errors import ContainmentError
 from .geometry import DiscreteCurve
 from .lattice import Lattice
@@ -101,13 +104,15 @@ def _family_matrix(family: str, index: int, epsilon: float, curve: DiscreteCurve
         return potentials.assemble_free(kind, curve, epsilon * green.k).matrix
     nu = curve.normals
     if index == 2:
-        RV, RG = tables
-        core = potentials._layer_core(kind, nu, nu, RV=RV, RG=RG)[1]
+        return potentials._table_kernel(kind, nu, nu, *tables) * curve.weights[None, :]
+    # index 3: the J-profile that multiplies log|y| at y = epsilon*d
+    y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
+    z = green.k * np.sqrt(np.sum(y * y, axis=2))
+    if kind == "single_trace":
+        core = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
     else:
-        # the J-profile that multiplies log|y| at y = epsilon*d is 2*A1
-        y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
-        r = np.sqrt(np.sum(y * y, axis=2))
-        core = 2.0 * potentials._layer_core(kind, nu, nu, d=y, r=r, k=green.k)[0]
+        gJ = -specfun.entire_bessel_J(1.0, specfun.ProfilePoints(z)) / (2.0 * np.pi)
+        core = green.k * green.k * gJ * potentials._contract(kind, nu, nu, y)
     return core * curve.weights[None, :]
 
 
@@ -203,6 +208,9 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
 
     Equivalent to looping :func:`rescaling_identity_check` over the kinds but
     assembles the physical-curve table and the scaled family table only once.
+    ``kinds`` defaults to all five with ``probes`` and to the boundary kinds
+    without; far kinds need ``probes``.  Both rules are checked before any
+    assembly, and the residuals come back in the order of ``kinds``.
     Building the physical hole checks epsilon against the containment bound,
     so the family members are assembled without checking it again.
     """
@@ -212,6 +220,8 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     bad = set(kinds) - set(IDENTITY_KINDS)
     if bad:
         raise ValueError(f"unknown identity kinds: {sorted(bad)}")
+    if probes is None and set(kinds) - set(_BOUNDARY_IDENTITY):
+        raise ValueError("far-field identity kinds require probe points")
     if not 0.0 < epsilon:
         raise ContainmentError("identity check requires epsilon > 0")
     curve = theta.curve
@@ -227,10 +237,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
                 kind, epsilon, tv, curve, phys, green,
                 phys_tables=phys_tables, fam_tables=fam_tables)
     for kind in kinds:
-        if kind in _BOUNDARY_IDENTITY:
-            continue
-        if probes is None:
-            raise ValueError("far-field identity kinds require probe points")
-        out[kind] = _far_identity_residual(kind, epsilon, tv, curve, phys,
-                                           center, probes, green)
-    return out
+        if kind not in _BOUNDARY_IDENTITY:
+            out[kind] = _far_identity_residual(kind, epsilon, tv, curve, phys,
+                                               center, probes, green)
+    return {kind: out[kind] for kind in kinds}

@@ -7,6 +7,11 @@ splits serve the quasi-periodic kernel (free-space profile plus analytic
 remainder of the periodic Green function) and the free-space kernel at any
 wavenumber, including zero (the Laplace limit the perturbation theory needs).
 
+One routine, ``_nystrom``, builds the node matrices and the off-node trace
+rows.  The periodic remainder is a pairwise (value, gradient) table that
+``_table_kernel`` contracts by operator kind, as the index-2 rescaled
+families of :mod:`qphelm.perturbation` do.
+
 Operator kinds:
 
 - ``single_trace``      V:  integral of G(x_t - x_s) mu(s) dsigma_s
@@ -113,18 +118,8 @@ def log_weight_matrix(N: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# kernel tables
+# Nystrom rows
 # --------------------------------------------------------------------------- #
-
-def _smooth_log_ratio(r: np.ndarray, dt: np.ndarray, diag_speeds: np.ndarray | None):
-    """L = log(r / (2 |sin(dt/2)|)); its diagonal limit is log |x'|."""
-    s = 2.0 * np.abs(np.sin(0.5 * dt))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.log(r / s)
-    if diag_speeds is not None:
-        np.fill_diagonal(L, np.log(diag_speeds))
-    return L
-
 
 def _contract(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
               v: np.ndarray) -> np.ndarray:
@@ -138,62 +133,66 @@ def _contract(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
     return -np.einsum("si,tsi->ts", source_normals, v)
 
 
-def _layer_core(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
-                *, d: np.ndarray | None = None, r: np.ndarray | None = None,
-                L: np.ndarray | None = None, k: complex | None = None,
-                RV: np.ndarray | None = None, RG: np.ndarray | None = None,
-                ratio_diagonal: np.ndarray | None = None):
-    """Kernel split (A1, A2) of one operator kind at pairwise differences d.
+def _table_kernel(kind: str, target_normals: np.ndarray, source_normals: np.ndarray,
+                  values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
+    """Kernel of one operator kind from a pairwise (value, gradient) table.
 
-    The free-space profile at k|d| gives the log factor A1 and, with the smooth
-    log ratio L, its smooth part; the regular-part tables (RV, RG) of the
-    periodic kernel add to A2.  ``k=None`` leaves only that regular part
-    (A1 None); ``L=None`` leaves only A1, half the coefficient of log|d|.
-    ``ratio_diagonal`` is the on-node limit of (nu . d)/|d|^2.
+    V reads the values; K and K* take the normal derivative of the gradients.
+    """
+    if kind == "single_trace":
+        return values
+    return _contract(kind, target_normals, source_normals, gradients)
+
+
+def _nystrom(kind: str, dc: DiscreteCurve, k: complex, tables, taus) -> np.ndarray:
+    """Nystrom rows of one operator kind: at the nodes, or at off-node ``taus``.
+
+    With d = x(tau) - y(s), the free-space profile at k|d| gives the log factor
+    A1 and, with the smooth log ratio L = log(|d| / (2 |sin((tau - s)/2)|)),
+    the smooth part A2.  The regular-part ``tables`` (values, gradients) of
+    the periodic kernel add to A2; free space has none.  With ``taus`` None
+    the rows are the nodes: the diagonal takes the limits L -> log |x'| and
+    (nu . d)/|d|^2 -> kappa/2, and the log weights are circulant.
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    single = kind == "single_trace"
-    A1 = A2 = None
-    if k is not None:
-        z = k * r
-        if single:
-            # without L only the J-profile is read: sum no Neumann profile
-            J2, N2 = (specfun.fs_coefficients(2, z) if L is not None
-                      else (specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi), None))
-            A1 = 0.5 * J2
-            if L is not None:
-                A2 = J2 * L + N2
-        else:
-            k2 = k * k
-            nd = _contract(kind, target_normals, source_normals, d)
-            z = specfun.ProfilePoints(z)
-            gJ, gN = (specfun.fs_coefficients_dz_over_z(2, z) if L is not None
-                      else (-specfun.entire_bessel_J(1.0, z) / (2.0 * np.pi), None))
-            A1 = 0.5 * k2 * gJ * nd
-            if L is not None:
-                J2 = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = nd / (r * r)
-                if ratio_diagonal is not None:
-                    np.fill_diagonal(ratio, ratio_diagonal)
-                A2 = k2 * gJ * nd * L + J2 * ratio + k2 * gN * nd
-    if RV is not None:
-        reg = RV if single else _contract(kind, target_normals, source_normals, RG)
-        A2 = reg if A2 is None else A2 + reg
-    return A1, A2
-
-
-def _assemble_matrix(kind: str, dc: DiscreteCurve, k: complex,
-                     RV: np.ndarray | None, RG: np.ndarray | None) -> np.ndarray:
-    d = dc.points[:, None, :] - dc.points[None, :, :]
+    on_nodes = taus is None
+    if on_nodes:
+        ts, xt, nut = dc.t, dc.points, dc.normals
+    else:
+        ts, xt, vt = taus, dc.curve.position(taus), dc.curve.velocity(taus)
+        st = np.sqrt(np.sum(vt * vt, axis=-1))
+        nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
+    d = xt[:, None, :] - dc.points[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=2))
-    L = _smooth_log_ratio(r, dc.t[:, None] - dc.t[None, :], dc.speeds)
-    # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
-    A1, A2 = _layer_core(kind, dc.normals, dc.normals, d=d, r=r, L=L, k=k,
-                         RV=RV, RG=RG, ratio_diagonal=0.5 * dc.curvature)
-    return (log_weight_matrix(dc.N) * A1 + (2.0 * np.pi / dc.N) * A2) \
-        * dc.speeds[None, :]
+    if not on_nodes and np.any(r == 0.0):
+        raise ValueError("off-node targets must avoid the quadrature nodes")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log(r / (2.0 * np.abs(np.sin(0.5 * (ts[:, None] - dc.t[None, :])))))
+    if on_nodes:
+        np.fill_diagonal(L, np.log(dc.speeds))
+    z = k * r
+    if kind == "single_trace":
+        J2, N2 = specfun.fs_coefficients(2, z)
+        A1 = 0.5 * J2
+        A2 = J2 * L + N2
+    else:
+        k2 = k * k
+        nd = _contract(kind, nut, dc.normals, d)
+        z = specfun.ProfilePoints(z)
+        gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
+        J2 = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = nd / (r * r)
+        if on_nodes:
+            # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
+            np.fill_diagonal(ratio, 0.5 * dc.curvature)
+        A1 = 0.5 * k2 * gJ * nd
+        A2 = k2 * gJ * nd * L + J2 * ratio + k2 * gN * nd
+    if tables is not None:
+        A2 = A2 + _table_kernel(kind, nut, dc.normals, *tables)
+    W = log_weight_matrix(dc.N) if on_nodes else log_weight_rows(dc.N, taus)
+    return (W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
 
 
 def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=None):
@@ -210,17 +209,12 @@ def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=Non
     antisymmetric node table on its upper triangle and rows at ``taus`` point
     by point.  Either way a row does not depend on the other ``taus``.
     """
-    targets = _targets(curve, taus)
+    targets = curve.points if taus is None else \
+        curve.curve.position(np.atleast_1d(np.asarray(taus, dtype=float)))
     tables = qpgreen.separable_tables(green, targets, curve.points, *curve.curve.disk)
     if tables is None:
         tables = qpgreen.regular_part(green, targets[:, None, :] - curve.points[None, :, :])
     return tables
-
-
-def _targets(dc: DiscreteCurve, taus) -> np.ndarray:
-    if taus is None:
-        return dc.points
-    return dc.curve.position(np.atleast_1d(np.asarray(taus, dtype=float)))
 
 
 def assemble(kind: str, curve: DiscreteCurve, *, green: qpgreen.GreenEvaluator,
@@ -228,13 +222,13 @@ def assemble(kind: str, curve: DiscreteCurve, *, green: qpgreen.GreenEvaluator,
     """Assemble a quasi-periodic boundary operator on the given curve."""
     if tables is None:
         tables = regular_tables(curve, green)
-    M = _assemble_matrix(kind, curve, green.k, *tables)
+    M = _nystrom(kind, curve, green.k, tables, None)
     return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
 def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperator:
     """Assemble the free-space analogue at wavenumber k (k = 0 gives Laplace)."""
-    M = _assemble_matrix(kind, curve, complex(k), None, None)
+    M = _nystrom(kind, curve, complex(k), None, None)
     return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
@@ -245,23 +239,10 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
     ``tables`` may carry ``regular_tables(dc, green, taus)``.  taus must avoid
     the nodes (the on-node limits live in the assembled matrices).
     """
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    curve = dc.curve
-    xt = _targets(dc, taus)
-    vt = curve.velocity(taus)
-    st = np.sqrt(np.sum(vt * vt, axis=-1))
-    nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
-    d = xt[:, None, :] - dc.points[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=2))
-    if np.any(r == 0.0):
-        raise ValueError("off-node targets must avoid the quadrature nodes")
-    L = _smooth_log_ratio(r, taus[:, None] - dc.t[None, :], None)
-    RV, RG = regular_tables(dc, green, taus) if tables is None else tables
-    A1, A2 = _layer_core(kind, nut, dc.normals, d=d, r=r, L=L, k=green.k, RV=RV, RG=RG)
-    return (log_weight_rows(dc.N, taus) * A1 + (2.0 * np.pi / dc.N) * A2) \
-        * dc.speeds[None, :]
+    if tables is None:
+        tables = regular_tables(dc, green, taus)
+    return _nystrom(kind, dc, green.k, tables, taus)
 
 
 # --------------------------------------------------------------------------- #

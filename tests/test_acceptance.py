@@ -8,16 +8,14 @@ Budget: every criterion below stays under a minute of single-threaded work
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from jump_oracle import one_sided_limits
 from oracle_qpgreen import image_sum_oracle
 from qphelm import cli, geometry, nonlinear, perturbation, potentials, qpgreen
 from qphelm import solvers, specfun
-from qphelm.lattice import Lattice, make_wave_context
+from qphelm.lattice import make_wave_context
 
 CENTER = (0.5, 0.5)
 

@@ -232,6 +232,18 @@ def test_check_rescaling_run(tmp_path):
     assert all(float(row[2]) < 1e-8 for row in body)
 
 
+def test_far_identity_without_probes_exits_2(tmp_path):
+    bad = copy.deepcopy(RESCALING_CFG)
+    bad["problem"]["identity_kinds"] = ["far-single"]
+    del bad["probes"]
+    cfg = cli.parse_config(json.dumps(bad))
+    assert cli.run("check-rescaling", cfg, tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "probe" in man["error"]
+    assert not (tmp_path / "rescaling.csv").exists()
+
+
 def test_resonant_wavenumber_exits_3(tmp_path):
     res = copy.deepcopy(GREEN_CFG)
     res["wave"]["k_re"] = float(np.hypot(0.4, 0.7))  # dual point at index 0

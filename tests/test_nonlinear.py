@@ -10,7 +10,7 @@ follow the leading epsilon-scaling law with the limit-density charge.
 import numpy as np
 import pytest
 
-from qphelm import geometry, nonlinear, potentials, qpgreen
+from qphelm import nonlinear, potentials, qpgreen
 from qphelm.errors import QphelmError
 
 CENTER = (0.5, 0.5)

@@ -11,9 +11,8 @@ epsilon, and the necessity of the log-epsilon term are checked separately.
 import numpy as np
 import pytest
 
-from qphelm import geometry, perturbation, potentials, qpgreen, specfun
+from qphelm import geometry, perturbation, potentials, specfun
 from qphelm.errors import ContainmentError
-from qphelm.lattice import Lattice
 
 CENTER = (0.5, 0.5)
 
@@ -61,6 +60,28 @@ def test_suite_matches_individual_checks(green):
         single = perturbation.rescaling_identity_check(
             kind, 0.1, theta, probes, center=CENTER, green=green)
         assert single == value  # table sharing must not change the numbers
+
+
+def test_suite_refuses_far_kinds_without_probes_before_assembly(green, monkeypatch):
+    dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
+    theta = potentials.Density(curve=dc, values=np.ones(64))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the kinds were checked")
+
+    monkeypatch.setattr(potentials, "regular_tables", refuse)
+    with pytest.raises(ValueError, match="probe"):
+        perturbation.rescaling_identity_suite(
+            0.1, theta, center=CENTER, green=green, kinds=("adjoint", "far-single"))
+
+
+def test_suite_returns_residuals_in_the_requested_order(green):
+    dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
+    theta = potentials.Density(curve=dc, values=np.ones(64))
+    kinds = ("far-double", "adjoint", "single-trace")
+    res = perturbation.rescaling_identity_suite(
+        0.1, theta, _far_probes(), center=CENTER, green=green, kinds=kinds)
+    assert tuple(res) == kinds
 
 
 def test_families_finite_at_zero_and_negative_epsilon(green):

@@ -246,6 +246,24 @@ def test_trace_rows_match_pointwise_rows_whatever_the_other_taus(circle128, gree
                 assert np.array_equal(part, ref[idx])
 
 
+@pytest.mark.parametrize("k", [1.3, 6.0])
+@pytest.mark.parametrize("N", [64, 128])
+def test_node_matrices_and_off_node_rows_agree(lat, k, N):
+    # The node matrix carries the diagonal limits the off-node rows never
+    # use; on the circle, interpolating its action reproduces the rows.
+    green = qpgreen.make_green_evaluator(lat, k)
+    dc = geometry.discretize(
+        geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5)), N)
+    mu = np.exp(np.cos(dc.t)) + 0.4j * np.sin(2 * dc.t)
+    taus = dc.t + np.pi / N
+    for kind in ("single_trace", "double_boundary", "adjoint_double"):
+        rows = boundary_trace_rows(kind, dc, taus, green=green) @ mu
+        nodes = geometry.trig_interpolate(assemble(kind, dc, green=green).matrix @ mu,
+                                          taus)
+        err = np.max(np.abs(rows - nodes)) / np.max(np.abs(nodes))
+        assert err <= 1e-12, (kind, err)
+
+
 def test_assemble_rejects_resonant_wave(circle128, lat):
     k_res = float(np.hypot(*lat.eta))  # zero dual index is exactly resonant
     wave = make_wave_context(lat, k_res)
