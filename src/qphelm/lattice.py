@@ -9,7 +9,6 @@ function is refused there.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -86,29 +85,26 @@ def _index_box(lattice: Lattice, k: complex) -> int:
     return int(math.ceil((kmag + emag) * qmax / (2.0 * np.pi))) + 2
 
 
+def _spectrum_gaps(lattice: Lattice, k: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Indices z of the search box, in lexicographic order, and |k**2 - |beta_z|**2|."""
+    half = _index_box(lattice, k)
+    rng = np.arange(-half, half + 1)
+    zs = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
+    beta = dual_vector(lattice, zs)
+    return zs, np.abs(complex(k) ** 2 - (beta[:, 0] * beta[:, 0] + beta[:, 1] * beta[:, 1]))
+
+
 def resonance_set(lattice: Lattice, k: complex,
                   tolerance: float = DEFAULT_RESONANCE_TOLERANCE) -> list[tuple[int, ...]]:
     """Integer indices z with k**2 = |beta_z|**2 up to tolerance (scaled by max(1, |k|^2))."""
-    half = _index_box(lattice, k)
+    zs, gaps = _spectrum_gaps(lattice, k)
     tol = tolerance * max(1.0, abs(k) ** 2)
-    k2 = complex(k) ** 2
-    hits = []
-    for z in itertools.product(range(-half, half + 1), repeat=2):
-        beta = dual_vector(lattice, z)
-        if abs(k2 - float(beta @ beta)) <= tol:
-            hits.append(tuple(z))
-    return hits
+    return [tuple(z) for z in zs[gaps <= tol].tolist()]
 
 
 def spectrum_distance(lattice: Lattice, k: complex) -> float:
     """min_z |k**2 - |beta_z|**2|, the margin from the lattice spectrum."""
-    half = _index_box(lattice, k)
-    k2 = complex(k) ** 2
-    best = math.inf
-    for z in itertools.product(range(-half, half + 1), repeat=2):
-        beta = dual_vector(lattice, z)
-        best = min(best, abs(k2 - float(beta @ beta)))
-    return best
+    return float(np.min(_spectrum_gaps(lattice, k)[1]))
 
 
 @dataclass(frozen=True)

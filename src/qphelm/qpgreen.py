@@ -20,12 +20,12 @@ there is no cancellation at the origin.
 The coefficients are fitted once per evaluator from Ewald values of G - S_2
 on two circles inside the disk, and stored on the normalised basis
 (z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
-the raw s_n overflow.  Only a regular_part call fits the expansion; green_eval
-and green_hessian use it once it is fitted and sum Ewald before, so a few
-probe values never pay the fit's tens of milliseconds.  A point's order count
-comes from a fixed ladder of radii, not from the other points of its call, so
-every point gets the same bits in any batch (a grid split over threads
-included).
+the raw s_n overflow.  The samples are Ewald values alone, no derivatives.
+Only a regular_part call fits the expansion; green_eval and green_hessian use
+it once it is fitted and sum Ewald before, so a few probe values never pay
+the fit.  A point's order count comes from a fixed ladder of radii, not from
+the other points of its call, so every point gets the same bits in any batch
+(a grid split over threads included).
 
 Tables at the differences y_i - y_j of points inside a disk about c of
 radius r0 with 2 r0 within the expansion's radius are separable.  Graf's
@@ -53,10 +53,13 @@ parameter E: cutting the heat-kernel t-integral at 1/(4 E^2) gives
     G_spat(x) = -(1/4 pi) sum_m e^{i eta . qm} sum_j (k/2E)^{2j}/j! E_{j+1}(E^2 |x-qm|^2),
 
 with E_n the generalized exponential integral (dimension 2 throughout).  Both
-tails decay like Gaussians, so small index boxes give full precision; the split
-is algebraically exact for every E > 0, which the tests exercise by comparing
-evaluators with different split parameters.  Besides checking the expansion,
-it samples the fit and serves the reduced points beyond the expansion's radius
+tails decay like Gaussians, so small index boxes give full precision: every
+point is first reduced into the centred cell, so shell s of the spatial sum
+lies at least (s - 1/2) min(q) away, and the shells stop where that bound
+makes one negligible.  The split is algebraically exact for every E > 0,
+which the tests exercise by comparing evaluators with different split
+parameters.  Besides checking the expansion, it samples the fit (values
+only) and serves the reduced points beyond the expansion's radius
 (anisotropic cells only) and the Green calls on an unfitted evaluator.
 """
 
@@ -121,13 +124,14 @@ def _shell_indices(s: int) -> np.ndarray:
 def _expn_table(u: np.ndarray, jmax: int, lowest: int) -> list[np.ndarray]:
     """E_n(u) for n = lowest..jmax via exp1 plus the stable upward recurrence.
 
-    lowest is -1 or 0; u must be positive.
+    lowest is -1, 0 or 1; u must be positive.
     """
     e = np.exp(-u)
     table: dict[int, np.ndarray] = {}
     if lowest <= -1:
         table[-1] = e * (u + 1.0) / (u * u)
-    table[0] = e / u
+    if lowest <= 0:
+        table[0] = e / u
     table[1] = sp.exp1(u)
     for n in range(2, jmax + 1):
         table[n] = (e - u * table[n - 1]) / (n - 1.0)
@@ -194,12 +198,12 @@ class GreenEvaluator:
         self.cz = np.exp((k2 - b2) / (4.0 * E * E)) / (A * (k2 - b2))
 
         # ---- spatial shift table ----------------------------------------------
-        # Distance lower bound (s-1) qmin accommodates arguments up to one cell
-        # away from the centered cell, which kernel assembly needs.
+        # The kernel reduces every point into the centred cell, |x'_i| <= q_i/2,
+        # so a lattice point of sup-index s lies at least (s - 1/2) qmin away.
         suma = float(np.sum(np.abs(self.aj)))
 
         def spatial_shell_bound(s: int) -> float:
-            rho = (s - 1.0) * qmin
+            rho = (s - 0.5) * qmin
             u = E * E * rho * rho
             return 8 * s * suma * max(sp.exp1(u), np.exp(-u) / max(u, 1.0)) / (4 * np.pi)
 
@@ -228,9 +232,11 @@ class GreenEvaluator:
         """Numerical parameters chosen for this evaluator (for run manifests).
 
         The expansion entries are None until a call has fitted it.
+        ``spectral_distance`` is the wave context's min_z |k^2 - |beta_z|^2|.
         """
         fb = self._expansion
         return {
+            "spectral_distance": self.wave.spectral_distance,
             "ewald_split": self.ewald_split,
             "jmax": self.jmax,
             "spectral_truncation": self.spectral_truncation,
@@ -263,19 +269,21 @@ class GreenEvaluator:
             )
         return d, rho2
 
-    def _spectral(self, xr: np.ndarray, hessians: bool):
-        ph = np.exp(1j * xr @ self.betas.T) * self.cz[None, :]
-        val = np.sum(ph, axis=1)
-        grad = 1j * (ph @ self.betas)
-        hess = None
-        if hessians:
-            hess = -np.einsum("ps,si,sj->pij", ph, self.betas, self.betas)
-        return val, grad, hess
+    def _spectral(self, xr: np.ndarray, derivatives: int) -> list:
+        # the phases as a real matrix product: straight after a complex one,
+        # libm's complex exp runs many times slower until a numpy ufunc runs
+        ph = np.exp(1j * (xr @ self.betas.T)) * self.cz[None, :]
+        jet = [np.sum(ph, axis=1)]
+        if derivatives >= 1:
+            jet.append(1j * (ph @ self.betas))
+        if derivatives == 2:
+            jet.append(-np.einsum("ps,si,sj->pij", ph, self.betas, self.betas))
+        return jet
 
-    def _spatial(self, d: np.ndarray, rho2: np.ndarray, hessians: bool):
+    def _spatial(self, d: np.ndarray, rho2: np.ndarray, derivatives: int) -> list:
         E = self.ewald_split
         u = E * E * rho2
-        lowest = -1 if hessians else 0
+        lowest = 1 - derivatives
         tab = _expn_table(u, self.jmax + 1, lowest)
 
         def series(offset):
@@ -286,20 +294,19 @@ class GreenEvaluator:
             return acc
 
         w = self.shift_phases[None, :]
-        s1 = series(1)
-        val = -(1.0 / (4 * np.pi)) * np.sum(w * s1, axis=1)
-        s0 = series(0)
-        pref = E * E / (2 * np.pi)
-        grad = pref * np.einsum("pm,pmi->pi", w * s0, d)
-        hess = None
-        if hessians:
+        jet = [-(1.0 / (4 * np.pi)) * np.sum(w * series(1), axis=1)]
+        if derivatives >= 1:
+            s0 = series(0)
+            pref = E * E / (2 * np.pi)
+            jet.append(pref * np.einsum("pm,pmi->pi", w * s0, d))
+        if derivatives == 2:
             sm1 = series(-1)
             eye = np.eye(2)
-            hess = pref * (
+            jet.append(pref * (
                 np.einsum("pm,ij->pij", w * s0, eye)
                 - 2.0 * E * E * np.einsum("pm,pmi,pmj->pij", w * sm1, d, d)
-            )
-        return val, grad, hess
+            ))
+        return jet
 
 
 def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | None = None,
@@ -335,18 +342,17 @@ def _batched(x, kernel, trailing):
 _JET = ((), (2,), (2, 2))
 
 
-def _ewald_kernel(ev: GreenEvaluator, hessians: bool):
+def _ewald_kernel(ev: GreenEvaluator, derivatives: int):
+    """Ewald's G and its first ``derivatives`` (0, 1 or 2) derivatives, per point."""
     def kernel(chunk):
         if len(chunk) == 1:
             # BLAS takes a vector path for one row, with other rounding
-            return tuple(None if a is None else a[:1]
-                         for a in kernel(np.repeat(chunk, 2, axis=0)))
+            return [a[:1] for a in kernel(np.repeat(chunk, 2, axis=0))]
         xr, phase, _ = ev._reduce(chunk)
         d, rho2 = ev._guard(xr)
-        v1, g1, h1 = ev._spectral(xr, hessians)
-        v2, g2, h2 = ev._spatial(d, rho2, hessians)
-        h = phase[:, None, None] * (h1 + h2) if hessians else None
-        return phase * (v1 + v2), phase[:, None] * (g1 + g2), h
+        return [phase.reshape((-1,) + (1,) * (a.ndim - 1)) * (a + b)
+                for a, b in zip(ev._spectral(xr, derivatives),
+                                ev._spatial(d, rho2, derivatives))]
     return kernel
 
 
@@ -359,7 +365,7 @@ def ewald_oracle(ev: GreenEvaluator, x):
     green_hessian sum Ewald for reduced points beyond the expansion's radius
     and for every point before regular_part has fitted the expansion.
     """
-    return _batched(x, _ewald_kernel(ev, True), _JET)
+    return _batched(x, _ewald_kernel(ev, 2), _JET)
 
 
 def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
@@ -408,9 +414,9 @@ def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool)
                                        _free_jet(xr[near], k, hessians), phase[near])):
                 a[near] = b
         if np.any(far):
-            for a, b in zip(jet, _ewald_kernel(ev, hessians)(chunk[far])):
+            for a, b in zip(jet, _ewald_kernel(ev, 1 + hessians)(chunk[far])):
                 a[far] = b
-        return jet[0], jet[1], jet[2] if hessians else None
+        return jet
     return kernel
 
 
@@ -452,7 +458,7 @@ def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, antipodes: b
                 v[fold], g[fold] = _fold([v[fold], g[fold]], [sv, s * sg], ph)
         if np.any(far):
             for s, (v, g) in zip(signs, jets):
-                v[far], g[far], _ = _ewald_kernel(ev, False)(s * chunk[far])
+                v[far], g[far] = _ewald_kernel(ev, 1)(s * chunk[far])
         free = fold | far
         if np.any(free):
             sv, sg = _free_jet(chunk[free], k, False)
@@ -465,7 +471,7 @@ def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, antipodes: b
 
 def _green(ev: GreenEvaluator, x, hessians: bool):
     fb = ev._expansion
-    kernel = _ewald_kernel(ev, hessians) if fb is None else _cell_kernel(ev, fb, hessians)
+    kernel = _ewald_kernel(ev, 1 + hessians) if fb is None else _cell_kernel(ev, fb, hessians)
     return _batched(x, kernel, _JET[:2 + hessians])
 
 
@@ -550,7 +556,7 @@ class FourierBesselExpansion:
         scale = 0.0
         for rj, b in zip(radii, basis):
             pts = rj * circle
-            ewald = _batched(pts, _ewald_kernel(ev, False), _JET[:1])[0]
+            ewald = _batched(pts, _ewald_kernel(ev, 0), _JET[:1])[0]
             samples = ewald - specfun.fundamental_solution(2, pts, k).value
             scale = max(scale, float(np.max(np.abs(samples))))
             a = np.fft.fft(samples) / _FIT_SAMPLES
@@ -606,7 +612,7 @@ class FourierBesselExpansion:
         # points of its call: a grid gives the same bits however it is batched
         # or split over threads.
         self._ladder = self.radius * _LADDER_RATIO ** np.arange(_LADDER_STEPS)[::-1]
-        tops = np.array([[self.terms(r, d) for r in self._ladder] for d in (1, 2)])
+        tops = np.stack([self._terms(self._ladder, d) for d in (1, 2)])
         # the Hessian's looser bound may stop earlier: never below the
         # gradient's count, so green_hessian's values and gradients keep it
         tops[1] = np.maximum(tops[0], tops[1])
@@ -627,21 +633,28 @@ class FourierBesselExpansion:
         that is a looser tolerance than the gradient's, so the Hessian rows
         are evaluated to the larger of the two counts.
         """
+        return int(self._terms(np.array([rmax]), derivatives)[0])
+
+    def _terms(self, rmax: np.ndarray, derivatives: int) -> np.ndarray:
+        """terms at each radius of ``rmax``, in one array pass."""
         n = np.arange(len(self._cmax))
-        phi_max = np.exp(np.minimum(abs(self.k.imag) * rmax,
-                                    abs(self.k) ** 2 * rmax ** 2 / (4.0 * (n + 1))))
-        bound = (n + 1) * self._cmax * (rmax / self.rho) ** n * phi_max
+        r = rmax[:, None]
+        phi_max = np.exp(np.minimum(abs(self.k.imag) * r,
+                                    abs(self.k) ** 2 * r ** 2 / (4.0 * (n + 1))))
+        bound = (n + 1) * self._cmax * (r / self.rho) ** n * phi_max
         limit = self.tolerance
         if derivatives == 2:
             bound = bound * (n + 2)
             limit = limit * (n[-1] + 2)
-        over = np.nonzero(bound >= limit)[0]
-        if over.size and over[-1] >= len(n) - 3:
+        over = bound >= limit
+        last = np.where(over.any(axis=1), len(n) - 1 - np.argmax(over[:, ::-1], axis=1), 0)
+        if np.any(last >= len(n) - 3):
+            rbad = float(rmax[np.argmax(last >= len(n) - 3)])
             raise SeriesTruncationError(
                 f"Fourier-Bessel tail of R not below {limit:.1e} at "
-                f"|x| = {rmax:.3g} within {len(n) - 1} orders"
+                f"|x| = {rbad:.3g} within {len(n) - 1} orders"
             )
-        return int(over[-1]) if over.size else 0
+        return last
 
     def __call__(self, x: np.ndarray, hessians: bool, antipodes: bool) -> list:
         """[R, grad R] and, when asked, the Hessian at points x (P, 2), |x| <= radius.

@@ -394,12 +394,14 @@ def test_selftest_passes(tmp_path):
 
 
 def test_manifest_records_the_evaluator_parameters(tmp_path):
-    keys = {"ewald_split", "jmax", "spectral_truncation", "spatial_truncation",
-            "expansion_terms", "expansion_radius"}
+    keys = {"spectral_distance", "ewald_split", "jmax", "spectral_truncation",
+            "spatial_truncation", "expansion_terms", "expansion_radius"}
     assert cli.run("green-eval", cli.parse_config(json.dumps(GREEN_CFG)),
                    tmp_path / "g") == 0
-    params = _manifest(tmp_path / "g")["green_evaluator"]
+    man = _manifest(tmp_path / "g")
+    params = man["green_evaluator"]
     assert set(params) == keys
+    assert params["spectral_distance"] == man["results"]["spectrum_distance"] > 0
     # green-eval never evaluates the regular part, so no expansion is fitted
     assert params["expansion_terms"] is None and params["expansion_radius"] is None
     assert cli.run("solve-neumann", cli.parse_config(json.dumps(NEUMANN_CFG)),

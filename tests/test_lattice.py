@@ -89,3 +89,40 @@ def test_spectrum_distance_is_lower_envelope(kr, e1, e2):
         for m2 in range(-2, 3):
             beta = dual_vector(lat, (m1, m2))
             assert d <= abs(kr ** 2 - float(beta @ beta)) + 1e-12
+
+
+def _loop_scan(lat, k, tolerance=1e-9):
+    """The index-by-index scan: resonant indices and the spectrum distance."""
+    half = int(math.ceil((abs(k) + float(np.max(np.abs(lat.eta_vec))))
+                         * float(np.max(lat.q)) / (2.0 * np.pi))) + 2
+    tol = tolerance * max(1.0, abs(k) ** 2)
+    hits, best = [], math.inf
+    for m1 in range(-half, half + 1):
+        for m2 in range(-half, half + 1):
+            beta = dual_vector(lat, (m1, m2))
+            gap = abs(complex(k) ** 2 - float(beta @ beta))
+            best = min(best, gap)
+            if gap <= tol:
+                hits.append((m1, m2))
+    return hits, best
+
+
+@pytest.mark.parametrize("q, k", [
+    ((1.0, 1.0), None),          # resonant at index (1, -1)
+    ((1.0, 1.0), 2.0 + 0.3j),
+    ((1.0, 2.5), 4.0),
+    ((1.0, 2.5), None),          # resonant at index (1, -1)
+    ((1.0, 1.0), 20.0),
+])
+def test_vectorised_scans_match_the_index_loop(q, k):
+    lat = Lattice(q_diag=q, eta=(0.4, 0.7))
+    resonant = k is None
+    if resonant:
+        k = float(np.linalg.norm(dual_vector(lat, (1, -1))))
+    hits, best = _loop_scan(lat, k)
+    assert ((1, -1) in hits) == resonant and bool(hits) == resonant
+    assert resonance_set(lat, k) == hits
+    # |k^2 - |beta|^2| cancels: the loop's beta @ beta and an elementwise sum
+    # round differently, so the two agree to the scale of k^2, not of the gap
+    assert abs(spectrum_distance(lat, k) - best) <= 1e-15 * max(1.0, abs(k) ** 2)
+    assert make_wave_context(lat, k).resonance_set == tuple(hits)

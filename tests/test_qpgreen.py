@@ -6,6 +6,8 @@ absorbing wavenumber for the spot value); the separable tables are checked
 against its Ewald G - S_2.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -320,6 +322,87 @@ def test_split_invariance_and_seam_off_the_square_cell(cell, k, seed):
     assert np.max(np.abs(RV - (g - s.value))) < 1e-12 * scale
     gscale = max(1.0, float(np.max(np.abs(gg))))
     assert np.max(np.abs(RG - (gg - s.gradient))) < 1e-11 * gscale
+
+
+# --------------------------------------------------------------------------- #
+# The Ewald sum's spatial shells and the fit's samples
+
+_SHELL_CELLS = [(1.0, 1.0), (1.0, 1.7), (1.0, 2.5)]
+_SHELL_KS = [1.3, 6.0, 6.0 + 0.5j, 20.0]
+
+
+@pytest.fixture(scope="module")
+def shell_evaluators():
+    return {(q, k): qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
+            for q in _SHELL_CELLS for k in _SHELL_KS}
+
+
+def _with_more_shells(ev, extra):
+    """A copy of ev whose spatial sum runs ``extra`` shells further."""
+    wide = copy.copy(ev)
+    ms = np.concatenate([qpgreen._shell_indices(s)
+                         for s in range(ev.spatial_truncation + extra + 1)])
+    wide.shifts = ms * ev.lattice.q
+    wide.shift_phases = np.exp(1j * wide.shifts @ ev.lattice.eta_vec)
+    return wide
+
+
+_CORNERS = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
+
+
+@settings(deadline=None, max_examples=30)
+@given(q=st.sampled_from(_SHELL_CELLS), k=st.sampled_from(_SHELL_KS),
+       fractions=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                          min_size=1, max_size=6))
+def test_the_shell_bound_drops_no_shell_that_matters(shell_evaluators, q, k, fractions):
+    # the spatial sum stops where a reduced point is (s - 1/2) min(q) from
+    # shell s; two shells more must not move values, gradients or Hessians
+    ev = shell_evaluators[q, k]
+    pts = np.concatenate([_CORNERS, np.array(fractions)]) * ev.lattice.q
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-3]
+    wide = _with_more_shells(ev, 2)
+    for got, ref in zip(qpgreen.ewald_oracle(ev, pts), qpgreen.ewald_oracle(wide, pts)):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(q=st.sampled_from(_SHELL_CELLS), s=st.integers(1, 8),
+       x=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_shell_s_lies_at_least_s_minus_a_half_cells_from_a_reduced_point(
+        shell_evaluators, q, s, x):
+    ev = shell_evaluators[q, 1.3]
+    xr = ev._reduce(np.array([x]))[0]
+    d = xr - qpgreen._shell_indices(s) * ev.lattice.q
+    assert np.min(np.hypot(d[:, 0], d[:, 1])) >= (s - 0.5) * float(np.min(ev.lattice.q))
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0 + 0.5j),
+                                  ((1.0, 1.7), 1.3)])
+def test_the_fit_reads_exactly_the_oracle_values(q, k, monkeypatch):
+    ev = qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
+    kernel = qpgreen._ewald_kernel
+    calls = []
+
+    def recorded(ev, derivatives):
+        inner = kernel(ev, derivatives)
+
+        def run(chunk):
+            out = inner(chunk)
+            calls.append((derivatives, chunk, out))
+            return out
+        return run
+
+    monkeypatch.setattr(qpgreen, "_ewald_kernel", recorded)
+    qpgreen.FourierBesselExpansion(ev)
+    monkeypatch.undo()
+    radii = float(np.min(ev.lattice.q)) * np.asarray(qpgreen._FIT_RADII)
+    assert len(calls) == len(radii)
+    for (derivatives, pts, out), rho in zip(calls, radii):
+        # values only, on one whole fit circle
+        assert derivatives == 0 and len(out) == 1
+        assert len(pts) == qpgreen._FIT_SAMPLES
+        np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), rho, rtol=1e-15)
+        assert np.array_equal(out[0], qpgreen.ewald_oracle(ev, pts)[0])
 
 
 # --------------------------------------------------------------------------- #
