@@ -144,7 +144,7 @@ def _table_kernel(kind: str, target_normals: np.ndarray, source_normals: np.ndar
     return _contract(kind, target_normals, source_normals, gradients)
 
 
-def _nystrom(kind: str, dc: DiscreteCurve, k: complex, tables, taus) -> np.ndarray:
+def _nystrom(kind: str, dc: DiscreteCurve, k: complex | float, tables, taus) -> np.ndarray:
     """Nystrom rows of one operator kind: at the nodes, or at off-node ``taus``.
 
     With d = x(tau) - y(s), the free-space profile at k|d| gives the log factor
@@ -152,7 +152,8 @@ def _nystrom(kind: str, dc: DiscreteCurve, k: complex, tables, taus) -> np.ndarr
     the smooth part A2.  The regular-part ``tables`` (values, gradients) of
     the periodic kernel add to A2; free space has none.  With ``taus`` None
     the rows are the nodes: the diagonal takes the limits L -> log |x'| and
-    (nu . d)/|d|^2 -> kappa/2, and the log weights are circulant.
+    (nu . d)/|d|^2 -> kappa/2, and the log weights are circulant.  A real k
+    (a float) keeps the profiles real.
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -227,8 +228,11 @@ def assemble(kind: str, curve: DiscreteCurve, *, green: qpgreen.GreenEvaluator,
 
 
 def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperator:
-    """Assemble the free-space analogue at wavenumber k (k = 0 gives Laplace)."""
-    M = _nystrom(kind, curve, complex(k), None, None)
+    """Assemble the free-space analogue at wavenumber k (k = 0 gives Laplace).
+
+    A real k (Im k = 0) assembles in real arithmetic, into a real matrix.
+    """
+    M = _nystrom(kind, curve, qpgreen._wavenumber(k), None, None)
     return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
@@ -250,15 +254,19 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
 # --------------------------------------------------------------------------- #
 
 def _distance_guard(dc: DiscreteCurve, lattice: Lattice, points: np.ndarray):
+    """Warn about points closer than the node spacing to a node or a periodic image.
+
+    Each point-node difference is reduced into the centred cell, which on a
+    rectangular lattice leaves the difference to the nearest image.
+    """
     spacing = float(np.max(dc.weights))
-    shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-    y = (dc.points[None, :, :] + (shifts * lattice.q)[:, None, :]).reshape(-1, 2)
-    dmin = np.min(
-        np.sqrt(np.sum((points[:, None, :] - y[None, :, :]) ** 2, axis=2)), axis=1
-    )
-    if np.any(dmin < spacing):
+    q = lattice.q
+    d = points[:, None, :] - dc.points[None, :, :]
+    d -= np.round(d / q) * q
+    close = np.min(np.sum(d * d, axis=2), axis=1) < spacing * spacing
+    if np.any(close):
         warnings.warn(
-            f"{int(np.sum(dmin < spacing))} evaluation point(s) closer to the source "
+            f"{int(np.sum(close))} evaluation point(s) closer to the source "
             f"curve than the node spacing {spacing:.3g}; accuracy degrades there",
             AccuracyGuardWarning,
             stacklevel=3,

@@ -27,6 +27,18 @@ the fit.  A point's order count comes from a fixed ladder of radii, not from
 the other points of its call, so every point gets the same bits in any batch
 (a grid split over threads included).
 
+A call reduces all its points into the cell first.  The expansion then takes
+those within its radius rung by rung (the points of one order count) across
+the whole call, in blocks of at most _BLOCK points written straight into the
+call's outputs, a table's antipode rows included: each rung's fixed cost is
+paid once per call, and no basis table grows with the call.  The S_2 fold
+and the Ewald sum go in _CHUNK runs.  The arithmetic follows k alone: for a
+real k (Im k = 0; GreenEvaluator.k is then a float) the phi table is real,
+the basis at order -n is the conjugate of the basis at n, and one real
+product of the table's real and imaginary parts with the coefficient rows
+gives the jet; the free-space profiles are real too.  A complex k keeps the
+complex tables.  The rule never looks at the data, which would flip at x = 0.
+
 Tables at the differences y_i - y_j of points inside a disk about c of
 radius r0 with 2 r0 within the expansion's radius are separable.  Graf's
 addition theorem, J_n(k|u-v|) e^{i n theta_{u-v}} = sum_m F_{n-m}(u) F_m(-v)
@@ -89,6 +101,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+# Points per basis table of the expansion: larger blocks cost less per point
+# and more memory (about 5 kB per point with a real k at the cap)
+_BLOCK = 512
 # Rows per product in separable_tables (at least two, so BLAS never takes its
 # one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
 _ROW_BLOCK = 16
@@ -147,6 +162,16 @@ def _last_loud_shell(bound, first: int, last: int, what: str) -> int:
         if quiet == 2:
             return s - 2
     raise SeriesTruncationError(f"{what} Ewald sum did not converge")
+
+
+def _wavenumber(k) -> complex | float:
+    """k as a float when Im k = 0, else complex.
+
+    Every profile and basis table takes its type from k alone, so a real wave
+    runs in real arithmetic and a point's bits never depend on its batch.
+    """
+    k = complex(k)
+    return k.real if k.imag == 0.0 else k
 
 
 class GreenEvaluator:
@@ -218,8 +243,9 @@ class GreenEvaluator:
 
     # -------------------------------------------------------------------- utils
     @property
-    def k(self) -> complex:
-        return complex(self.wave.k)
+    def k(self) -> complex | float:
+        """The wavenumber, a float when Im k = 0: see _wavenumber."""
+        return _wavenumber(self.wave.k)
 
     @property
     def expansion(self) -> FourierBesselExpansion:
@@ -256,17 +282,18 @@ class GreenEvaluator:
         phase = np.exp(1j * (shift[:, 0] * eta[0] + shift[:, 1] * eta[1]))
         return xr, phase, mstar
 
-    def _exclusion(self) -> float:
-        return _EXCLUSION_FACTOR * float(np.min(self.lattice.q))
+    def _require_clear(self, rho2: np.ndarray) -> None:
+        """Refuse squared distances to a source lattice point inside the exclusion."""
+        excl = _EXCLUSION_FACTOR * float(np.min(self.lattice.q))
+        if np.any(rho2 < excl * excl):
+            raise NearLatticePointError(
+                f"evaluation point within {excl:.1e} of a source lattice point"
+            )
 
     def _guard(self, xr: np.ndarray):
         d = xr[:, None, :] - self.shifts[None, :, :]
         rho2 = np.sum(d * d, axis=2)
-        excl = self._exclusion()
-        if np.any(np.min(rho2, axis=1) < excl * excl):
-            raise NearLatticePointError(
-                f"evaluation point within {excl:.1e} of a source lattice point"
-            )
+        self._require_clear(np.min(rho2, axis=1))
         return d, rho2
 
     def _spectral(self, xr: np.ndarray, derivatives: int) -> list:
@@ -323,6 +350,11 @@ def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | N
     return GreenEvaluator(lattice, wave, ewald_split=ewald_split)
 
 
+def _shaped(x: np.ndarray, out: list) -> tuple:
+    """Outputs with one row per point of x (shape (..., 2)) in the shape of x."""
+    return tuple(a.reshape(x.shape[:-1] + a.shape[1:])[()] for a in out)
+
+
 def _batched(x, kernel, trailing):
     """Apply kernel(points) -> arrays with one row per point, in _CHUNK batches.
 
@@ -335,7 +367,12 @@ def _batched(x, kernel, trailing):
         sl = slice(lo, lo + _CHUNK)
         for a, b in zip(out, kernel(pts[sl])):
             a[sl] = b
-    return tuple(a.reshape(x.shape[:-1] + a.shape[1:])[()] for a in out)
+    return _shaped(x, out)
+
+
+def _chunks(idx: np.ndarray):
+    """The indices idx in runs of at most _CHUNK."""
+    return (idx[lo:lo + _CHUNK] for lo in range(0, len(idx), _CHUNK))
 
 
 # trailing shapes of a value, a gradient and a Hessian
@@ -368,11 +405,11 @@ def ewald_oracle(ev: GreenEvaluator, x):
     return _batched(x, _ewald_kernel(ev, 2), _JET)
 
 
-def _free_jet(x: np.ndarray, k: complex, hessians: bool) -> list:
+def _free_jet(x: np.ndarray, k: complex | float, hessians: bool) -> list:
     """[S_2, grad S_2] and, when asked, the Hessian at points x != 0.
 
     With grad S_2 = g x, the Helmholtz equation S'' + S'/r + k^2 S = 0 gives
-    H = g I - (k^2 S_2 + 2 g) x x^T / |x|^2.
+    H = g I - (k^2 S_2 + 2 g) x x^T / |x|^2.  Real for a real k.
     """
     s = specfun.fundamental_solution(2, x, k)
     jet = [s.value, s.gradient]
@@ -391,88 +428,35 @@ def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
             for r, s in zip(r_jet, s_jet)]
 
 
-def _cell_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, hessians: bool):
-    """G from S_2 + R in the reduced cell, and from Ewald beyond the radius."""
-    k = ev.k
-    excl = ev._exclusion()
-
-    def kernel(chunk):
-        xr, phase, _ = ev._reduce(chunk)
-        r2 = np.sum(xr * xr, axis=1)
-        if np.any(r2 < excl * excl):
-            raise NearLatticePointError(
-                f"evaluation point within {excl:.1e} of a source lattice point"
-            )
-        n = len(chunk)
-        jet = [np.zeros(n, dtype=complex), np.zeros((n, 2), dtype=complex)]
-        if hessians:
-            jet.append(np.zeros((n, 2, 2), dtype=complex))
-        near = r2 <= fb.radius ** 2
-        far = ~near
-        if np.any(near):
-            for a, b in zip(jet, _fold(fb(xr[near], hessians, False),
-                                       _free_jet(xr[near], k, hessians), phase[near])):
-                a[near] = b
-        if np.any(far):
-            for a, b in zip(jet, _ewald_kernel(ev, 1 + hessians)(chunk[far])):
-                a[far] = b
-        return jet
-    return kernel
-
-
-def _regular_kernel(ev: GreenEvaluator, fb: FourierBesselExpansion, antipodes: bool):
-    """R = G - S_2: R(x') itself at unmoved points, so nothing cancels at 0.
-
-    One expansion call serves every point within the radius, moved or not:
-    the expansion batches points by order count, and two calls would pay
-    each count's fixed cost twice.  With ``antipodes`` the kernel returns
-    R and its gradient at x, then at -x: -x reduces to -x', the expansion
-    serves it from the basis at x', and S_2(-x) = S_2(x) with the gradient
-    negated, so both come out as a call at -x would give them.
-    """
-    k = ev.k
-    excl = ev._exclusion()
-    signs = (1.0, -1.0) if antipodes else (1.0,)
-
-    def kernel(chunk):
-        xr, phase, mstar = ev._reduce(chunk)
-        moved = np.any(mstar != 0, axis=1)
-        r2 = np.sum(xr * xr, axis=1)
-        # R is singular at the lattice points other than the origin
-        if np.any((r2 < excl * excl) & moved):
-            raise NearLatticePointError(
-                f"evaluation point within {excl:.1e} of a source lattice point"
-            )
-        out = [np.empty((len(chunk),) + t, dtype=complex) for t in _JET[:2] * len(signs)]
-        jets = [out[i:i + 2] for i in range(0, len(out), 2)]
-        near = r2 <= fb.radius ** 2
-        far = ~near
-        if np.any(near):
-            for a, b in zip(out, fb(xr[near], False, antipodes)):
-                a[near] = b
-        fold = near & moved
-        if np.any(fold):
-            sv, sg = _free_jet(xr[fold], k, False)
-            for s, (v, g) in zip(signs, jets):
-                ph = phase[fold] if s > 0 else ev._reduce(-chunk[fold])[1]
-                v[fold], g[fold] = _fold([v[fold], g[fold]], [sv, s * sg], ph)
-        if np.any(far):
-            for s, (v, g) in zip(signs, jets):
-                v[far], g[far] = _ewald_kernel(ev, 1)(s * chunk[far])
-        free = fold | far
-        if np.any(free):
-            sv, sg = _free_jet(chunk[free], k, False)
-            for s, (v, g) in zip(signs, jets):
-                v[free] -= sv
-                g[free] -= s * sg
-        return out
-    return kernel
-
-
 def _green(ev: GreenEvaluator, x, hessians: bool):
+    """G from S_2 + R in the reduced cell, and from Ewald beyond the radius.
+
+    The whole call is reduced at once; the expansion serves its points within
+    the radius in one rung pass (FourierBesselExpansion.fill), and the S_2
+    fold and the Ewald sum go in _CHUNK runs.  Before regular_part has fitted
+    the expansion, Ewald serves every point.
+    """
     fb = ev._expansion
-    kernel = _ewald_kernel(ev, 1 + hessians) if fb is None else _cell_kernel(ev, fb, hessians)
-    return _batched(x, kernel, _JET[:2 + hessians])
+    trailing = _JET[:2 + hessians]
+    if fb is None:
+        return _batched(x, _ewald_kernel(ev, 1 + hessians), trailing)
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, 2)
+    xr, phase = ev._reduce(pts)[:2]
+    r2 = np.sum(xr * xr, axis=1)
+    ev._require_clear(r2)
+    out = [np.empty((len(pts),) + t, dtype=complex) for t in trailing]
+    near = r2 <= fb.radius ** 2
+    inside = np.flatnonzero(near)
+    fb.fill(xr, r2, inside, hessians, [(a, None) for a in out])
+    for idx in _chunks(inside):
+        for a, b in zip(out, _fold([a[idx] for a in out],
+                                   _free_jet(xr[idx], ev.k, hessians), phase[idx])):
+            a[idx] = b
+    for idx in _chunks(np.flatnonzero(~near)):
+        for a, b in zip(out, _ewald_kernel(ev, 1 + hessians)(pts[idx])):
+            a[idx] = b
+    return _shaped(x, out)
 
 
 def green_eval(ev: GreenEvaluator, x):
@@ -493,11 +477,12 @@ def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     recurrence phi_{n-1} = phi_n - u phi_{n+1} / (n (n+1)), stable for the
     minimal solution J_n.  phi_n(0) = 1, so the table is finite at x = 0.
     The start order and the series length follow from the bound umax >= |u|
-    alone, so each point's rows do not depend on the other points.
+    alone, so each point's rows do not depend on the other points.  The table
+    is real for real u, which a real k gives (see _wavenumber).
     """
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
     top = max(nmax, int(np.ceil(2.0 * umax)))
-    phi = np.empty((top + 2,) + u.shape, dtype=complex)
+    phi = np.empty((top + 2,) + u.shape, dtype=u.dtype)
     for n in (top, top + 1):
         term = acc = np.ones_like(u)
         m, bound = 0, 1.0
@@ -512,20 +497,57 @@ def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     return phi[: nmax + 1]
 
 
+def _powers(w: np.ndarray, top: int) -> np.ndarray:
+    """Rows w^n, n = 0..top."""
+    powers = np.empty((top + 1,) + w.shape, dtype=complex)
+    powers[0] = 1.0
+    for n in range(1, top + 1):
+        np.multiply(powers[n - 1], w, out=powers[n])
+    return powers
+
+
 def _basis(w, u, top: int, umax: float):
     """Basis rows w^n phi_n (n = 0..top) and conj(w)^n phi_n (n = 1..top), one per point.
 
     u = z^2/4 is the phi table's argument and umax bounds |u|; see _phi_table.
+    At a real u the second is the conjugate of the first.
     """
     phi = _phi_table(u, top, umax)
-    powers = np.ones_like(phi)
-    for n in range(1, top + 1):
-        np.multiply(powers[n - 1], w, out=powers[n])
+    powers = _powers(w, top)
+    if not np.iscomplexobj(phi):
+        pos = (phi * powers).T
+        return pos, np.conj(pos[:, 1:])
     # conj(w)^n phi_n, in place: numpy may swap the operands of a product
     # with a large temporary, and complex products round by operand order
     neg = np.conj(powers[1:])
     neg *= phi[1:]
     return (phi * powers).T, neg.T
+
+
+def _real_basis(w, u, top: int, umax: float) -> np.ndarray:
+    """Re and Im of the basis rows w^n phi_n (n = 0..top) at real u: rows [n, 0] and [n, 1]."""
+    phi = _phi_table(u, top, umax)
+    powers = _powers(w, top)
+    basis = np.empty((top + 1, 2, len(w)))
+    np.multiply(powers.real, phi, out=basis[:, 0])
+    np.multiply(powers.imag, phi, out=basis[:, 1])
+    return basis
+
+
+def _real_rows(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Coefficient rows that contract _real_basis's table into the jet, for a real k.
+
+    pos holds the rows of orders 0..L and neg those of -1..-L.  With phi
+    real, e_{-n} = conj(e_n) = Re(e_n) - i Im(e_n), so the rows [n, 0] and
+    [n, 1] take c_n and i c_n in the first half of the columns, c_{-n} and
+    -i c_{-n} in the second.  Each complex column is split into its real and
+    imaginary parts, so each half of the real product views as a complex
+    jet, and their sum is sum_n c_n e_n + c_{-n} e_{-n}.
+    """
+    neg = np.concatenate([np.zeros((1, neg.shape[1]), dtype=complex), neg])
+    rows = np.concatenate([np.stack([c, s * c], axis=1) for c, s in ((pos, 1j), (neg, -1j))],
+                          axis=2)
+    return rows.view(float).reshape(2 * len(pos), -1)
 
 
 class FourierBesselExpansion:
@@ -606,6 +628,17 @@ class FourierBesselExpansion:
         sign = (-1.0) ** np.arange(L + 1)[:, None]
         self._pos_antipode = self._pos * sign
         self._neg_antipode = self._neg * -sign[:-1]
+        # a real k contracts one real basis table (see _real_rows), keyed by
+        # (hessians, antipodes): the jet's columns, then the antipode's
+        self._real_rows = None
+        if not isinstance(k, complex):
+            def columns(mats, hessians):
+                return np.concatenate([m[:, :5 if hessians else 3] for m in mats], axis=1)
+
+            self._real_rows = {
+                (h, a): _real_rows(columns([self._pos, self._pos_antipode][:1 + a], h),
+                                   columns([self._neg, self._neg_antipode][:1 + a], h))
+                for h in (False, True) for a in (False, True)}
         self.max_terms = self.terms(self.radius, 1)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
@@ -616,11 +649,12 @@ class FourierBesselExpansion:
         # the Hessian's looser bound may stop earlier: never below the
         # gradient's count, so green_hessian's values and gradients keep it
         tops[1] = np.maximum(tops[0], tops[1])
-        self._tops = np.minimum(_EXPANSION_CAP, -(-tops // _TERM_STEP) * _TERM_STEP)
+        tops = np.minimum(_EXPANSION_CAP, -(-tops // _TERM_STEP) * _TERM_STEP)
+        self._tops = tops.astype(np.uint8)  # counts <= _EXPANSION_CAP, for bincount
         # |u| = |k x|^2/4 in the phi table of a count is bounded at the
         # largest ladder radius with that count
-        self._umax = [{t: abs(k) ** 2 * self._ladder[row == t][-1] ** 2 / 4.0
-                       for t in np.unique(row)} for row in self._tops]
+        self._umax = [{int(t): abs(k) ** 2 * self._ladder[row == t][-1] ** 2 / 4.0
+                       for t in np.unique(row)} for row in tops]
 
     def terms(self, rmax: float, derivatives: int) -> int:
         """Highest order kept at |x| <= rmax for up to ``derivatives`` (1 or 2).
@@ -656,25 +690,32 @@ class FourierBesselExpansion:
             )
         return last
 
-    def __call__(self, x: np.ndarray, hessians: bool, antipodes: bool) -> list:
-        """[R, grad R] and, when asked, the Hessian at points x (P, 2), |x| <= radius.
+    def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, hessians: bool,
+             dests: list) -> None:
+        """Write the jet at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
 
-        With ``antipodes`` the same jet at -x follows, from the same basis.
+        The jet is [R, grad R] and, with ``hessians``, the Hessian; each dest
+        pairs an output array with the rows the jet goes to (None: row idx[i]
+        for point i).  Twice as many dests take the same jet at -x as well,
+        from the same basis.  The points are grouped by their ladder rung
+        across the whole call and each rung goes in blocks of at most _BLOCK
+        points, so no table grows with the call.  The dests are written last
+        to first: where two rows coincide (a table's diagonal) the first wins.
         """
-        r2 = np.sum(x * x, axis=1)
-        derivatives = 2 if hessians else 1
-        level = np.searchsorted(self._ladder, np.sqrt(r2))
+        derivatives = 1 + hessians
+        antipodes = len(dests) == 2 * (1 + derivatives)
+        level = np.searchsorted(self._ladder, np.sqrt(r2[idx]))
         tops = self._tops[derivatives - 1][np.minimum(level, _LADDER_STEPS - 1)]
-        jet = [np.empty((len(x),) + t, dtype=complex)
-               for t in _JET[:1 + derivatives] * (1 + antipodes)]
-        for top in np.unique(tops):
-            sel = tops == top
+        for top in np.flatnonzero(np.bincount(tops)):
+            rung = idx[tops == top]
             umax = self._umax[derivatives - 1][top]
-            # each derivative shifts the orders by one
-            for a, b in zip(jet, self._jet(x[sel], r2[sel], int(top) + derivatives,
-                                           umax, hessians, antipodes)):
-                a[sel] = b
-        return jet
+            for lo in range(0, len(rung), _BLOCK):
+                sel = rung[lo:lo + _BLOCK]
+                # each derivative shifts the orders by one
+                jet = self._jet(x[sel], r2[sel], int(top) + derivatives, umax,
+                                hessians, antipodes)
+                for (a, rows), b in zip(dests[::-1], jet[::-1]):
+                    a[sel if rows is None else rows[sel]] = b
 
     def _jet(self, x, r2, top: int, umax: float, hessians: bool, antipodes: bool) -> list:
         if len(x) == 1:
@@ -682,13 +723,22 @@ class FourierBesselExpansion:
             jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
                             hessians, antipodes)
             return [a[:1] for a in jet]
-        pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho,
-                          (self.k * self.k / 4.0) * r2, top, umax)
+        w = (x[:, 0] + 1j * x[:, 1]) / self.rho
+        u = (self.k * self.k / 4.0) * r2
         nrows = 5 if hessians else 3
-        rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
+        if self._real_rows is None:
+            pos, neg = _basis(w, u, top, umax)
+            rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
+            outs = [pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
+                    for cpos, cneg in rows[:1 + antipodes]]
+        else:
+            basis = _real_basis(w, u, top, umax).reshape(-1, len(x))
+            out = basis.T @ self._real_rows[hessians, antipodes][:len(basis)]
+            half = out.shape[1] // 2
+            out = out[:, :half].view(complex) + out[:, half:].view(complex)
+            outs = [out[:, :nrows], out[:, nrows:]][:1 + antipodes]
         jet = []
-        for cpos, cneg in rows[:1 + antipodes]:
-            out = pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
+        for out in outs:
             val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
             jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
             if hessians:
@@ -700,6 +750,49 @@ class FourierBesselExpansion:
                 jet.append(np.stack([np.stack([hxx, hxy], axis=1),
                                      np.stack([hxy, hyy], axis=1)], axis=1))
         return jet
+
+
+def _regular(ev: GreenEvaluator, fb: FourierBesselExpansion, pts: np.ndarray,
+             targets: list) -> None:
+    """R = G - S_2 at pts into ``targets``: R(x') itself at unmoved points, so
+    nothing cancels at 0.
+
+    targets holds ((value, gradient), rows) for x and, for a table's
+    antipodes, for -x; rows None writes point i to row i.  -x reduces to -x':
+    the expansion serves it from the basis at x', and S_2(-x) = S_2(x) with
+    the gradient negated, so both come out as a call at -x would give them.
+    One expansion pass serves every point within the radius, moved or not.
+    """
+    signs = (1.0, -1.0)[:len(targets)]
+    xr, phase, mstar = ev._reduce(pts)
+    moved = np.any(mstar != 0, axis=1)
+    r2 = np.sum(xr * xr, axis=1)
+    # R is singular at the lattice points other than the origin
+    ev._require_clear(r2[moved])
+    near = r2 <= fb.radius ** 2
+    fb.fill(xr, r2, np.flatnonzero(near), False,
+            [(a, rows) for jet, rows in targets for a in jet])
+
+    def rows_of(rows, idx):
+        return idx if rows is None else rows[idx]
+
+    fold = near & moved
+    for idx in _chunks(np.flatnonzero(fold)):
+        sv, sg = _free_jet(xr[idx], ev.k, False)
+        for s, ((v, g), rows) in zip(signs, targets):
+            at = rows_of(rows, idx)
+            ph = phase[idx] if s > 0 else ev._reduce(-pts[idx])[1]
+            v[at], g[at] = _fold([v[at], g[at]], [sv, s * sg], ph)
+    for idx in _chunks(np.flatnonzero(~near)):
+        for s, ((v, g), rows) in zip(signs, targets):
+            at = rows_of(rows, idx)
+            v[at], g[at] = _ewald_kernel(ev, 1)(s * pts[idx])
+    for idx in _chunks(np.flatnonzero(fold | ~near)):
+        sv, sg = _free_jet(pts[idx], ev.k, False)
+        for s, ((v, g), rows) in zip(signs, targets):
+            at = rows_of(rows, idx)
+            v[at] -= sv
+            g[at] -= s * sg
 
 
 def regular_part(ev: GreenEvaluator, x):
@@ -716,12 +809,16 @@ def regular_part(ev: GreenEvaluator, x):
     fb = ev.expansion
     if not (x.ndim == 3 and x.shape[0] == x.shape[1]
             and np.array_equal(x, -x.swapaxes(0, 1))):
-        return _batched(x, _regular_kernel(ev, fb, False), _JET[:2])
-    i, j = np.triu_indices(len(x))
-    v, g, va, ga = _batched(x[i, j], _regular_kernel(ev, fb, True), _JET[:2] * 2)
+        pts = x.reshape(-1, 2)
+        out = [np.empty((len(pts),) + t, dtype=complex) for t in _JET[:2]]
+        _regular(ev, fb, pts, [(out, None)])
+        return _shaped(x, out)
+    n = len(x)
+    i, j = np.triu_indices(n)
     rv, rg = np.empty(x.shape[:2], dtype=complex), np.empty(x.shape, dtype=complex)
-    rv[j, i], rg[j, i] = va, ga
-    rv[i, j], rg[i, j] = v, g  # last, so the diagonal keeps its own point
+    flat = (rv.reshape(-1), rg.reshape(-1, 2))
+    # entry [i, j] and its antipode [j, i]; the diagonal keeps its own point
+    _regular(ev, fb, x[i, j], [(flat, i * n + j), (flat, j * n + i)])
     return rv, rg
 
 
@@ -741,7 +838,7 @@ def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
     return fb.terms(2.0 * radius, 1) + 1
 
 
-def _disk_basis(k: complex, u: np.ndarray, scale: float, P: int) -> np.ndarray:
+def _disk_basis(k: complex | float, u: np.ndarray, scale: float, P: int) -> np.ndarray:
     """(u/scale)^|p| phi_|p|(k|u|), conjugated for p < 0: one row per point, p = -P..P."""
     pos, neg = _basis((u[:, 0] + 1j * u[:, 1]) / scale,
                       (k * k / 4.0) * np.sum(u * u, axis=1), P,

@@ -368,6 +368,27 @@ def test_field_distance_guard(circle128, green):
         field_eval("single", dens, near, green=green, check_distance=False)
 
 
+def test_distance_guard_counts_points_near_any_image(green):
+    # the guard's nearest-image distance against a brute-force 5 x 5 window
+    # of the curve's images, on probes inside and around the cell
+    from qphelm import potentials
+
+    kite = geometry.discretize(geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 64)
+    lat = green.lattice
+    pts = np.random.default_rng(5).uniform(-0.6, 1.6, size=(3000, 2)) * lat.q
+    shifts = np.array([[i, j] for i in range(-2, 3) for j in range(-2, 3)]) * lat.q
+    images = (kite.points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    dist = np.min(np.linalg.norm(pts[:, None, :] - images[None, :, :], axis=2), axis=1)
+    close = dist < float(np.max(kite.weights))
+    assert 0 < np.sum(close) < len(pts)
+    for sel in (np.ones(len(pts), dtype=bool), ~close):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            potentials._distance_guard(kite, lat, pts[sel])
+        counts = [int(str(w.message).split()[0]) for w in caught]
+        assert counts == ([int(np.sum(close))] if sel.all() else [])
+
+
 def test_cell_flux_pairing_vanishes(circle128, green):
     # For real quasi-momentum the outward flux pairing of any quasi-periodic
     # layer field over the cell boundary cancels between opposite faces.

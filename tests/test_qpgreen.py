@@ -485,24 +485,146 @@ def test_helmholtz_residual_across_the_expansion_seam():
         assert np.log2(res[0] / res[1]) >= 3.5, (radius, shift, res)
 
 
-@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.3, 0.8), 3.0 + 0.2j)])
+def _rung_points(ev, n, seed):
+    """n points whose reduced |x'| covers every ladder rung and the rest of the
+    cell, moved by up to two cells, with x = 0 and points on the axes."""
+    fb = ev.expansion
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    r = fb.radius * qpgreen._LADDER_RATIO ** rng.uniform(0.0, qpgreen._LADDER_STEPS + 2, m)
+    a = rng.uniform(0.0, 2.0 * np.pi, m)
+    inner = np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+    cell = rng.uniform(-0.5, 0.5, size=(n - m - 3, 2)) * ev.lattice.q
+    pts = np.concatenate([[[0.0, 0.0], [0.0, 0.3], [-0.2, 0.0]], inner, cell])
+    shifts = rng.integers(-2, 3, size=pts.shape)
+    shifts[0] = 0  # R is singular at the other lattice points
+    return pts + shifts * ev.lattice.q
+
+
+def _rungs(ev, pts, derivatives):
+    """The distinct order counts of the points within the expansion's radius."""
+    fb = ev.expansion
+    xr = pts - np.round(pts / ev.lattice.q) * ev.lattice.q
+    r = np.hypot(xr[:, 0], xr[:, 1])
+    level = np.searchsorted(fb._ladder, r[r <= fb.radius])
+    return set(fb._tops[derivatives - 1][np.minimum(level, qpgreen._LADDER_STEPS - 1)])
+
+
+def _alike(call, pts, seed):
+    """call on random sub-batches (one-point ones among them) and on single
+    points gives the bits of the whole call."""
+    whole = call(pts)
+    rng = np.random.default_rng(seed)
+    cuts = np.unique(rng.choice(len(pts), size=60))
+    cuts = np.unique(np.r_[cuts, cuts + 1])
+    for idx in np.split(np.arange(len(pts)), cuts):
+        for part, ref in zip(call(pts[idx]), whole):
+            assert np.array_equal(part, ref[idx])
+    for i in rng.choice(len(pts), size=40, replace=False):
+        for part, ref in zip(call(pts[i]), whole):
+            assert np.array_equal(part, ref[i])
+    return whole
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.3, 0.8), 3.0 + 0.2j),
+                                  ((1.0, 1.7), 6.0)])
 def test_each_point_is_evaluated_alike_in_any_batch(q, k):
-    # the CLI splits grids over threads; every point must come out bit for bit
-    # the same whichever batch it is evaluated in, single points included
+    # the CLI splits grids over threads, and a call groups its points by rung
+    # and block; every point must come out bit for bit the same whichever
+    # batch it is evaluated in, single points included
     lat = Lattice(q_diag=q, eta=(0.4, 0.7))
     ev = qpgreen.make_green_evaluator(lat, k)
+    fb = ev.expansion
+    pts = _rung_points(ev, 3 * qpgreen._CHUNK + 300, 6)
+    for derivatives in (1, 2):
+        assert _rungs(ev, pts, derivatives) == set(fb._tops[derivatives - 1])
+    xr = pts - np.round(pts / lat.q) * lat.q
+    assert np.any(np.hypot(xr[:, 0], xr[:, 1]) > fb.radius) == (min(q) != max(q))
+    off = pts[3:]  # G is singular at x = 0 and on the lattice
+    _alike(lambda p: qpgreen.green_eval(ev, p), off, 7)
+    _alike(lambda p: qpgreen.green_hessian(ev, p), off, 8)
+    _alike(lambda p: qpgreen.ewald_oracle(ev, p)[:2], off, 9)
+    _alike(lambda p: qpgreen.regular_part(ev, p), pts, 10)
+    # an antisymmetric table over every rung, its zero diagonal and moved
+    # pairs included, holds the bits of its entries in any batch, and so does
+    # every principal sub-table
+    n = 80
+    y = _rung_points(ev, n, 11) / 2.0
+    d = y[:, None, :] - y[None, :, :]
+    assert n * n >= 3 * qpgreen._CHUNK
+    assert np.array_equal(d, -d.swapaxes(0, 1))
+    i, j = np.triu_indices(n)
+    assert _rungs(ev, d[i, j], 1) == set(fb._tops[0])
+    table = qpgreen.regular_part(ev, d)
+    flat = _alike(lambda p: qpgreen.regular_part(ev, p), d.reshape(-1, 2), 12)
+    for a, b in zip(table, flat):
+        assert np.array_equal(a, b.reshape(a.shape))
+    rng = np.random.default_rng(13)
+    for size in (1, 2, 17, 45):
+        s = np.sort(rng.choice(n, size=size, replace=False))
+        for a, b in zip(qpgreen.regular_part(ev, d[np.ix_(s, s)]), table):
+            assert np.array_equal(a, b[np.ix_(s, s)])
+
+
+@pytest.mark.parametrize("k", [1.3, 6.0, 20.0, 6.0 + 0.5j])
+def test_phi_table_matches_the_bessel_function(k):
+    # phi_n(z) = n! (2/z)^n J_n(z) from mpmath's Bessel function, on the
+    # rows and the radii the expansion uses, x = 0 included
+    mpmath = pytest.importorskip("mpmath")
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, k)
+    fb = ev.expansion
+    nmax = qpgreen._EXPANSION_CAP + 2
+    r = fb.radius * np.r_[0.0, np.geomspace(1e-3, 1.0, 11)]
+    phi = qpgreen._phi_table((ev.k * ev.k / 4.0) * r * r, nmax,
+                             abs(k) ** 2 * fb.radius ** 2 / 4.0)
+    mpmath.mp.dps = 60
+    for col, z in zip(phi.T, complex(k) * r):
+        if z == 0:
+            ref = np.ones(nmax + 1)
+        else:
+            zm = mpmath.mpf(z.real) if z.imag == 0 else mpmath.mpc(z.real, z.imag)
+            ref = np.array([complex(mpmath.factorial(n) * (2 / zm) ** n * mpmath.besselj(n, zm))
+                            for n in range(nmax + 1)])
+        assert np.all(np.abs(col - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), z
+
+
+def test_the_basis_type_follows_k_alone():
+    # real arithmetic for a real k, a given 0j included, and complex for a
+    # complex k even where the data are real (x = 0)
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    r2 = np.array([0.0, 0.01, 0.3])
+    for k, real in ((1.3, True), (6.0 + 0j, True), (0.0, True), (6.0 + 0.5j, False)):
+        ev = qpgreen.make_green_evaluator(lat, k)
+        assert isinstance(ev.k, float) == real
+        phi = qpgreen._phi_table((ev.k * ev.k / 4.0) * r2, 16, 1.0)
+        assert (phi.dtype == float) == real
+        assert (qpgreen._phi_table((ev.k * ev.k / 4.0) * r2[:1], 16, 1.0).dtype == float) == real
+
+
+def test_a_flux_sized_hessian_call_stays_small():
+    # one green_hessian call at the 288 x 128 point-node differences of a
+    # cell flux: the outputs take 3.9 MiB, the rest of the peak is bounded
+    # by the rung blocks and a few per-point arrays
+    import tracemalloc
+
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, 6.0)
     ev.expansion
-    pts = _points(lat, 5, 3000, 1.5)
-    rng = np.random.default_rng(6)
-    cuts = np.unique(rng.choice(len(pts), size=100))
-    cuts = np.unique(np.r_[cuts, cuts + 1])  # some one-point batches
-    for call in (lambda p: qpgreen.green_hessian(ev, p),
-                 lambda p: qpgreen.regular_part(ev, p),
-                 lambda p: qpgreen.ewald_oracle(ev, p)[:2]):
-        whole = call(pts)
-        for idx in np.split(np.arange(len(pts)), cuts):
-            for part, ref in zip(call(pts[idx]), whole):
-                assert np.array_equal(part, ref[idx])
+    kite = geometry.discretize(geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 128)
+    s = (np.arange(72) + 0.5) / 72
+    edges = [np.stack([s, 0 * s + side], axis=1)[:, ::order]
+             for side in (0.0, 1.0) for order in (1, -1)]
+    pts = (np.concatenate(edges)[:, None, :] - kite.points[None, :, :]).reshape(-1, 2)
+    assert len(pts) == 36864
+    qpgreen.green_hessian(ev, pts[:600])
+    tracemalloc.start()
+    try:
+        qpgreen.green_hessian(ev, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20
 
 
 # --------------------------------------------------------------------------- #
