@@ -31,12 +31,13 @@ A call reduces all its points into the cell first.  The expansion then takes
 those within its radius rung by rung (the points of one order count) across
 the whole call, in blocks of at most _BLOCK points written straight into the
 call's outputs, a table's antipode rows included: each rung's fixed cost is
-paid once per call, and no basis table grows with the call.  The S_2 fold
-and the Ewald sum go in _CHUNK runs.  The arithmetic follows k alone: for a
-real k (Im k = 0; GreenEvaluator.k is then a float) the phi table is real,
-the basis at order -n is the conjugate of the basis at n, and one real
-product of the table's real and imaginary parts with the coefficient rows
-gives the jet; the free-space profiles are real too.  A complex k keeps the
+paid once per call.  The basis tables are bounded by the block; the reduced
+points, phases, squared radii and index arrays of the call grow with it, a
+few tens of bytes per point.  The S_2 fold and the Ewald sum go in _CHUNK
+runs.  The arithmetic follows k alone: for a real k (Im k = 0;
+GreenEvaluator.k is then a float) the phi table is real and the basis at
+order -n is the conjugate of the basis at n, so its table is never
+evaluated; the free-space profiles are real too.  A complex k keeps the
 complex tables.  The rule never looks at the data, which would flip at x = 0.
 
 Tables at the differences y_i - y_j of points inside a disk about c of
@@ -448,7 +449,8 @@ def _green(ev: GreenEvaluator, x, hessians: bool):
     out = [np.empty((len(pts),) + t, dtype=complex) for t in trailing]
     near = r2 <= fb.radius ** 2
     inside = np.flatnonzero(near)
-    fb.fill(xr, r2, inside, hessians, [(a, None) for a in out])
+    rows = np.arange(len(pts))
+    fb.fill(xr, r2, inside, hessians, False, [(a, rows) for a in out])
     for idx in _chunks(inside):
         for a, b in zip(out, _fold([a[idx] for a in out],
                                    _free_jet(xr[idx], ev.k, hessians), phase[idx])):
@@ -497,15 +499,6 @@ def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     return phi[: nmax + 1]
 
 
-def _powers(w: np.ndarray, top: int) -> np.ndarray:
-    """Rows w^n, n = 0..top."""
-    powers = np.empty((top + 1,) + w.shape, dtype=complex)
-    powers[0] = 1.0
-    for n in range(1, top + 1):
-        np.multiply(powers[n - 1], w, out=powers[n])
-    return powers
-
-
 def _basis(w, u, top: int, umax: float):
     """Basis rows w^n phi_n (n = 0..top) and conj(w)^n phi_n (n = 1..top), one per point.
 
@@ -513,41 +506,18 @@ def _basis(w, u, top: int, umax: float):
     At a real u the second is the conjugate of the first.
     """
     phi = _phi_table(u, top, umax)
-    powers = _powers(w, top)
+    powers = np.empty(phi.shape, dtype=complex)
+    powers[0] = 1.0
+    for n in range(1, top + 1):
+        np.multiply(powers[n - 1], w, out=powers[n])
     if not np.iscomplexobj(phi):
-        pos = (phi * powers).T
-        return pos, np.conj(pos[:, 1:])
+        powers *= phi
+        return powers.T, np.conj(powers[1:]).T
     # conj(w)^n phi_n, in place: numpy may swap the operands of a product
     # with a large temporary, and complex products round by operand order
     neg = np.conj(powers[1:])
     neg *= phi[1:]
     return (phi * powers).T, neg.T
-
-
-def _real_basis(w, u, top: int, umax: float) -> np.ndarray:
-    """Re and Im of the basis rows w^n phi_n (n = 0..top) at real u: rows [n, 0] and [n, 1]."""
-    phi = _phi_table(u, top, umax)
-    powers = _powers(w, top)
-    basis = np.empty((top + 1, 2, len(w)))
-    np.multiply(powers.real, phi, out=basis[:, 0])
-    np.multiply(powers.imag, phi, out=basis[:, 1])
-    return basis
-
-
-def _real_rows(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Coefficient rows that contract _real_basis's table into the jet, for a real k.
-
-    pos holds the rows of orders 0..L and neg those of -1..-L.  With phi
-    real, e_{-n} = conj(e_n) = Re(e_n) - i Im(e_n), so the rows [n, 0] and
-    [n, 1] take c_n and i c_n in the first half of the columns, c_{-n} and
-    -i c_{-n} in the second.  Each complex column is split into its real and
-    imaginary parts, so each half of the real product views as a complex
-    jet, and their sum is sum_n c_n e_n + c_{-n} e_{-n}.
-    """
-    neg = np.concatenate([np.zeros((1, neg.shape[1]), dtype=complex), neg])
-    rows = np.concatenate([np.stack([c, s * c], axis=1) for c, s in ((pos, 1j), (neg, -1j))],
-                          axis=2)
-    return rows.view(float).reshape(2 * len(pos), -1)
 
 
 class FourierBesselExpansion:
@@ -628,17 +598,6 @@ class FourierBesselExpansion:
         sign = (-1.0) ** np.arange(L + 1)[:, None]
         self._pos_antipode = self._pos * sign
         self._neg_antipode = self._neg * -sign[:-1]
-        # a real k contracts one real basis table (see _real_rows), keyed by
-        # (hessians, antipodes): the jet's columns, then the antipode's
-        self._real_rows = None
-        if not isinstance(k, complex):
-            def columns(mats, hessians):
-                return np.concatenate([m[:, :5 if hessians else 3] for m in mats], axis=1)
-
-            self._real_rows = {
-                (h, a): _real_rows(columns([self._pos, self._pos_antipode][:1 + a], h),
-                                   columns([self._neg, self._neg_antipode][:1 + a], h))
-                for h in (False, True) for a in (False, True)}
         self.max_terms = self.terms(self.radius, 1)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
@@ -691,19 +650,18 @@ class FourierBesselExpansion:
         return last
 
     def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, hessians: bool,
-             dests: list) -> None:
+             antipodes: bool, dests: list) -> None:
         """Write the jet at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
 
-        The jet is [R, grad R] and, with ``hessians``, the Hessian; each dest
-        pairs an output array with the rows the jet goes to (None: row idx[i]
-        for point i).  Twice as many dests take the same jet at -x as well,
-        from the same basis.  The points are grouped by their ladder rung
-        across the whole call and each rung goes in blocks of at most _BLOCK
-        points, so no table grows with the call.  The dests are written last
-        to first: where two rows coincide (a table's diagonal) the first wins.
+        The jet is [R, grad R] and, with ``hessians``, the Hessian; with
+        ``antipodes`` the same jet at -x follows, from the same basis.  Each
+        dest pairs an output array with row indices: point i goes to row
+        rows[i].  The points are grouped by their ladder rung across the
+        whole call and each rung goes in blocks of at most _BLOCK points, so
+        no basis table grows with the call.  The dests are written last to
+        first: where two rows coincide (a table's diagonal) the first wins.
         """
         derivatives = 1 + hessians
-        antipodes = len(dests) == 2 * (1 + derivatives)
         level = np.searchsorted(self._ladder, np.sqrt(r2[idx]))
         tops = self._tops[derivatives - 1][np.minimum(level, _LADDER_STEPS - 1)]
         for top in np.flatnonzero(np.bincount(tops)):
@@ -715,7 +673,7 @@ class FourierBesselExpansion:
                 jet = self._jet(x[sel], r2[sel], int(top) + derivatives, umax,
                                 hessians, antipodes)
                 for (a, rows), b in zip(dests[::-1], jet[::-1]):
-                    a[sel if rows is None else rows[sel]] = b
+                    a[rows[sel]] = b
 
     def _jet(self, x, r2, top: int, umax: float, hessians: bool, antipodes: bool) -> list:
         if len(x) == 1:
@@ -723,22 +681,13 @@ class FourierBesselExpansion:
             jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
                             hessians, antipodes)
             return [a[:1] for a in jet]
-        w = (x[:, 0] + 1j * x[:, 1]) / self.rho
-        u = (self.k * self.k / 4.0) * r2
+        pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho,
+                          (self.k * self.k / 4.0) * r2, top, umax)
         nrows = 5 if hessians else 3
-        if self._real_rows is None:
-            pos, neg = _basis(w, u, top, umax)
-            rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
-            outs = [pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
-                    for cpos, cneg in rows[:1 + antipodes]]
-        else:
-            basis = _real_basis(w, u, top, umax).reshape(-1, len(x))
-            out = basis.T @ self._real_rows[hessians, antipodes][:len(basis)]
-            half = out.shape[1] // 2
-            out = out[:, :half].view(complex) + out[:, half:].view(complex)
-            outs = [out[:, :nrows], out[:, nrows:]][:1 + antipodes]
+        rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
         jet = []
-        for out in outs:
+        for cpos, cneg in rows[:1 + antipodes]:
+            out = pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
             val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
             jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
             if hessians:
@@ -753,46 +702,42 @@ class FourierBesselExpansion:
 
 
 def _regular(ev: GreenEvaluator, fb: FourierBesselExpansion, pts: np.ndarray,
-             targets: list) -> None:
-    """R = G - S_2 at pts into ``targets``: R(x') itself at unmoved points, so
-    nothing cancels at 0.
+             out: tuple, rows: list) -> None:
+    """R = G - S_2 at pts into out = (value, gradient): R(x') itself at
+    unmoved points, so nothing cancels at 0.
 
-    targets holds ((value, gradient), rows) for x and, for a table's
-    antipodes, for -x; rows None writes point i to row i.  -x reduces to -x':
-    the expansion serves it from the basis at x', and S_2(-x) = S_2(x) with
-    the gradient negated, so both come out as a call at -x would give them.
-    One expansion pass serves every point within the radius, moved or not.
+    rows holds one index array per sign: point i's R(x) goes to row
+    rows[0][i] and, for a table's antipodes, R(-x) to row rows[1][i].  -x
+    reduces to -x': the expansion serves it from the basis at x', and
+    S_2(-x) = S_2(x) with the gradient negated, so both come out as a call
+    at -x would give them.  One expansion pass serves every point within the
+    radius, moved or not.
     """
-    signs = (1.0, -1.0)[:len(targets)]
+    v, g = out
+    signs = (1.0, -1.0)[:len(rows)]
     xr, phase, mstar = ev._reduce(pts)
     moved = np.any(mstar != 0, axis=1)
     r2 = np.sum(xr * xr, axis=1)
     # R is singular at the lattice points other than the origin
     ev._require_clear(r2[moved])
     near = r2 <= fb.radius ** 2
-    fb.fill(xr, r2, np.flatnonzero(near), False,
-            [(a, rows) for jet, rows in targets for a in jet])
-
-    def rows_of(rows, idx):
-        return idx if rows is None else rows[idx]
-
+    fb.fill(xr, r2, np.flatnonzero(near), False, len(rows) == 2,
+            [(a, at) for at in rows for a in out])
     fold = near & moved
     for idx in _chunks(np.flatnonzero(fold)):
         sv, sg = _free_jet(xr[idx], ev.k, False)
-        for s, ((v, g), rows) in zip(signs, targets):
-            at = rows_of(rows, idx)
+        for s, at in zip(signs, rows):
+            at = at[idx]
             ph = phase[idx] if s > 0 else ev._reduce(-pts[idx])[1]
             v[at], g[at] = _fold([v[at], g[at]], [sv, s * sg], ph)
     for idx in _chunks(np.flatnonzero(~near)):
-        for s, ((v, g), rows) in zip(signs, targets):
-            at = rows_of(rows, idx)
-            v[at], g[at] = _ewald_kernel(ev, 1)(s * pts[idx])
+        for s, at in zip(signs, rows):
+            v[at[idx]], g[at[idx]] = _ewald_kernel(ev, 1)(s * pts[idx])
     for idx in _chunks(np.flatnonzero(fold | ~near)):
         sv, sg = _free_jet(pts[idx], ev.k, False)
-        for s, ((v, g), rows) in zip(signs, targets):
-            at = rows_of(rows, idx)
-            v[at] -= sv
-            g[at] -= s * sg
+        for s, at in zip(signs, rows):
+            v[at[idx]] -= sv
+            g[at[idx]] -= s * sg
 
 
 def regular_part(ev: GreenEvaluator, x):
@@ -811,14 +756,14 @@ def regular_part(ev: GreenEvaluator, x):
             and np.array_equal(x, -x.swapaxes(0, 1))):
         pts = x.reshape(-1, 2)
         out = [np.empty((len(pts),) + t, dtype=complex) for t in _JET[:2]]
-        _regular(ev, fb, pts, [(out, None)])
+        _regular(ev, fb, pts, out, [np.arange(len(pts))])
         return _shaped(x, out)
     n = len(x)
     i, j = np.triu_indices(n)
     rv, rg = np.empty(x.shape[:2], dtype=complex), np.empty(x.shape, dtype=complex)
     flat = (rv.reshape(-1), rg.reshape(-1, 2))
     # entry [i, j] and its antipode [j, i]; the diagonal keeps its own point
-    _regular(ev, fb, x[i, j], [(flat, i * n + j), (flat, j * n + i)])
+    _regular(ev, fb, x[i, j], flat, [i * n + j, j * n + i])
     return rv, rg
 
 

@@ -578,14 +578,15 @@ def test_phi_table_matches_the_bessel_function(k):
     r = fb.radius * np.r_[0.0, np.geomspace(1e-3, 1.0, 11)]
     phi = qpgreen._phi_table((ev.k * ev.k / 4.0) * r * r, nmax,
                              abs(k) ** 2 * fb.radius ** 2 / 4.0)
-    mpmath.mp.dps = 60
     for col, z in zip(phi.T, complex(k) * r):
         if z == 0:
             ref = np.ones(nmax + 1)
         else:
-            zm = mpmath.mpf(z.real) if z.imag == 0 else mpmath.mpc(z.real, z.imag)
-            ref = np.array([complex(mpmath.factorial(n) * (2 / zm) ** n * mpmath.besselj(n, zm))
-                            for n in range(nmax + 1)])
+            with mpmath.workdps(60):
+                zm = mpmath.mpf(z.real) if z.imag == 0 else mpmath.mpc(z.real, z.imag)
+                ref = np.array([complex(mpmath.factorial(n) * (2 / zm) ** n
+                                        * mpmath.besselj(n, zm))
+                                for n in range(nmax + 1)])
         assert np.all(np.abs(col - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), z
 
 
