@@ -349,17 +349,16 @@ def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
 def _setup(cfg: RunConfig, manifest: _Manifest):
     """(wave, green) at the configured resonance tolerance.
 
-    Both the wave context and the evaluator use ``tolerances.resonance``, so a
-    resonant wavenumber is refused the same way by every subcommand.  The
-    evaluator carries the lattice and k; the wave goes to the solvers, which
-    check it against the evaluator.  The manifest records the evaluator's
-    parameters when the run ends.
+    The wave context is built once, at ``tolerances.resonance``, so a resonant
+    wavenumber is refused the same way by every subcommand, and the evaluator
+    is built on it.  The evaluator carries the lattice and k; the wave goes to
+    the solvers, which check it against the evaluator.  The manifest records
+    the evaluator's parameters when the run ends.
     """
     lattice = cfg.lattice()
-    tol = cfg.tolerances["resonance"]
-    wave = make_wave_context(lattice, cfg.k, resonance_tolerance=tol,
+    wave = make_wave_context(lattice, cfg.k, resonance_tolerance=cfg.tolerances["resonance"],
                              require_nonresonant=True)
-    green = qpgreen.make_green_evaluator(lattice, wave.k, resonance_tolerance=tol)
+    green = qpgreen.GreenEvaluator(lattice, wave)
     manifest.green = green
     return wave, green
 
@@ -618,8 +617,8 @@ def _cmd_selftest(out: Path, manifest: _Manifest, seed: int) -> dict:
                    float(np.max(np.abs(Klap @ ones - 0.5))), 1e-12))
 
     theta = potentials.Density(curve=dc, values=np.exp(np.cos(dc.t)) + 0j)
-    res = perturbation.rescaling_identity_check(
-        "single-trace", 0.1, theta, center=(0.5, 0.5), green=ev)
+    res = perturbation.rescaling_identity_suite(
+        0.1, theta, center=(0.5, 0.5), green=ev, kinds=("single-trace",))["single-trace"]
     checks.append(("rescaled single-trace identity", float(res), 1e-10))
 
     disk = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)

@@ -42,7 +42,6 @@ from .lattice import Lattice
 __all__ = [
     "RescaledFamily",
     "rescaled_operator",
-    "rescaling_identity_check",
     "rescaling_identity_suite",
     "scaled_regular_tables",
     "physical_curve",
@@ -187,32 +186,22 @@ def _far_identity_residual(kind, epsilon, tv, curve, phys, center, probes,
     return float(np.max(np.abs(lhs - epsilon * far)))
 
 
-def rescaling_identity_check(kind: str, epsilon: float, theta: potentials.Density,
-                             probes=None, *, center,
-                             green: qpgreen.GreenEvaluator) -> float:
-    """Sup residual between physical-curve assembly and its rescaled combination.
-
-    Boundary kinds compare Nystrom traces on the physical hole boundary with
-    the eps-weighted combination of the three family members; far kinds compare
-    the layer field at probe points with the eps-scaled far map.
-    """
-    return rescaling_identity_suite(epsilon, theta, probes, center=center,
-                                    green=green, kinds=(kind,))[kind]
-
-
 def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
                              probes=None, *, center,
                              green: qpgreen.GreenEvaluator,
                              kinds=None) -> dict[str, float]:
-    """All identity residuals at one epsilon, sharing the regular-part tables.
+    """Sup residuals between physical-curve assembly and its rescaled combination.
 
-    Equivalent to looping :func:`rescaling_identity_check` over the kinds but
-    assembles the physical-curve table and the scaled family table only once.
-    ``kinds`` defaults to all five with ``probes`` and to the boundary kinds
-    without; far kinds need ``probes``.  Both rules are checked before any
-    assembly, and the residuals come back in the order of ``kinds``.
-    Building the physical hole checks epsilon against the containment bound,
-    so the family members are assembled without checking it again.
+    Boundary kinds compare Nystrom traces on the physical hole boundary with
+    the eps-weighted combination of the three family members; far kinds
+    compare the layer field at probe points with the eps-scaled far map.  The
+    physical-curve table and the scaled family table are assembled once for
+    every kind.  ``kinds`` defaults to all five with ``probes`` and to the
+    boundary kinds without; far kinds need ``probes``.  Both rules are checked
+    before any assembly, and the residuals come back in the order of
+    ``kinds``.  Building the physical hole checks 0 < epsilon < the
+    containment bound, so the family members are assembled without checking
+    it again.
     """
     if kinds is None:
         kinds = IDENTITY_KINDS if probes is not None else \
@@ -222,8 +211,6 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
         raise ValueError(f"unknown identity kinds: {sorted(bad)}")
     if probes is None and set(kinds) - set(_BOUNDARY_IDENTITY):
         raise ValueError("far-field identity kinds require probe points")
-    if not 0.0 < epsilon:
-        raise ContainmentError("identity check requires epsilon > 0")
     curve = theta.curve
     tv = np.asarray(theta.values)
     phys = physical_curve(curve, center, epsilon, green.lattice)

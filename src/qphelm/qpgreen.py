@@ -27,12 +27,16 @@ the fit.  A point's order count comes from a fixed ladder of radii, not from
 the other points of its call, so every point gets the same bits in any batch
 (a grid split over threads included).
 
-A call reduces all its points into the cell first.  The expansion then takes
+green_eval, green_hessian and regular_part serve a point through one driver,
+_cell, in one order: reduce it into the cell, take the expansion within its
+radius, fold in S_2 with the Bloch phase (for R only at moved points), and
+sum Ewald beyond the radius; an unfitted evaluator is the case with no point
+within it.  A call reduces all its points first.  The expansion then takes
 those within its radius rung by rung (the points of one order count) across
 the whole call, in blocks of at most _BLOCK points written straight into the
 call's outputs, a table's antipode rows included: each rung's fixed cost is
 paid once per call.  The basis tables are bounded by the block; the reduced
-points, phases, squared radii and index arrays of the call grow with it, a
+points, shifts, squared radii and index arrays of the call grow with it, a
 few tens of bytes per point.  The S_2 fold and the Ewald sum go in _CHUNK
 runs.  The arithmetic follows k alone: for a real k (Im k = 0;
 GreenEvaluator.k is then a float) the phi table is real and the basis at
@@ -180,19 +184,25 @@ class GreenEvaluator:
 
     The evaluator is the problem context: every operator, family and solve
     reads its lattice, wave context and k from here.  A resonant wave is
-    refused; the index boxes are chosen adaptively to ``tolerance``.
+    refused; the index boxes are chosen adaptively to ``tolerance``, and the
+    Ewald split defaults to max(sqrt(pi/A), |k|/4).
     """
 
-    def __init__(self, lattice: Lattice, wave: WaveContext, *, ewald_split: float):
+    def __init__(self, lattice: Lattice, wave: WaveContext, *,
+                 ewald_split: float | None = None):
         if wave.is_resonant:
             raise ResonanceError(
                 f"k={wave.k} is resonant for q={lattice.q_diag}, eta={lattice.eta}: "
                 f"indices {list(wave.resonance_set)}")
         self.lattice = lattice
         self.wave = wave
+        k = complex(wave.k)
+        if ewald_split is None:
+            # sqrt(pi/A) balances the two Gaussian tails on any cell; both halves
+            # carry terms of size e^{|k|^2/4E^2} that cancel, which |k|/4 caps at e^4
+            ewald_split = max(np.sqrt(np.pi / lattice.cell_measure), abs(k) / 4.0)
         self.ewald_split = float(ewald_split)
         self.tolerance = tolerance = _TOLERANCE
-        k = complex(wave.k)
         E = self.ewald_split
         A = lattice.cell_measure
         qmin = float(np.min(lattice.q))
@@ -273,15 +283,16 @@ class GreenEvaluator:
         }
 
     def _reduce(self, x: np.ndarray):
-        """Translate points into the centered cell; return (reduced, Bloch phase, m*)."""
+        """Translate points into the centered cell; return (reduced, shift q m*)."""
         q = self.lattice.q
-        mstar = np.round(x / q)
-        shift = mstar * q
-        xr = x - shift
+        shift = np.round(x / q) * q
+        return x - shift, shift
+
+    def _phase(self, shift: np.ndarray) -> np.ndarray:
+        """The Bloch phase e^{i eta . q m*} of each shift."""
         # elementwise: a matrix-vector product rounds a single row differently
         eta = self.lattice.eta_vec
-        phase = np.exp(1j * (shift[:, 0] * eta[0] + shift[:, 1] * eta[1]))
-        return xr, phase, mstar
+        return np.exp(1j * (shift[:, 0] * eta[0] + shift[:, 1] * eta[1]))
 
     def _require_clear(self, rho2: np.ndarray) -> None:
         """Refuse squared distances to a source lattice point inside the exclusion."""
@@ -337,18 +348,11 @@ class GreenEvaluator:
         return jet
 
 
-def make_green_evaluator(lattice: Lattice, k: complex, *, ewald_split: float | None = None,
-                         resonance_tolerance: float | None = None) -> GreenEvaluator:
+def make_green_evaluator(lattice: Lattice, k: complex, *,
+                         ewald_split: float | None = None) -> GreenEvaluator:
     """Build an evaluator, refusing wavenumbers on the lattice spectrum."""
-    kwargs = {}
-    if resonance_tolerance is not None:
-        kwargs["resonance_tolerance"] = resonance_tolerance
-    wave = make_wave_context(lattice, k, require_nonresonant=True, **kwargs)
-    if ewald_split is None:
-        # sqrt(pi/A) balances the two Gaussian tails on any cell; both halves
-        # carry terms of size e^{|k|^2/4E^2} that cancel, which |k|/4 caps at e^4
-        ewald_split = float(max(np.sqrt(np.pi / lattice.cell_measure), abs(k) / 4.0))
-    return GreenEvaluator(lattice, wave, ewald_split=ewald_split)
+    return GreenEvaluator(lattice, make_wave_context(lattice, k, require_nonresonant=True),
+                          ewald_split=ewald_split)
 
 
 def _shaped(x: np.ndarray, out: list) -> tuple:
@@ -386,7 +390,8 @@ def _ewald_kernel(ev: GreenEvaluator, derivatives: int):
         if len(chunk) == 1:
             # BLAS takes a vector path for one row, with other rounding
             return [a[:1] for a in kernel(np.repeat(chunk, 2, axis=0))]
-        xr, phase, _ = ev._reduce(chunk)
+        xr, shift = ev._reduce(chunk)
+        phase = ev._phase(shift)
         d, rho2 = ev._guard(xr)
         return [phase.reshape((-1,) + (1,) * (a.ndim - 1)) * (a + b)
                 for a, b in zip(ev._spectral(xr, derivatives),
@@ -429,46 +434,79 @@ def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
             for r, s in zip(r_jet, s_jet)]
 
 
-def _green(ev: GreenEvaluator, x, hessians: bool):
-    """G from S_2 + R in the reduced cell, and from Ewald beyond the radius.
+def _cell(ev: GreenEvaluator, pts: np.ndarray, hessians: bool, regular: bool,
+          rows: list, size: int) -> list:
+    """G, or with ``regular`` R = G - S_2, and their derivatives at pts.
 
-    The whole call is reduced at once; the expansion serves its points within
-    the radius in one rung pass (FourierBesselExpansion.fill), and the S_2
-    fold and the Ewald sum go in _CHUNK runs.  Before regular_part has fitted
-    the expansion, Ewald serves every point.
+    Returns the value, the gradient and, with ``hessians``, the Hessian, each
+    with ``size`` rows.  rows holds one index array per sign: point i goes to
+    row rows[0][i] and, for a table's antipodes, its jet at -x to row
+    rows[1][i].  A point is reduced into the cell, x' = x - q m*.  Within the
+    expansion's radius one rung pass (FourierBesselExpansion.fill) writes
+    R(x'), and S_2(x') is folded in with the Bloch phase: at every point for
+    G, at moved points only for R, which at unmoved ones is R(x') itself, so
+    nothing cancels at 0.  -x reduces to -x': the expansion serves it from
+    the basis at x', and S_2(-x) = S_2(x) with the gradient negated.  Ewald
+    serves the points beyond the radius, at +-x, and every point for G
+    before regular_part has fitted the expansion.  R then subtracts S_2(x)
+    where it folded or summed G.  The fold, the Ewald sum and the
+    subtraction go in _CHUNK runs.
     """
-    fb = ev._expansion
-    trailing = _JET[:2 + hessians]
-    if fb is None:
-        return _batched(x, _ewald_kernel(ev, 1 + hessians), trailing)
+    # only R fits the expansion: a few values of G never pay for the fit
+    fb = ev.expansion if regular else ev._expansion
+    signs = (1.0, -1.0)[:len(rows)]
+    xr, shift = ev._reduce(pts)
+    moved = np.any(shift != 0, axis=1)
+    r2 = np.sum(xr * xr, axis=1)
+    # R is singular at the lattice points other than the origin
+    ev._require_clear(r2[moved] if regular else r2)
+    # allocated after the call's reduced points, which the heap reuses better
+    out = [np.empty((size,) + t, dtype=complex) for t in _JET[:2 + hessians]]
+    near = np.zeros(len(pts), dtype=bool)
+    if fb is not None:
+        near = r2 <= fb.radius ** 2
+        fb.fill(xr, r2, np.flatnonzero(near), hessians, len(rows) == 2,
+                [(a, at) for at in rows for a in out])
+    fold = near & moved if regular else near
+    for idx in _chunks(np.flatnonzero(fold)):
+        s_jet = _free_jet(xr[idx], ev.k, hessians)
+        for s, at in zip(signs, rows):
+            at = at[idx]
+            signed = [s_jet[0], s * s_jet[1]] + s_jet[2:]
+            # -x reduces to -x' with the shift negated, exactly
+            ph = ev._phase(s * shift[idx])
+            for a, b in zip(out, _fold([a[at] for a in out], signed, ph)):
+                a[at] = b
+    ewald = _ewald_kernel(ev, 1 + hessians)
+    for idx in _chunks(np.flatnonzero(~near)):
+        for s, at in zip(signs, rows):
+            for a, b in zip(out, ewald(s * pts[idx])):
+                a[at[idx]] = b
+    if regular:
+        v, g = out
+        for idx in _chunks(np.flatnonzero(fold | ~near)):
+            sv, sg = _free_jet(pts[idx], ev.k, False)
+            for s, at in zip(signs, rows):
+                v[at[idx]] -= sv
+                g[at[idx]] -= s * sg
+    return out
+
+
+def _pointwise(ev: GreenEvaluator, x, hessians: bool, regular: bool) -> tuple:
+    """_cell's outputs at points x (shape (..., 2)), in the shape of x."""
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
-    xr, phase = ev._reduce(pts)[:2]
-    r2 = np.sum(xr * xr, axis=1)
-    ev._require_clear(r2)
-    out = [np.empty((len(pts),) + t, dtype=complex) for t in trailing]
-    near = r2 <= fb.radius ** 2
-    inside = np.flatnonzero(near)
-    rows = np.arange(len(pts))
-    fb.fill(xr, r2, inside, hessians, False, [(a, rows) for a in out])
-    for idx in _chunks(inside):
-        for a, b in zip(out, _fold([a[idx] for a in out],
-                                   _free_jet(xr[idx], ev.k, hessians), phase[idx])):
-            a[idx] = b
-    for idx in _chunks(np.flatnonzero(~near)):
-        for a, b in zip(out, _ewald_kernel(ev, 1 + hessians)(pts[idx])):
-            a[idx] = b
-    return _shaped(x, out)
+    return _shaped(x, _cell(ev, pts, hessians, regular, [np.arange(len(pts))], len(pts)))
 
 
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    return _green(ev, x, False)
+    return _pointwise(ev, x, False, False)
 
 
 def green_hessian(ev: GreenEvaluator, x):
     """Green-function value, gradient and Hessian (shape (..., 2, 2)) at points x."""
-    return _green(ev, x, True)
+    return _pointwise(ev, x, True, False)
 
 
 def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
@@ -520,14 +558,24 @@ def _basis(w, u, top: int, umax: float):
     return (phi * powers).T, neg.T
 
 
+def _shift(n: np.ndarray, k: complex | float, scale: float) -> np.ndarray:
+    """D_n with d/dz e_n = D_n e_{n-1} and d/dzbar e_n = D_-n e_{n+1}.
+
+    e_n is the normalised basis (z/scale)^|n| phi_|n|(k|x|), conjugated at
+    n < 0, with z = x_1 + i x_2: D_n = n/scale for n >= 1 and
+    -(k^2 scale/4)/(|n|+1) otherwise.
+    """
+    return np.where(n >= 1, n / scale, -(k * k * scale / 4.0) / (np.abs(n) + 1))
+
+
 class FourierBesselExpansion:
     """R(x) = sum_n c_n e_n(x) about the origin, fitted from Ewald's G - S_2.
 
     e_n = w^n phi_n(k|x|) for n >= 0 and conj(w)^|n| phi_|n|(k|x|) for n < 0,
-    with w = (x_1 + i x_2) / rho and rho the outer sampling radius.  Row 0 of
-    ``coefficients`` holds c_0, c_1, ...; row 1 holds 0, c_-1, c_-2, ...
-    The expansion serves |x| <= ``radius``, where ``max_terms`` orders reach
-    its tolerance for values and gradients; see ``terms`` for the Hessian.
+    with w = (x_1 + i x_2) / rho and rho the outer sampling radius.
+    ``coefficients`` holds c_n at index n + N, n = -N..N, N the cap.  The
+    expansion serves |x| <= ``radius``, where ``max_terms`` orders reach its
+    tolerance for values and gradients; see ``terms`` for the Hessian.
     """
 
     def __init__(self, ev: GreenEvaluator):
@@ -554,9 +602,8 @@ class FourierBesselExpansion:
             a = np.fft.fft(samples) / _FIT_SAMPLES
             num += np.conj(b) * np.stack([a[n], a[-n]])
         c = num / np.sum(np.abs(basis) ** 2, axis=0)
-        c[1, 0] = 0.0
-        self.coefficients = c
-        self._cmax = np.max(np.abs(c), axis=0)
+        c = self.coefficients = np.concatenate([c[1, :0:-1], c[0]])
+        self._cmax = np.maximum(np.abs(c[_EXPANSION_CAP:]), np.abs(c[_EXPANSION_CAP::-1]))
         # The top orders hold what the fit cannot resolve: the Ewald samples'
         # own error, or a true tail the cap cut off.  Refuse a fit that misses
         # the evaluator's tolerance; otherwise truncate above that floor.
@@ -570,17 +617,13 @@ class FourierBesselExpansion:
         self.tolerance = max(1e-3 * ev.tolerance * scale, 16.0 * self.floor)
 
         # Coefficients over n = -L..L (index n + L) of R and of its
-        # derivatives: d/dz e_n = D_n e_{n-1} and d/dzbar e_n = Dbar_n e_{n+1},
-        # D_n = n/rho (n >= 1), Dbar_n = |n|/rho (n <= -1), and both are
-        # -(k^2 rho/4)/(|n|+1) otherwise.  Rows: R, R_z, R_zbar, R_zz, R_zbarzbar.
+        # derivatives, d/dz e_n = D_n e_{n-1} and d/dzbar e_n = D_-n e_{n+1}
+        # (_shift).  Rows: R, R_z, R_zbar, R_zz, R_zbarzbar.
         L = _EXPANSION_CAP + 2
         full = np.zeros(2 * L + 1, dtype=complex)
-        full[L: L + len(n)] = c[0]
-        full[L - _EXPANSION_CAP: L] = c[1, :0:-1]
+        full[2:-2] = c
         idx = np.arange(-L, L + 1)
-        low = -(k * k * rho / 4.0) / (np.abs(idx) + 1)
-        D = np.where(idx >= 1, idx / rho, low)
-        Dbar = np.where(idx <= -1, -idx / rho, low)
+        D, Dbar = _shift(idx, k, rho), _shift(-idx, k, rho)
 
         def dz(C):
             return np.r_[D[1:] * C[1:], 0.0]
@@ -701,45 +744,6 @@ class FourierBesselExpansion:
         return jet
 
 
-def _regular(ev: GreenEvaluator, fb: FourierBesselExpansion, pts: np.ndarray,
-             out: tuple, rows: list) -> None:
-    """R = G - S_2 at pts into out = (value, gradient): R(x') itself at
-    unmoved points, so nothing cancels at 0.
-
-    rows holds one index array per sign: point i's R(x) goes to row
-    rows[0][i] and, for a table's antipodes, R(-x) to row rows[1][i].  -x
-    reduces to -x': the expansion serves it from the basis at x', and
-    S_2(-x) = S_2(x) with the gradient negated, so both come out as a call
-    at -x would give them.  One expansion pass serves every point within the
-    radius, moved or not.
-    """
-    v, g = out
-    signs = (1.0, -1.0)[:len(rows)]
-    xr, phase, mstar = ev._reduce(pts)
-    moved = np.any(mstar != 0, axis=1)
-    r2 = np.sum(xr * xr, axis=1)
-    # R is singular at the lattice points other than the origin
-    ev._require_clear(r2[moved])
-    near = r2 <= fb.radius ** 2
-    fb.fill(xr, r2, np.flatnonzero(near), False, len(rows) == 2,
-            [(a, at) for at in rows for a in out])
-    fold = near & moved
-    for idx in _chunks(np.flatnonzero(fold)):
-        sv, sg = _free_jet(xr[idx], ev.k, False)
-        for s, at in zip(signs, rows):
-            at = at[idx]
-            ph = phase[idx] if s > 0 else ev._reduce(-pts[idx])[1]
-            v[at], g[at] = _fold([v[at], g[at]], [sv, s * sg], ph)
-    for idx in _chunks(np.flatnonzero(~near)):
-        for s, at in zip(signs, rows):
-            v[at[idx]], g[at[idx]] = _ewald_kernel(ev, 1)(s * pts[idx])
-    for idx in _chunks(np.flatnonzero(fold | ~near)):
-        sv, sg = _free_jet(pts[idx], ev.k, False)
-        for s, at in zip(signs, rows):
-            v[at[idx]] -= sv
-            g[at[idx]] -= s * sg
-
-
 def regular_part(ev: GreenEvaluator, x):
     """R = G - S_2(., k) and its gradient; analytic through the origin.
 
@@ -751,20 +755,14 @@ def regular_part(ev: GreenEvaluator, x):
     antipode: the same bits as the points taken one by one, for half the work.
     """
     x = np.asarray(x, dtype=float)
-    fb = ev.expansion
     if not (x.ndim == 3 and x.shape[0] == x.shape[1]
             and np.array_equal(x, -x.swapaxes(0, 1))):
-        pts = x.reshape(-1, 2)
-        out = [np.empty((len(pts),) + t, dtype=complex) for t in _JET[:2]]
-        _regular(ev, fb, pts, out, [np.arange(len(pts))])
-        return _shaped(x, out)
+        return _pointwise(ev, x, False, True)
     n = len(x)
     i, j = np.triu_indices(n)
-    rv, rg = np.empty(x.shape[:2], dtype=complex), np.empty(x.shape, dtype=complex)
-    flat = (rv.reshape(-1), rg.reshape(-1, 2))
     # entry [i, j] and its antipode [j, i]; the diagonal keeps its own point
-    _regular(ev, fb, x[i, j], flat, [i * n + j, j * n + i])
-    return rv, rg
+    rv, rg = _cell(ev, x[i, j], False, True, [i * n + j, j * n + i], n * n)
+    return rv.reshape(n, n), rg.reshape(x.shape)
 
 
 def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
@@ -803,10 +801,9 @@ def _graf_weights(fb: FourierBesselExpansion, scale: float, P: int) -> np.ndarra
     C(n, p) (scale/rho)^n) is summed in logs, so none of its factors
     overflows; k enters only through (k scale/2)^e, e = |p| + |m| - |n| >= 0.
     """
-    c = fb.coefficients
-    cap = c.shape[1] - 1
+    coeff = fb.coefficients.copy()
+    cap = len(coeff) // 2
     rows, cols = np.arange(-P - 1, P + 2), np.arange(-P, P + 1)
-    coeff = np.concatenate([c[1, :0:-1], c[0]])  # c_n at index n + cap
     coeff[cap - 1::-2] *= -1.0  # sigma_n c_n
     n = rows[:, None] + cols[None, :]
     an, ap, am = np.abs(n), np.abs(rows)[:, None], np.abs(cols)[None, :]
@@ -855,10 +852,9 @@ def separable_tables(ev: GreenEvaluator, targets, sources, center, radius: float
     bt = _disk_basis(ev.k, targets - c, scale, P)
     bs = bt if sources is targets else _disk_basis(ev.k, np.asarray(sources) - c, scale, P)
     q = _graf_weights(fb, scale, P) @ bs.T
-    # on the normalised basis, row p of R_z is row p + 1 of R times
-    # (p + 1)/scale for p >= 0 and -k^2 scale/(4|p|) for p < 0; R_zbar mirrors it
-    p = np.arange(-P, P + 1)
-    up = np.where(p >= 0, (p + 1) / scale, -(ev.k * ev.k * scale / 4.0) / np.maximum(-p, 1))
+    # on the normalised basis, row p of R_z is row p + 1 of R times D_{p+1}
+    # (_shift); R_zbar mirrors it
+    up = _shift(np.arange(-P, P + 1) + 1, ev.k, scale)
     # BLAS picks its kernel and threading by the product's shape, and other
     # shapes round otherwise, so the targets go through in _ROW_BLOCK-row
     # blocks of one shape, the last padded with zero rows

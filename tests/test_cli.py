@@ -8,12 +8,13 @@ determinism is checked byte-for-byte on the emitted CSV files.
 import copy
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qphelm import cli
+from qphelm import cli, lattice
 from qphelm.errors import ConfigError
 
 LATTICE = {"q_diag": [1.0, 1.0], "eta": [0.4, 0.7]}
@@ -192,6 +193,26 @@ def test_green_eval_run_is_deterministic(tmp_path):
     rows = outs[0].decode().splitlines()[1:]
     assert 0 < len(rows) < 144  # exclusion dropped the corner points
     assert _manifest(tmp_path / "a")["results"]["spectrum_distance"] > 0
+
+
+def test_a_green_eval_run_builds_one_wave(tmp_path, monkeypatch):
+    # the evaluator is built on the run's wave context: the spectrum is scanned
+    # for resonances once, and its distance is taken for that wave and for
+    # the manifest's results
+    counts = {"resonance_set": 0, "spectrum_distance": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qphelm"]
+    for name in counts:
+        original = getattr(lattice, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert cli.run("green-eval", cli.parse_config(json.dumps(GREEN_CFG)), tmp_path) == 0
+    assert counts == {"resonance_set": 1, "spectrum_distance": 2}
 
 
 def test_solve_dirichlet_run(tmp_path):

@@ -3,7 +3,8 @@
 Each ``def`` in ``src/qphelm`` is scanned with the ast module.  A parameter
 with a default counts as used when some call of a function with the same
 name, anywhere in ``src/``, ``bench/``, ``tests/`` or the README's Python
-blocks, passes it by keyword or by position.  An option that no caller sets
+blocks, passes it by keyword or by position; a call ``C(...)`` of a class
+counts as a call of ``C.__init__``.  An option that no caller sets
 only multiplies the configurations that tests and benchmarks must cover, so
 it should be a constant instead.
 """
@@ -60,7 +61,8 @@ def _defaulted():
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        # method -> its class
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef):
@@ -68,12 +70,14 @@ def _defaulted():
             positional = node.args.posonlyargs + node.args.args
             skip = 1 if id(node) in methods and positional \
                 and positional[0].arg in ("self", "cls") else 0
+            name = methods[id(node)] if node.name == "__init__" and id(node) in methods \
+                else node.name
             first = len(positional) - len(node.args.defaults)
             for i, arg in enumerate(positional[first:], start=first):
-                out.append((path.stem, node.name, arg.arg, i - skip))
+                out.append((path.stem, name, arg.arg, i - skip))
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                 if default is not None:
-                    out.append((path.stem, node.name, arg.arg, None))
+                    out.append((path.stem, name, arg.arg, None))
     return out
 
 

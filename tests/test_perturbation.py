@@ -57,8 +57,8 @@ def test_suite_matches_individual_checks(green):
     suite = perturbation.rescaling_identity_suite(
         0.1, theta, probes, center=CENTER, green=green)
     for kind, value in suite.items():
-        single = perturbation.rescaling_identity_check(
-            kind, 0.1, theta, probes, center=CENTER, green=green)
+        single = perturbation.rescaling_identity_suite(
+            0.1, theta, probes, center=CENTER, green=green, kinds=(kind,))[kind]
         assert single == value  # table sharing must not change the numbers
 
 
@@ -219,10 +219,10 @@ def test_epsilon_range_is_enforced(lat, green):
         perturbation.rescaled_operator("M", 1, bound, dc, CENTER, green=green)
     theta = potentials.Density(curve=dc, values=np.ones(64))
     with pytest.raises(ContainmentError):
-        perturbation.rescaling_identity_check(
-            "single-trace", 0.0, theta, center=CENTER, green=green)
+        perturbation.rescaling_identity_suite(
+            0.0, theta, center=CENTER, green=green, kinds=("single-trace",))
     with pytest.raises(ValueError):
         perturbation.rescaled_operator("Q", 1, 0.1, dc, CENTER, green=green)
     with pytest.raises(ValueError):
-        perturbation.rescaling_identity_check(
-            "far-single", 0.1, theta, None, center=CENTER, green=green)
+        perturbation.rescaling_identity_suite(
+            0.1, theta, None, center=CENTER, green=green, kinds=("far-single",))

@@ -545,6 +545,13 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     _alike(lambda p: qpgreen.green_hessian(ev, p), off, 8)
     _alike(lambda p: qpgreen.ewald_oracle(ev, p)[:2], off, 9)
     _alike(lambda p: qpgreen.regular_part(ev, p), pts, 10)
+    # before the fit Ewald serves every point, with the oracle's bits
+    fresh = qpgreen.make_green_evaluator(lat, k)
+    oracle = qpgreen.ewald_oracle(fresh, off)
+    for call, seed in ((qpgreen.green_eval, 14), (qpgreen.green_hessian, 15)):
+        whole = _alike(lambda p: call(fresh, p), off, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, oracle))
+    assert fresh._expansion is None
     # an antisymmetric table over every rung, its zero diagonal and moved
     # pairs included, holds the bits of its entries in any batch, and so does
     # every principal sub-table
