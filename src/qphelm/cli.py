@@ -165,7 +165,7 @@ def _tolerances(v, name: str) -> dict:
     unknown = set(v) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    return {**DEFAULT_TOLERANCES, **{k: _number(x, f"{name}.{k}") for k, x in v.items()}}
+    return {**DEFAULT_TOLERANCES, **{k: _positive(x, f"{name}.{k}") for k, x in v.items()}}
 
 
 # One row per configuration entry: (section, or None for a top-level key, key,

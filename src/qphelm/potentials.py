@@ -12,6 +12,9 @@ rows.  The periodic remainder is a pairwise (value, gradient) table that
 ``_table_kernel`` contracts by operator kind, as the index-2 rescaled
 families of :mod:`qphelm.perturbation` do.
 
+Off the curve, ``field_eval`` takes every layer potential and its gradient
+from G and grad G alone, the double layer's gradient by parts.
+
 Operator kinds:
 
 - ``single_trace``      V:  integral of G(x_t - x_s) mu(s) dsigma_s
@@ -278,34 +281,44 @@ def field_eval(kind: str, density: Density, points, *,
                want_gradients: bool = False, check_distance: bool = True) -> FieldSample:
     """Evaluate a layer potential off the curve by plain quadrature.
 
-    Every kind takes one Green call at the point-node differences: values and
-    gradients, plus Hessians for the gradient of a double layer.
+    Every kind takes one Green call, green_eval at the point-node
+    differences.  The double layer's gradient needs no Hessian: G solves
+    Delta G = -k^2 G off the lattice, so integrating by parts around the
+    closed curve gives Maue's identity (Kress, Linear Integral Equations,
+    3rd ed., 2014), with mu' = d mu / ds and rot f = (d_2 f, -d_1 f):
+
+        grad D[mu] = k^2 S[nu mu] + rot S[mu'].
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dc = density.curve
-    mu_w = np.asarray(density.values) * dc.weights
+    mu = np.asarray(density.values)
+    mu_w = mu * dc.weights
     if check_distance:
         _distance_guard(dc, green.lattice, pts)
     d = (pts[:, None, :] - dc.points[None, :, :]).reshape(-1, 2)
     shape = (len(pts), dc.N)
     vals = np.zeros(len(pts), dtype=complex)
     grads = np.zeros((len(pts), 2), dtype=complex) if want_gradients else None
-    if kind != "single" and want_gradients:
-        v, g, H = qpgreen.green_hessian(green, d)
-    else:
-        v, g = qpgreen.green_eval(green, d)
-    g = g.reshape(shape + (2,))
+    v, g = qpgreen.green_eval(green, d)
+    v, g = v.reshape(shape), g.reshape(shape + (2,))
     if kind != "single":
         # d/dnu(y) G(x - y) = -nu(y) . (grad G)(x - y)
         vals -= np.einsum("pji,ji,j->p", g, dc.normals, mu_w)
         if want_gradients:
-            H = H.reshape(shape + (2, 2))
-            grads -= np.einsum("pjil,jl,j->pi", H, dc.normals, mu_w)
+            # mu'_j w_j = (2 pi / N) d mu / dt at t_j: the spectral derivative,
+            # whose Nyquist mode (a cosine, see geometry.trig_interpolate) has
+            # zero slope at the nodes
+            m = np.fft.fftfreq(dc.N, d=1.0 / dc.N)
+            m[dc.N // 2] = 0.0
+            dmu_w = np.fft.ifft(1j * m * np.fft.fft(mu)) * (2.0 * np.pi / dc.N)
+            grads += green.k * green.k * (v @ (dc.normals * mu_w[:, None]))
+            grads[:, 0] += g[..., 1] @ dmu_w
+            grads[:, 1] -= g[..., 0] @ dmu_w
     if kind != "double":
         c = 1.0 if kind == "single" else 1j
-        vals += c * (v.reshape(shape) @ mu_w)
+        vals += c * (v @ mu_w)
         if want_gradients:
             grads += c * np.einsum("pji,j->pi", g, mu_w)
     return FieldSample(points=pts, values=vals, gradients=grads)

@@ -11,26 +11,27 @@ centred cell, x' = x - q m*, and
 
     G(x) = e^{i eta . q m*} (S_2(x') + R(x')),
 
-with values, gradients and Hessians from the same tables: the expansion's
-derivative rows are coefficient shifts, and the S_2 Hessian follows from its
-value and gradient by the Helmholtz equation.  regular_part returns
-R(x) = G(x) - S_2(x), which for unmoved points (m* = 0) is R(x') itself, so
-there is no cancellation at the origin.
+with values and gradients from the same tables: the expansion's gradient
+rows are coefficient shifts.  regular_part returns R(x) = G(x) - S_2(x),
+which for unmoved points (m* = 0) is R(x') itself, so there is no
+cancellation at the origin.  Nothing in the library needs a second
+derivative of G (a double layer's gradient comes from G and grad G by parts,
+see potentials.field_eval), so green_hessian is the Ewald oracle.
 
 The coefficients are fitted once per evaluator from Ewald values of G - S_2
 on two circles inside the disk, and stored on the normalised basis
 (z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
 the raw s_n overflow.  The samples are Ewald values alone, no derivatives.
-Only a regular_part call fits the expansion; green_eval and green_hessian use
-it once it is fitted and sum Ewald before, so a few probe values never pay
-the fit.  A point's order count comes from a fixed ladder of radii, not from
-the other points of its call, so every point gets the same bits in any batch
-(a grid split over threads included).
+Only a regular_part call fits the expansion; green_eval uses it once it is
+fitted and sums Ewald before, so a few probe values never pay the fit.  A
+point's order count comes from a fixed ladder of radii, not from the other
+points of its call, so every point gets the same bits in any batch (a grid
+split over threads included).
 
-green_eval, green_hessian and regular_part serve a point through one driver,
-_cell, in one order: reduce it into the cell, take the expansion within its
-radius, fold in S_2 with the Bloch phase (for R only at moved points), and
-sum Ewald beyond the radius; an unfitted evaluator is the case with no point
+green_eval and regular_part serve a point through one driver, _cell, in
+one order: reduce it into the cell, take the expansion within its radius,
+fold in S_2 with the Bloch phase (for R only at moved points), and sum
+Ewald beyond the radius; an unfitted evaluator is the case with no point
 within it.  A call reduces all its points first.  The expansion then takes
 those within its radius rung by rung (the points of one order count) across
 the whole call, in blocks of at most _BLOCK points written straight into the
@@ -404,28 +405,12 @@ def ewald_oracle(ev: GreenEvaluator, x):
 
     Independent of the Fourier-Bessel expansion, it is the reference the
     expansion is fitted to and checked against; outside qpgreen only checks
-    (the tests, the CLI's reference values) call it.  green_eval and
-    green_hessian sum Ewald for reduced points beyond the expansion's radius
-    and for every point before regular_part has fitted the expansion.
+    (the tests, the CLI's reference values) call it.  green_eval sums Ewald
+    for reduced points beyond the expansion's radius and for every point
+    before regular_part has fitted the expansion.  green_hessian is this
+    oracle.
     """
     return _batched(x, _ewald_kernel(ev, 2), _JET)
-
-
-def _free_jet(x: np.ndarray, k: complex | float, hessians: bool) -> list:
-    """[S_2, grad S_2] and, when asked, the Hessian at points x != 0.
-
-    With grad S_2 = g x, the Helmholtz equation S'' + S'/r + k^2 S = 0 gives
-    H = g I - (k^2 S_2 + 2 g) x x^T / |x|^2.  Real for a real k.
-    """
-    s = specfun.fundamental_solution(2, x, k)
-    jet = [s.value, s.gradient]
-    if hessians:
-        r2 = np.sum(x * x, axis=1)
-        g = np.sum(s.gradient * x, axis=1) / r2
-        radial = (k * k * s.value + 2.0 * g) / r2
-        jet.append(g[:, None, None] * np.eye(2)
-                   - radial[:, None, None] * x[:, :, None] * x[:, None, :])
-    return jet
 
 
 def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
@@ -434,14 +419,13 @@ def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
             for r, s in zip(r_jet, s_jet)]
 
 
-def _cell(ev: GreenEvaluator, pts: np.ndarray, hessians: bool, regular: bool,
+def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
           rows: list, size: int) -> list:
-    """G, or with ``regular`` R = G - S_2, and their derivatives at pts.
+    """G, or with ``regular`` R = G - S_2, and its gradient at pts.
 
-    Returns the value, the gradient and, with ``hessians``, the Hessian, each
-    with ``size`` rows.  rows holds one index array per sign: point i goes to
-    row rows[0][i] and, for a table's antipodes, its jet at -x to row
-    rows[1][i].  A point is reduced into the cell, x' = x - q m*.  Within the
+    Returns the value and the gradient, each with ``size`` rows.  rows holds
+    one index array per sign: point i goes to row rows[0][i] and, for a
+    table's antipodes, its jet at -x to row rows[1][i].  A point is reduced into the cell, x' = x - q m*.  Within the
     expansion's radius one rung pass (FourierBesselExpansion.fill) writes
     R(x'), and S_2(x') is folded in with the Bloch phase: at every point for
     G, at moved points only for R, which at unmoved ones is R(x') itself, so
@@ -461,23 +445,23 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, hessians: bool, regular: bool,
     # R is singular at the lattice points other than the origin
     ev._require_clear(r2[moved] if regular else r2)
     # allocated after the call's reduced points, which the heap reuses better
-    out = [np.empty((size,) + t, dtype=complex) for t in _JET[:2 + hessians]]
+    out = [np.empty((size,) + t, dtype=complex) for t in _JET[:2]]
     near = np.zeros(len(pts), dtype=bool)
     if fb is not None:
         near = r2 <= fb.radius ** 2
-        fb.fill(xr, r2, np.flatnonzero(near), hessians, len(rows) == 2,
+        fb.fill(xr, r2, np.flatnonzero(near), len(rows) == 2,
                 [(a, at) for at in rows for a in out])
     fold = near & moved if regular else near
     for idx in _chunks(np.flatnonzero(fold)):
-        s_jet = _free_jet(xr[idx], ev.k, hessians)
+        free = specfun.fundamental_solution(2, xr[idx], ev.k)
         for s, at in zip(signs, rows):
             at = at[idx]
-            signed = [s_jet[0], s * s_jet[1]] + s_jet[2:]
             # -x reduces to -x' with the shift negated, exactly
             ph = ev._phase(s * shift[idx])
+            signed = [free.value, s * free.gradient]
             for a, b in zip(out, _fold([a[at] for a in out], signed, ph)):
                 a[at] = b
-    ewald = _ewald_kernel(ev, 1 + hessians)
+    ewald = _ewald_kernel(ev, 1)
     for idx in _chunks(np.flatnonzero(~near)):
         for s, at in zip(signs, rows):
             for a, b in zip(out, ewald(s * pts[idx])):
@@ -485,28 +469,31 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, hessians: bool, regular: bool,
     if regular:
         v, g = out
         for idx in _chunks(np.flatnonzero(fold | ~near)):
-            sv, sg = _free_jet(pts[idx], ev.k, False)
+            free = specfun.fundamental_solution(2, pts[idx], ev.k)
             for s, at in zip(signs, rows):
-                v[at[idx]] -= sv
-                g[at[idx]] -= s * sg
+                v[at[idx]] -= free.value
+                g[at[idx]] -= s * free.gradient
     return out
 
 
-def _pointwise(ev: GreenEvaluator, x, hessians: bool, regular: bool) -> tuple:
+def _pointwise(ev: GreenEvaluator, x, regular: bool) -> tuple:
     """_cell's outputs at points x (shape (..., 2)), in the shape of x."""
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
-    return _shaped(x, _cell(ev, pts, hessians, regular, [np.arange(len(pts))], len(pts)))
+    return _shaped(x, _cell(ev, pts, regular, [np.arange(len(pts))], len(pts)))
 
 
 def green_eval(ev: GreenEvaluator, x):
     """Green-function value and gradient at points x (shape (..., 2))."""
-    return _pointwise(ev, x, False, False)
+    return _pointwise(ev, x, False)
 
 
 def green_hessian(ev: GreenEvaluator, x):
-    """Green-function value, gradient and Hessian (shape (..., 2, 2)) at points x."""
-    return _pointwise(ev, x, True, False)
+    """Green-function value, gradient and Hessian (shape (..., 2, 2)) at points x.
+
+    The Ewald jet, ewald_oracle: no library path needs a second derivative.
+    """
+    return ewald_oracle(ev, x)
 
 
 def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
@@ -575,7 +562,7 @@ class FourierBesselExpansion:
     with w = (x_1 + i x_2) / rho and rho the outer sampling radius.
     ``coefficients`` holds c_n at index n + N, n = -N..N, N the cap.  The
     expansion serves |x| <= ``radius``, where ``max_terms`` orders reach its
-    tolerance for values and gradients; see ``terms`` for the Hessian.
+    tolerance for values and gradients.
     """
 
     def __init__(self, ev: GreenEvaluator):
@@ -618,20 +605,14 @@ class FourierBesselExpansion:
 
         # Coefficients over n = -L..L (index n + L) of R and of its
         # derivatives, d/dz e_n = D_n e_{n-1} and d/dzbar e_n = D_-n e_{n+1}
-        # (_shift).  Rows: R, R_z, R_zbar, R_zz, R_zbarzbar.
-        L = _EXPANSION_CAP + 2
+        # (_shift).  Rows: R, R_z, R_zbar.
+        L = _EXPANSION_CAP + 1
         full = np.zeros(2 * L + 1, dtype=complex)
-        full[2:-2] = c
+        full[1:-1] = c
         idx = np.arange(-L, L + 1)
         D, Dbar = _shift(idx, k, rho), _shift(-idx, k, rho)
-
-        def dz(C):
-            return np.r_[D[1:] * C[1:], 0.0]
-
-        def dzbar(C):
-            return np.r_[0.0, Dbar[:-1] * C[:-1]]
-
-        rows = np.stack([full, dz(full), dzbar(full), dz(dz(full)), dzbar(dzbar(full))])
+        rows = np.stack([full, np.r_[D[1:] * full[1:], 0.0],
+                         np.r_[0.0, Dbar[:-1] * full[:-1]]])
         # transposed for products with the batch as the leading dimension,
         # whose rows BLAS computes alike however many there are
         self._pos = np.ascontiguousarray(rows[:, L:].T)
@@ -641,106 +622,80 @@ class FourierBesselExpansion:
         sign = (-1.0) ** np.arange(L + 1)[:, None]
         self._pos_antipode = self._pos * sign
         self._neg_antipode = self._neg * -sign[:-1]
-        self.max_terms = self.terms(self.radius, 1)
+        self.max_terms = self.terms(self.radius)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
         # points of its call: a grid gives the same bits however it is batched
         # or split over threads.
         self._ladder = self.radius * _LADDER_RATIO ** np.arange(_LADDER_STEPS)[::-1]
-        tops = np.stack([self._terms(self._ladder, d) for d in (1, 2)])
-        # the Hessian's looser bound may stop earlier: never below the
-        # gradient's count, so green_hessian's values and gradients keep it
-        tops[1] = np.maximum(tops[0], tops[1])
-        tops = np.minimum(_EXPANSION_CAP, -(-tops // _TERM_STEP) * _TERM_STEP)
+        tops = np.minimum(_EXPANSION_CAP,
+                          -(-self._terms(self._ladder) // _TERM_STEP) * _TERM_STEP)
         self._tops = tops.astype(np.uint8)  # counts <= _EXPANSION_CAP, for bincount
         # |u| = |k x|^2/4 in the phi table of a count is bounded at the
         # largest ladder radius with that count
-        self._umax = [{int(t): abs(k) ** 2 * self._ladder[row == t][-1] ** 2 / 4.0
-                       for t in np.unique(row)} for row in tops]
+        self._umax = {int(t): abs(k) ** 2 * self._ladder[tops == t][-1] ** 2 / 4.0
+                      for t in np.unique(tops)}
 
-    def terms(self, rmax: float, derivatives: int) -> int:
-        """Highest order kept at |x| <= rmax for up to ``derivatives`` (1 or 2).
+    def terms(self, rmax: float) -> int:
+        """Highest order kept at |x| <= rmax.
 
         Beyond it every (n+1) |c_n| (rmax/rho)^n max|phi_n|, a bound on the
         order-n term of R and of its gradient, stays under the tolerance;
-        |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).  The Hessian
-        multiplies the bound by n+2 and the tolerance by N+2 = 122, N the
-        cap, where the fitted coefficients sit at their floor; at low orders
-        that is a looser tolerance than the gradient's, so the Hessian rows
-        are evaluated to the larger of the two counts.
+        |phi_n(z)| <= min(e^{|Im z|}, e^{|z|^2/(4(n+1))}).
         """
-        return int(self._terms(np.array([rmax]), derivatives)[0])
+        return int(self._terms(np.array([rmax]))[0])
 
-    def _terms(self, rmax: np.ndarray, derivatives: int) -> np.ndarray:
+    def _terms(self, rmax: np.ndarray) -> np.ndarray:
         """terms at each radius of ``rmax``, in one array pass."""
         n = np.arange(len(self._cmax))
         r = rmax[:, None]
         phi_max = np.exp(np.minimum(abs(self.k.imag) * r,
                                     abs(self.k) ** 2 * r ** 2 / (4.0 * (n + 1))))
         bound = (n + 1) * self._cmax * (r / self.rho) ** n * phi_max
-        limit = self.tolerance
-        if derivatives == 2:
-            bound = bound * (n + 2)
-            limit = limit * (n[-1] + 2)
-        over = bound >= limit
+        over = bound >= self.tolerance
         last = np.where(over.any(axis=1), len(n) - 1 - np.argmax(over[:, ::-1], axis=1), 0)
         if np.any(last >= len(n) - 3):
             rbad = float(rmax[np.argmax(last >= len(n) - 3)])
             raise SeriesTruncationError(
-                f"Fourier-Bessel tail of R not below {limit:.1e} at "
+                f"Fourier-Bessel tail of R not below {self.tolerance:.1e} at "
                 f"|x| = {rbad:.3g} within {len(n) - 1} orders"
             )
         return last
 
-    def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, hessians: bool,
-             antipodes: bool, dests: list) -> None:
-        """Write the jet at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
+    def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, antipodes: bool,
+             dests: list) -> None:
+        """Write [R, grad R] at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
 
-        The jet is [R, grad R] and, with ``hessians``, the Hessian; with
-        ``antipodes`` the same jet at -x follows, from the same basis.  Each
-        dest pairs an output array with row indices: point i goes to row
+        With ``antipodes`` the same jet at -x follows, from the same basis.
+        Each dest pairs an output array with row indices: point i goes to row
         rows[i].  The points are grouped by their ladder rung across the
         whole call and each rung goes in blocks of at most _BLOCK points, so
         no basis table grows with the call.  The dests are written last to
         first: where two rows coincide (a table's diagonal) the first wins.
         """
-        derivatives = 1 + hessians
         level = np.searchsorted(self._ladder, np.sqrt(r2[idx]))
-        tops = self._tops[derivatives - 1][np.minimum(level, _LADDER_STEPS - 1)]
+        tops = self._tops[np.minimum(level, _LADDER_STEPS - 1)]
         for top in np.flatnonzero(np.bincount(tops)):
             rung = idx[tops == top]
-            umax = self._umax[derivatives - 1][top]
             for lo in range(0, len(rung), _BLOCK):
                 sel = rung[lo:lo + _BLOCK]
-                # each derivative shifts the orders by one
-                jet = self._jet(x[sel], r2[sel], int(top) + derivatives, umax,
-                                hessians, antipodes)
+                # the gradient shifts the orders by one
+                jet = self._jet(x[sel], r2[sel], int(top) + 1, self._umax[top], antipodes)
                 for (a, rows), b in zip(dests[::-1], jet[::-1]):
                     a[rows[sel]] = b
 
-    def _jet(self, x, r2, top: int, umax: float, hessians: bool, antipodes: bool) -> list:
+    def _jet(self, x, r2, top: int, umax: float, antipodes: bool) -> list:
         if len(x) == 1:
             # BLAS takes a vector path for one row, with other rounding
-            jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax,
-                            hessians, antipodes)
+            jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax, antipodes)
             return [a[:1] for a in jet]
         pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho,
                           (self.k * self.k / 4.0) * r2, top, umax)
-        nrows = 5 if hessians else 3
         rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
         jet = []
         for cpos, cneg in rows[:1 + antipodes]:
-            out = pos @ cpos[: top + 1, :nrows] + neg @ cneg[:top, :nrows]
-            val, dz, dzbar = out[:, 0], out[:, 1], out[:, 2]
+            val, dz, dzbar = (pos @ cpos[: top + 1] + neg @ cneg[:top]).T
             jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
-            if hessians:
-                dzz, dzbarzbar = out[:, 3], out[:, 4]
-                mixed = -(self.k * self.k / 2.0) * val  # 2 R_zzbar = Delta R / 2
-                hxx = dzz + dzbarzbar + mixed
-                hyy = mixed - dzz - dzbarzbar
-                hxy = 1j * (dzz - dzbarzbar)
-                jet.append(np.stack([np.stack([hxx, hxy], axis=1),
-                                     np.stack([hxy, hyy], axis=1)], axis=1))
         return jet
 
 
@@ -757,11 +712,11 @@ def regular_part(ev: GreenEvaluator, x):
     x = np.asarray(x, dtype=float)
     if not (x.ndim == 3 and x.shape[0] == x.shape[1]
             and np.array_equal(x, -x.swapaxes(0, 1))):
-        return _pointwise(ev, x, False, True)
+        return _pointwise(ev, x, True)
     n = len(x)
     i, j = np.triu_indices(n)
     # entry [i, j] and its antipode [j, i]; the diagonal keeps its own point
-    rv, rg = _cell(ev, x[i, j], False, True, [i * n + j, j * n + i], n * n)
+    rv, rg = _cell(ev, x[i, j], True, [i * n + j, j * n + i], n * n)
     return rv.reshape(n, n), rg.reshape(x.shape)
 
 
@@ -778,7 +733,7 @@ def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
     fb = ev.expansion
     if 2.0 * radius > fb.radius:
         return None
-    return fb.terms(2.0 * radius, 1) + 1
+    return fb.terms(2.0 * radius) + 1
 
 
 def _disk_basis(k: complex | float, u: np.ndarray, scale: float, P: int) -> np.ndarray:

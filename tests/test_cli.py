@@ -120,6 +120,9 @@ def test_field_table_states_each_config_field_once():
     ("geometry", "epsilon_sweep", []),
     ("data", "coefficients", [[1.0]]),
     ("problem", "fit_max_epsilon", -0.1),
+    ("tolerances", "resonance", -1.0),
+    ("tolerances", "solve", 0.0),
+    ("tolerances", "newton", -1e-12),
 ])
 def test_malformed_values_exit_2_without_traceback(tmp_path, capsys, section,
                                                    key, value):

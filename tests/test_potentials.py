@@ -397,3 +397,26 @@ def test_cell_flux_pairing_vanishes(circle128, green):
     for kind in ("single", "double"):
         flux, norm2 = cell_flux_integral(kind, dens, green=green)
         assert abs(flux) < 1e-10 * max(1.0, norm2)
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0),
+                                  ((1.0, 1.0), 2.0 + 0.5j), ((1.0, 1.7), 2.1)])
+def test_double_layer_gradient_by_parts_matches_the_hessian_contraction(q, k):
+    # grad D[mu] = k^2 S[nu mu] + rot S[mu'] against -sum_j H(x - y_j) nu_j
+    # mu_j w_j from the Ewald oracle's Hessians, at probes 0.15 clear of the
+    # circle and its images, where N = 128 resolves both sums
+    lat = Lattice(q_diag=q, eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, k)
+    dc = geometry.discretize(geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5)),
+                             128)
+    mu = np.exp(np.cos(dc.t)) + 0.4j * np.sin(2 * dc.t)
+    cand = np.random.default_rng(5).uniform(0.0, 1.0, size=(400, 2)) * lat.q
+    images = np.array([0.5, 0.5]) + np.array([[i, j] for i in (-1, 0, 1)
+                                              for j in (-1, 0, 1)]) * lat.q
+    far = np.min(np.hypot(*(cand[:, None, :] - images[None]).transpose(2, 0, 1)), axis=1)
+    probes = cand[far >= 0.5][:24]
+    assert len(probes) == 24
+    got = field_eval("double", Density(dc, mu), probes, green=ev, want_gradients=True)
+    _, _, H = qpgreen.ewald_oracle(ev, probes[:, None, :] - dc.points[None, :, :])
+    ref = -np.einsum("pjil,jl,j->pi", H, dc.normals, mu * dc.weights)
+    assert np.max(np.abs(got.gradients - ref)) <= 1e-13 * np.max(np.abs(ref))

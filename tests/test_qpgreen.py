@@ -224,7 +224,7 @@ def test_expansion_fit_is_lazy_and_recorded(lat, wave):
     qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
     params = ev.parameters()
     assert 0 < params["expansion_terms"] < qpgreen._EXPANSION_CAP
-    assert params["expansion_terms"] == ev.expansion.terms(ev.expansion.radius, 1)
+    assert params["expansion_terms"] == ev.expansion.terms(ev.expansion.radius)
     v1, _ = qpgreen.green_eval(ev, pts)
     assert not np.array_equal(v1, v) and np.max(np.abs(v1 - v) / np.abs(v)) <= 1e-12
     assert params["expansion_radius"] == pytest.approx(qpgreen._EXPANSION_RADIUS)
@@ -419,11 +419,10 @@ def test_green_jet_matches_the_ewald_oracle_off_the_square_cell(cell, k, seed):
     lat, ev = _evaluator(cell, k)
     pts = _points(lat, seed, 100, 1.0)
     ev.expansion  # fitted: reduced points within its radius take S_2 + R
-    v, g, H = qpgreen.green_hessian(ev, pts)
-    ref_v, ref_g, ref_H = qpgreen.ewald_oracle(ev, pts)
+    v, g, _ = qpgreen.green_hessian(ev, pts)
+    ref_v, ref_g, _ = qpgreen.ewald_oracle(ev, pts)
     assert _rel(v, ref_v) <= 1e-12
     assert _rel(g, ref_g) <= 1e-12
-    assert _rel(H, ref_H) <= 1e-12
     v1, g1 = qpgreen.green_eval(ev, pts)
     assert _rel(v1, ref_v) <= 1e-12 and _rel(g1, ref_g) <= 1e-12
 
@@ -501,13 +500,13 @@ def _rung_points(ev, n, seed):
     return pts + shifts * ev.lattice.q
 
 
-def _rungs(ev, pts, derivatives):
+def _rungs(ev, pts):
     """The distinct order counts of the points within the expansion's radius."""
     fb = ev.expansion
     xr = pts - np.round(pts / ev.lattice.q) * ev.lattice.q
     r = np.hypot(xr[:, 0], xr[:, 1])
     level = np.searchsorted(fb._ladder, r[r <= fb.radius])
-    return set(fb._tops[derivatives - 1][np.minimum(level, qpgreen._LADDER_STEPS - 1)])
+    return set(fb._tops[np.minimum(level, qpgreen._LADDER_STEPS - 1)])
 
 
 def _alike(call, pts, seed):
@@ -536,8 +535,7 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     ev = qpgreen.make_green_evaluator(lat, k)
     fb = ev.expansion
     pts = _rung_points(ev, 3 * qpgreen._CHUNK + 300, 6)
-    for derivatives in (1, 2):
-        assert _rungs(ev, pts, derivatives) == set(fb._tops[derivatives - 1])
+    assert _rungs(ev, pts) == set(fb._tops)
     xr = pts - np.round(pts / lat.q) * lat.q
     assert np.any(np.hypot(xr[:, 0], xr[:, 1]) > fb.radius) == (min(q) != max(q))
     off = pts[3:]  # G is singular at x = 0 and on the lattice
@@ -561,7 +559,7 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     assert n * n >= 3 * qpgreen._CHUNK
     assert np.array_equal(d, -d.swapaxes(0, 1))
     i, j = np.triu_indices(n)
-    assert _rungs(ev, d[i, j], 1) == set(fb._tops[0])
+    assert _rungs(ev, d[i, j]) == set(fb._tops)
     table = qpgreen.regular_part(ev, d)
     flat = _alike(lambda p: qpgreen.regular_part(ev, p), d.reshape(-1, 2), 12)
     for a, b in zip(table, flat):
@@ -610,10 +608,10 @@ def test_the_basis_type_follows_k_alone():
         assert (qpgreen._phi_table((ev.k * ev.k / 4.0) * r2[:1], 16, 1.0).dtype == float) == real
 
 
-def test_a_flux_sized_hessian_call_stays_small():
-    # one green_hessian call at the 288 x 128 point-node differences of a
-    # cell flux: the outputs take 3.9 MiB, the rest of the peak is bounded
-    # by the rung blocks and a few per-point arrays
+def test_a_flux_sized_green_call_stays_small():
+    # one green_eval call at the 288 x 128 point-node differences of a cell
+    # flux: the outputs take 1.7 MiB, the rest of the peak is bounded by the
+    # rung blocks and a few per-point arrays
     import tracemalloc
 
     lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
@@ -625,10 +623,10 @@ def test_a_flux_sized_hessian_call_stays_small():
              for side in (0.0, 1.0) for order in (1, -1)]
     pts = (np.concatenate(edges)[:, None, :] - kite.points[None, :, :]).reshape(-1, 2)
     assert len(pts) == 36864
-    qpgreen.green_hessian(ev, pts[:600])
+    qpgreen.green_eval(ev, pts[:600])
     tracemalloc.start()
     try:
-        qpgreen.green_hessian(ev, pts)
+        qpgreen.green_eval(ev, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -701,7 +699,7 @@ def test_separable_order_follows_the_expansion_radius(green):
     circle = geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5))
     kite = geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5))
     fb = green.expansion
-    assert qpgreen.separable_order(green, circle.disk[1]) == fb.terms(0.7, 1) + 1
+    assert qpgreen.separable_order(green, circle.disk[1]) == fb.terms(0.7) + 1
     assert qpgreen.separable_order(green, 0.5 * fb.radius) is not None
     # the benchmark's kite (r0 = 0.570) keeps regular_part
     assert kite.disk[1] > 0.5 * fb.radius
