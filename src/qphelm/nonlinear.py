@@ -186,15 +186,22 @@ class OperatorPack:
 
 
 def build_pack(epsilon: float, curve: DiscreteCurve, center, *,
-               green: qpgreen.GreenEvaluator) -> OperatorPack:
-    """Assemble all rescaled families needed by Lambda at one epsilon."""
+               green: qpgreen.GreenEvaluator,
+               series: perturbation.FamilySeries | None = None) -> OperatorPack:
+    """Assemble all rescaled families needed by Lambda at one epsilon.
+
+    Indices 1 and 3 are read from ``series``, a table that covers epsilon;
+    without one, a table is built at |epsilon|.
+    """
     perturbation._check_epsilon(epsilon, curve, center, green.lattice)
+    if series is None:
+        series = perturbation.FamilySeries(curve, green.k, epsilon)
     tables = perturbation.scaled_regular_tables(curve, epsilon, green)
     ops = {}
     for fam in "NM":
         for idx in (1, 2, 3):
             ops[f"{fam.lower()}{idx}"] = perturbation._family_matrix(
-                fam, idx, epsilon, curve, green, tables if idx == 2 else None)
+                fam, idx, epsilon, curve, series, tables)
     return OperatorPack(epsilon=float(epsilon), curve=curve, **ops)
 
 
@@ -250,14 +257,19 @@ def _walk(path, B: RobinNonlinearity, curve: DiscreteCurve, center,
     """Newton at each epsilon of the path, warm-started from the previous one.
 
     The walk starts from ``start`` or, without one, from the limit density;
-    r is slaved to eps*log(eps).
+    r is slaved to eps*log(eps).  One ``perturbation.FamilySeries``, built at
+    the largest epsilon once it passes the containment check, serves every
+    pack of the path.
     """
     if start is None:
         start = limit_density(curve, B).values
     theta = np.asarray(start, dtype=complex)
+    eps_max = max(path)
+    perturbation._check_epsilon(eps_max, curve, center, green.lattice)
+    series = perturbation.FamilySeries(curve, green.k, eps_max)
     states = []
     for e in path:
-        pack = build_pack(e, curve, center, green=green)
+        pack = build_pack(e, curve, center, green=green, series=series)
         r = _slaved_r(e)
         theta, its, rnorm, steps = _newton(pack, B, theta, r, tol)
         states.append(ContinuationState(
@@ -316,13 +328,60 @@ def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve, center, *,
     return _walk(epsilons, B, curve, center, green, None, tol)
 
 
+def _hole_guard(states, pts: np.ndarray, center, lattice: Lattice):
+    """Refuse a probe inside the physical hole of a state or of its periodic images.
+
+    The hole's enclosing disk is ``BoundaryCurve.disk`` scaled by epsilon
+    about p + epsilon*c.  Each probe-centre difference is reduced into the
+    centred cell, as ``potentials._distance_guard`` reduces its differences.
+    Inside the hole S[theta] is not the solution, so a value there is wrong.
+    """
+    p = np.asarray(center, dtype=float)
+    for s in states:
+        c, radius = s.theta.curve.curve.disk
+        d = pts - (p + s.epsilon * c)
+        d -= np.round(d / lattice.q) * lattice.q
+        inside = np.sum(d * d, axis=1) <= (s.epsilon * radius) ** 2
+        if np.any(inside):
+            raise ValueError(
+                f"probe {pts[np.argmax(inside)].tolist()} lies inside the hole (or a "
+                f"periodic image of it) at epsilon={s.epsilon}, where the layer "
+                f"potential is not the solution")
+
+
 def reconstruct_field(state: ContinuationState, probes, *, center,
                       green: qpgreen.GreenEvaluator) -> potentials.FieldSample:
-    """Evaluate u = S[physical-hole density] at probe points."""
+    """Evaluate u = S[physical-hole density] at probe points.
+
+    A probe inside the physical hole or one of its periodic images raises
+    ValueError.
+    """
+    pts = np.atleast_2d(np.asarray(probes, dtype=float))
+    _hole_guard([state], pts, center, green.lattice)
     phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
                                        green.lattice)
     dens = potentials.Density(curve=phys, values=np.asarray(state.theta.values))
-    return potentials.field_eval("single", dens, probes, green=green)
+    return potentials.field_eval("single", dens, pts, green=green)
+
+
+def _probe_values(states, pts: np.ndarray, center,
+                  green: qpgreen.GreenEvaluator) -> np.ndarray:
+    """u = S[theta] of every state at the probes, (n_states, n_probes), in one Green call.
+
+    Each state is contracted as ``potentials.field_eval`` contracts the single
+    layer, v_s @ (theta_s w_s), with its own distance guard, so a value is the
+    one ``reconstruct_field`` gives.
+    """
+    physs = [perturbation.physical_curve(s.theta.curve, center, s.epsilon, green.lattice)
+             for s in states]
+    for phys in physs:
+        potentials._distance_guard(phys, green.lattice, pts)
+    d = np.concatenate([(pts[:, None, :] - phys.points[None, :, :]).reshape(-1, 2)
+                        for phys in physs])
+    v, _ = qpgreen.green_eval(green, d)
+    v = v.reshape(len(states), len(pts), -1)
+    return np.stack([v_s @ (np.asarray(s.theta.values) * phys.weights)
+                     for v_s, s, phys in zip(v, states, physs)])
 
 
 def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
@@ -363,7 +422,9 @@ def far_field_scaling(states, probes, *, center, green: qpgreen.GreenEvaluator,
     ``fit_max_epsilon`` restricts the fit to the small-epsilon tail of the
     sweep where the neglected O(eps^2 log^2 eps) terms are negligible.  Fewer
     than three states in the window cannot determine the three coefficients
-    and raise ValueError.
+    and raise ValueError, as does a probe inside the physical hole of a state
+    in the window or of its periodic images.  The field of every state comes
+    from one Green call.
     """
     states = sorted(states, key=lambda s: s.epsilon)
     if fit_max_epsilon is not None:
@@ -376,9 +437,9 @@ def far_field_scaling(states, probes, *, center, green: qpgreen.GreenEvaluator,
         warnings.warn("epsilon sweep is short; far-field fit may be degenerate",
                       stacklevel=2)
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
+    _hole_guard(states, pts, center, green.lattice)
     eps = np.array([s.epsilon for s in states])
-    U = np.stack([reconstruct_field(s, pts, center=center, green=green).values
-                  for s in states], axis=0)  # (n_eps, n_probes)
+    U = _probe_values(states, pts, center, green)
     basis = np.stack([np.ones_like(eps), eps, eps * np.log(eps)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, U / eps[:, None], rcond=None)
     resid = np.max(np.abs(basis @ coef - U / eps[:, None]), axis=0)

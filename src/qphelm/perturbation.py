@@ -4,13 +4,19 @@ A hole p + eps*Omega carries boundary operators whose eps-dependence untangles
 into three fixed assemblies on the *reference* curve:
 
   index 1: free-space kernel at the rescaled wavenumber eps*k
-           (``potentials.assemble_free``, log-quadrature),
+           (the log-quadrature of ``potentials.assemble_free``),
   index 2: regular part R of the periodic Green function at rescaled distances
            eps*(x(t)-x(s)), contracted by operator kind as the periodic
            assembly does (trapezoid; analytic through zero),
   index 3: the log-rescaling correction profile T(y) = J-profile(k|y|) at
            rescaled distances, or its normal derivative; no Neumann profile
            enters (trapezoid; the eps*log(eps) term of the split).
+
+Indices 1 and 3 are even entire functions of eps*k|d|, so ``FamilySeries``
+holds them as power series in kappa = eps*k: one table of coefficient
+matrices per (curve, k) serves every |eps| up to the one it was built for,
+and a member costs one product of the powers of kappa^2 with the stacked
+planes.  Index 2 takes ``scaled_regular_tables`` at each eps.
 
 With d = x(t)-x(s) on the reference curve, the physical-curve identities are
 
@@ -35,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, potentials, qpgreen, specfun
-from .errors import ContainmentError
+from .errors import ContainmentError, SeriesTruncationError
 from .geometry import DiscreteCurve
 from .lattice import Lattice
 
 __all__ = [
+    "FamilySeries",
     "RescaledFamily",
     "rescaled_operator",
     "rescaling_identity_suite",
@@ -79,6 +86,96 @@ def _check_epsilon(epsilon: float, curve: DiscreteCurve, center, lattice: Lattic
             f"(-{bound:.6g}, {bound:.6g})")
 
 
+class FamilySeries:
+    """The index-1 and index-3 members of M, N and P as power series in kappa = epsilon*k.
+
+    Index 1 is the free-space Nystrom matrix at kappa: its profiles are even
+    entire functions of kappa|d|, so every entry is sum_m kappa^(2m) C_m.  C_m
+    is ``potentials._combine`` applied to the order-m monomials of the
+    profiles with k^2 = 1; the double kinds' k^2 gJ and k^2 gN terms move up
+    one power, and C_0 is the Laplace matrix.  Index 3 is the J-profile at
+    epsilon*d: M3 = sum_m kappa^(2m) (j_m / 2 pi) |d|^(2m) w, and N3, P3 =
+    epsilon k^2 sum_m kappa^(2m) g_m |d|^(2m) (nu . d) w.
+
+    One table serves every |epsilon| <= ``epsilon_max``.  Its degree is the
+    smallest at which every profile's terms |c_m| z_max^(2m), z_max =
+    |k| epsilon_max max|d|, pass ``specfun._trim_degree``; a z_max beyond
+    ``specfun.SERIES_RADIUS`` raises SeriesTruncationError.  A family's
+    coefficient planes are built on its first use.
+    """
+
+    def __init__(self, curve: DiscreteCurve, k, epsilon_max: float):
+        self.curve, self.k = curve, k
+        self.epsilon_max = abs(float(epsilon_max))
+        d = curve.points[:, None, :] - curve.points[None, :, :]
+        r2 = np.sum(d * d, axis=2)
+        z_max = abs(k) * self.epsilon_max * math.sqrt(float(r2.max()))
+        if z_max > specfun.SERIES_RADIUS:
+            raise SeriesTruncationError(
+                f"|k| epsilon max|d| = {z_max:.3g} exceeds the series radius "
+                f"{specfun.SERIES_RADIUS:g} of the rescaled families")
+        self.degree = max(specfun._trim_degree(c, z_max) for _, c in _PROFILES.values())
+        # |d|^(2m), m = 0..degree
+        rpow = np.empty((self.degree + 1,) + r2.shape)
+        rpow[0], rpow[1:] = 1.0, r2
+        self._rpow = np.cumprod(rpow, axis=0)
+        self._planes = {}
+
+    def _monomials(self, profile: str) -> np.ndarray:
+        """The order-m monomials c_m |d|^(2m) of one profile, m = 0..degree."""
+        scale, c = _PROFILES[profile]
+        # z_max <= SERIES_RADIUS keeps the degree within every stored series
+        return (scale * c[:len(self._rpow)])[:, None, None] * self._rpow
+
+    def _family_planes(self, family: str):
+        """(index-1 planes, index-3 planes) of one family, each (degree + 1, N, N)."""
+        if family not in self._planes:
+            kind = _FAMILY_KIND[family]
+            dc = self.curve
+            g = potentials._row_geometry(kind, dc, None)
+            w = dc.weights[None, None, :]
+            J2 = self._monomials("J2")
+            if kind == "single_trace":
+                profiles = zip(J2, self._monomials("N2"))
+                log_planes = J2 * w
+            else:
+                # k^2 gJ and k^2 gN: one power of kappa^2 up
+                gJ, gN = self._monomials("gJ"), self._monomials("gN")
+                profiles = zip([0.0, *gJ[:-1]], [0.0, *gN[:-1]], J2)
+                log_planes = gJ * g.nd * w
+            one_planes = np.stack([potentials._combine(kind, g, dc, 1.0, p) for p in profiles])
+            self._planes[family] = (one_planes, log_planes)
+        return self._planes[family]
+
+    def member(self, family: str, index: int, epsilon: float) -> np.ndarray:
+        """The index-1 or index-3 member of ``family`` at ``epsilon``."""
+        if abs(epsilon) > self.epsilon_max:
+            raise ValueError(f"epsilon={epsilon} beyond the table's epsilon_max="
+                             f"{self.epsilon_max}")
+        planes = self._family_planes(family)[0 if index == 1 else 1]
+        powers = np.power((epsilon * self.k) ** 2, np.arange(self.degree + 1))
+        flat = planes.reshape(len(planes), -1)
+        if np.iscomplexobj(powers):
+            re, im = np.stack([powers.real, powers.imag]) @ flat
+            matrix = re + 1j * im
+        else:
+            matrix = powers @ flat
+        matrix = matrix.reshape(planes.shape[1:])
+        if index == 3 and family != "M":
+            matrix = (epsilon * self.k * self.k) * matrix
+        return matrix
+
+
+# the profiles of potentials._profiles as (scale, series coefficients):
+# J2 = J~0/(2 pi), gJ = -J~1/(2 pi), N2 = N~0/4 and gN = (N~0'/z)/4
+_PROFILES = {
+    "J2": (1.0 / (2.0 * np.pi), specfun._get_jtilde(0.0).coefficients),
+    "gJ": (-1.0 / (2.0 * np.pi), specfun._get_jtilde(1.0).coefficients),
+    "N2": (0.25, specfun._get_ntilde(0).coefficients),
+    "gN": (0.25, specfun._get_ntilde(0).dz_over_z.coefficients),
+}
+
+
 def rescaled_operator(family: str, index: int, epsilon: float,
                       curve: DiscreteCurve, center, *,
                       green: qpgreen.GreenEvaluator) -> RescaledFamily:
@@ -86,33 +183,28 @@ def rescaled_operator(family: str, index: int, epsilon: float,
 
     Index 1 depends on epsilon only through the wavenumber epsilon*k and is
     defined for every epsilon in (-eps0, eps0), including 0 (Laplace limit)
-    and negative values.
+    and negative values.  Indices 1 and 3 come from a ``FamilySeries`` built
+    at |epsilon|.
     """
     _check_family(family, index)
     _check_epsilon(epsilon, curve, center, green.lattice)
-    tables = scaled_regular_tables(curve, epsilon, green) if index == 2 else None
-    matrix = _family_matrix(family, index, epsilon, curve, green, tables)
+    if index == 2:
+        series, tables = None, scaled_regular_tables(curve, epsilon, green)
+    else:
+        series, tables = FamilySeries(curve, green.k, epsilon), None
+    matrix = _family_matrix(family, index, epsilon, curve, series, tables)
     return RescaledFamily(family, index, float(epsilon), matrix, curve)
 
 
 def _family_matrix(family: str, index: int, epsilon: float, curve: DiscreteCurve,
-                   green: qpgreen.GreenEvaluator, tables) -> np.ndarray:
-    """Matrix of one member, without checks; index 2 reads the scaled ``tables``."""
-    kind = _FAMILY_KIND[family]
-    if index == 1:
-        return potentials.assemble_free(kind, curve, epsilon * green.k).matrix
+                   series: FamilySeries | None, tables) -> np.ndarray:
+    """Matrix of one member, without checks: indices 1 and 3 from ``series``,
+    index 2 from the scaled ``tables``."""
+    if index != 2:
+        return series.member(family, index, epsilon)
     nu = curve.normals
-    if index == 2:
-        return potentials._table_kernel(kind, nu, nu, *tables) * curve.weights[None, :]
-    # index 3: the J-profile that multiplies log|y| at y = epsilon*d
-    y = epsilon * (curve.points[:, None, :] - curve.points[None, :, :])
-    z = green.k * np.sqrt(np.sum(y * y, axis=2))
-    if kind == "single_trace":
-        core = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
-    else:
-        gJ = -specfun.entire_bessel_J(1.0, specfun.ProfilePoints(z)) / (2.0 * np.pi)
-        core = green.k * green.k * gJ * potentials._contract(kind, nu, nu, y)
-    return core * curve.weights[None, :]
+    return potentials._table_kernel(_FAMILY_KIND[family], nu, nu, *tables) \
+        * curve.weights[None, :]
 
 
 def physical_curve(curve: DiscreteCurve, center, epsilon: float,
@@ -150,12 +242,11 @@ _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
 
 
 def _boundary_identity_residual(kind, epsilon, tv, curve, phys, green,
-                                phys_tables, fam_tables) -> float:
+                                phys_tables, series, fam_tables) -> float:
     op_kind, family = _BOUNDARY_IDENTITY[kind]
     lhs = potentials.assemble(op_kind, phys, green=green,
                               tables=phys_tables).matrix @ tv
-    parts = [_family_matrix(family, i, epsilon, curve, green,
-                            fam_tables if i == 2 else None) @ tv
+    parts = [_family_matrix(family, i, epsilon, curve, series, fam_tables) @ tv
              for i in (1, 2, 3)]
     loge = math.log(epsilon)
     if family == "M":
@@ -217,12 +308,13 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     out = {}
     boundary = [k for k in kinds if k in _BOUNDARY_IDENTITY]
     if boundary:
+        series = FamilySeries(curve, green.k, epsilon)
         phys_tables = potentials.regular_tables(phys, green)
         fam_tables = scaled_regular_tables(curve, epsilon, green)
         for kind in boundary:
             out[kind] = _boundary_identity_residual(
                 kind, epsilon, tv, curve, phys, green,
-                phys_tables=phys_tables, fam_tables=fam_tables)
+                phys_tables=phys_tables, series=series, fam_tables=fam_tables)
     for kind in kinds:
         if kind not in _BOUNDARY_IDENTITY:
             out[kind] = _far_identity_residual(kind, epsilon, tv, curve, phys,

@@ -147,17 +147,26 @@ def _table_kernel(kind: str, target_normals: np.ndarray, source_normals: np.ndar
     return _contract(kind, target_normals, source_normals, gradients)
 
 
-def _nystrom(kind: str, dc: DiscreteCurve, k: complex | float, tables, taus) -> np.ndarray:
-    """Nystrom rows of one operator kind: at the nodes, or at off-node ``taus``.
+@dataclass(frozen=True)
+class _RowGeometry:
+    """The wavenumber-free part of one kind's Nystrom rows.
 
-    With d = x(tau) - y(s), the free-space profile at k|d| gives the log factor
-    A1 and, with the smooth log ratio L = log(|d| / (2 |sin((tau - s)/2)|)),
-    the smooth part A2.  The regular-part ``tables`` (values, gradients) of
-    the periodic kernel add to A2; free space has none.  With ``taus`` None
-    the rows are the nodes: the diagonal takes the limits L -> log |x'| and
-    (nu . d)/|d|^2 -> kappa/2, and the log weights are circulant.  A real k
-    (a float) keeps the profiles real.
+    d = x(tau) - y(s) gives r = |d| and the smooth log ratio
+    L = log(|d| / (2 |sin((tau - s)/2)|)); the double kinds add nd, the normal
+    contraction of d, and ratio = nd / r^2.  On the nodes the diagonal takes
+    the limits L -> log |x'| and ratio -> kappa/2.  W holds the log weights.
     """
+
+    r: np.ndarray
+    L: np.ndarray
+    W: np.ndarray
+    target_normals: np.ndarray
+    nd: np.ndarray | None = None
+    ratio: np.ndarray | None = None
+
+
+def _row_geometry(kind: str, dc: DiscreteCurve, taus) -> _RowGeometry:
+    """Geometry of the rows at the nodes (``taus`` None) or at off-node ``taus``."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     on_nodes = taus is None
@@ -175,28 +184,62 @@ def _nystrom(kind: str, dc: DiscreteCurve, k: complex | float, tables, taus) -> 
         L = np.log(r / (2.0 * np.abs(np.sin(0.5 * (ts[:, None] - dc.t[None, :])))))
     if on_nodes:
         np.fill_diagonal(L, np.log(dc.speeds))
-    z = k * r
-    if kind == "single_trace":
-        J2, N2 = specfun.fs_coefficients(2, z)
-        A1 = 0.5 * J2
-        A2 = J2 * L + N2
-    else:
-        k2 = k * k
-        nd = _contract(kind, nut, dc.normals, d)
-        z = specfun.ProfilePoints(z)
-        gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
-        J2 = specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = nd / (r * r)
-        if on_nodes:
-            # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
-            np.fill_diagonal(ratio, 0.5 * dc.curvature)
-        A1 = 0.5 * k2 * gJ * nd
-        A2 = k2 * gJ * nd * L + J2 * ratio + k2 * gN * nd
-    if tables is not None:
-        A2 = A2 + _table_kernel(kind, nut, dc.normals, *tables)
     W = log_weight_matrix(dc.N) if on_nodes else log_weight_rows(dc.N, taus)
-    return (W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
+    if kind == "single_trace":
+        return _RowGeometry(r, L, W, nut)
+    nd = _contract(kind, nut, dc.normals, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = nd / (r * r)
+    if on_nodes:
+        # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
+        np.fill_diagonal(ratio, 0.5 * dc.curvature)
+    return _RowGeometry(r, L, W, nut, nd, ratio)
+
+
+def _profiles(kind: str, k: complex | float, r: np.ndarray) -> tuple:
+    """The free-space profiles one kind combines, at z = k r.
+
+    The single layer takes (J2, N2), the log and remainder profiles of the
+    kernel; the double kinds take their derivatives over z, (gJ, gN), and J2.
+    """
+    if kind == "single_trace":
+        return specfun.fs_coefficients(2, k * r)
+    z = specfun.ProfilePoints(k * r)
+    gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
+    return gJ, gN, specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
+
+
+def _combine(kind: str, g: _RowGeometry, dc: DiscreteCurve, k2, profiles,
+             tables=None) -> np.ndarray:
+    """Nystrom rows from the geometry and the profiles: W A1 + (2 pi / N) A2.
+
+    The profiles give the log factor A1 and, with L, the smooth part A2; the
+    regular-part ``tables`` (values, gradients) of the periodic kernel add to
+    A2.  The double kinds scale their derivative profiles by k2 = k^2.
+    """
+    if kind == "single_trace":
+        J2, N2 = profiles
+        A1 = 0.5 * J2
+        A2 = J2 * g.L + N2
+    else:
+        gJ, gN, J2 = profiles
+        A1 = 0.5 * k2 * gJ * g.nd
+        A2 = k2 * gJ * g.nd * g.L + J2 * g.ratio + k2 * gN * g.nd
+    if tables is not None:
+        A2 = A2 + _table_kernel(kind, g.target_normals, dc.normals, *tables)
+    return (g.W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
+
+
+def _nystrom(kind: str, dc: DiscreteCurve, k: complex | float, tables, taus) -> np.ndarray:
+    """Nystrom rows of one operator kind: at the nodes, or at off-node ``taus``.
+
+    The free-space profiles at k|d| (``_profiles``) combine with the row
+    geometry (``_row_geometry``) into the log factor A1 and the smooth part
+    A2 (``_combine``); free space has no ``tables``.  A real k (a float)
+    keeps the profiles real.
+    """
+    g = _row_geometry(kind, dc, taus)
+    return _combine(kind, g, dc, k * k, _profiles(kind, k, g.r), tables)
 
 
 def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=None):

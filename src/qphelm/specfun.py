@@ -91,7 +91,7 @@ class EntireSeries:
 
 def _trim_degree(coeffs: np.ndarray, radius: float = 20.0) -> int:
     """Smallest degree whose trailing three terms stay below 1e-17 at |z| = radius."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         logmags = np.log(np.abs(coeffs)) + 2.0 * np.arange(len(coeffs)) * np.log(radius)
     logtol = np.log(1e-17)
     for d in range(4, len(coeffs)):

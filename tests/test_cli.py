@@ -268,6 +268,19 @@ def test_far_identity_without_probes_exits_2(tmp_path):
     assert not (tmp_path / "rescaling.csv").exists()
 
 
+def test_a_family_argument_past_the_series_radius_exits_4(tmp_path):
+    # |k| eps max|d| = 16 * 0.45 * 2 = 14.4: beyond the radius the families'
+    # power series are trusted to
+    big = copy.deepcopy(RESCALING_CFG)
+    big["wave"]["k_re"] = 16.0
+    big["geometry"].update(shape="circle", params={"radius": 1.0},
+                           epsilon_sweep=[0.45], N=64)
+    assert cli.run("check-rescaling", cli.parse_config(json.dumps(big)), tmp_path) == 4
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "series radius" in man["error"]
+
+
 def test_resonant_wavenumber_exits_3(tmp_path):
     res = copy.deepcopy(GREEN_CFG)
     res["wave"]["k_re"] = float(np.hypot(0.4, 0.7))  # dual point at index 0
@@ -397,6 +410,23 @@ def test_a_far_field_window_under_3_states_exits_2(tmp_path, fit_max_epsilon, ke
     man = _manifest(tmp_path)
     assert man["status"] == "failed"
     assert f"fit_max_epsilon={fit_max_epsilon} keeps {kept}" in man["error"]
+
+
+def test_a_probe_inside_a_fitted_hole_exits_2(tmp_path, monkeypatch):
+    # the benchmark's sweep with a probe 0.02 from the hole's centre: the
+    # holes at eps = 0.0625 and 0.03125 cover it, so their S[theta] there is
+    # not the solution, though its c0 would pass the 0.02 mismatch gate
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from qpbench import workloads
+
+    probes = np.array([[0.5, 0.52], [1.0, 1.0], [0.9, 0.9]])
+    cfg = cli.parse_config(json.dumps(workloads.sweep_config(probes)))
+    assert cli.run("sweep-epsilon", cfg, tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "probe [0.5, 0.52] lies inside the hole" in man["error"]
+    assert "epsilon=0.03125" in man["error"]
+    assert not (tmp_path / "farfield.csv").exists()
 
 
 def test_main_green_eval_end_to_end(tmp_path):

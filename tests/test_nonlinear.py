@@ -7,10 +7,12 @@ norms must contract quadratically; and the reconstructed far field must
 follow the leading epsilon-scaling law with the limit-density charge.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
-from qphelm import nonlinear, potentials, qpgreen
+from qphelm import geometry, nonlinear, potentials, qpgreen, specfun
 from qphelm.errors import QphelmError
 
 CENTER = (0.5, 0.5)
@@ -172,6 +174,82 @@ def test_far_field_scaling_law(sweep_states, disk96, green, poly2):
     gref, _ = qpgreen.green_eval(green, probes - np.asarray(CENTER))
     pred = gref * charge
     assert np.max(np.abs(fit.c0 - pred) / np.abs(pred)) < 2e-2
+
+
+def test_far_field_fit_evaluates_every_state_in_one_green_call(sweep_states, green,
+                                                              monkeypatch):
+    ang = np.linspace(0, 2 * np.pi, 6, endpoint=False)
+    probes = np.stack([1.65 + 0.08 * np.cos(ang), 1.35 + 0.08 * np.sin(ang)], axis=1)
+    # reference: per-state reconstruction and the fit's least squares
+    states = sorted(sweep_states, key=lambda s: s.epsilon)
+    eps = np.array([s.epsilon for s in states])
+    U = np.stack([nonlinear.reconstruct_field(s, probes, center=CENTER, green=green).values
+                  for s in states])
+    basis = np.stack([np.ones_like(eps), eps, eps * np.log(eps)], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, U / eps[:, None], rcond=None)
+    logs, x = np.log(np.abs(U)), np.log(eps)
+    slope = ((logs * x[:, None]).mean(axis=0) - x.mean() * logs.mean(axis=0)) \
+        / (np.mean(x * x) - x.mean() ** 2)
+    calls = []
+    green_eval = qpgreen.green_eval
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return green_eval(*args, **kwargs)
+
+    monkeypatch.setattr(qpgreen, "green_eval", counted)
+    fit = nonlinear.far_field_scaling(sweep_states, probes, center=CENTER, green=green)
+    assert calls == [len(states) * len(probes) * states[0].theta.curve.N]
+    for got, want in ((fit.c0, coef[0]), (fit.c1, coef[1]), (fit.c2, coef[2]),
+                      (fit.exponents, slope)):
+        assert np.array_equal(got, want)
+
+
+def test_a_probe_inside_a_hole_or_its_image_is_refused(sweep_states, green):
+    # the state at eps = 0.06 covers the disk of radius 0.06 about (0.5, 0.5)
+    # and its images; the state at eps = 0.003 does not reach these probes
+    big, small = sweep_states[0], sweep_states[-1]
+    for probe in ([0.5, 0.52], [1.5, -0.46], [0.45, 0.5]):
+        with pytest.raises(ValueError, match="inside the hole"):
+            nonlinear.reconstruct_field(big, [probe], center=CENTER, green=green)
+        nonlinear.reconstruct_field(small, [probe], center=CENTER, green=green)
+    probes = np.array([[1.65, 1.35], [1.6, 1.45], [0.5, 0.52]])
+    # the fit runs from the smallest epsilon up: 0.03 is the first to cover it
+    with pytest.raises(ValueError, match=r"\[0.5, 0.52\].*epsilon=0.03"):
+        nonlinear.far_field_scaling(sweep_states, probes, center=CENTER, green=green)
+
+
+def test_sweep_profile_calls_do_not_grow_with_the_grid(green, poly2, monkeypatch):
+    # no per-epsilon profile pass: a sweep over 8 epsilons sums the entire
+    # profiles exactly as often as one over 4 (the limit density's, once)
+    disk = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
+    grid = nonlinear.default_epsilon_grid(disk, CENTER, green.lattice)
+    assert len(grid) == 8
+    calls = collections.Counter()
+
+    class CountedPoints(specfun.ProfilePoints):
+        def __init__(self, z):
+            calls["ProfilePoints"] += 1
+            super().__init__(z)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(specfun, "ProfilePoints", CountedPoints)
+    for name in ("entire_bessel_J", "fs_coefficients", "fs_coefficients_dz_over_z"):
+        monkeypatch.setattr(specfun, name, counted(name, getattr(specfun, name)))
+
+    def count(epsilons):
+        calls.clear()
+        nonlinear.continuation_sweep(poly2, disk, CENTER, green=green, epsilons=epsilons)
+        return dict(calls)
+
+    count(grid[:1])  # the evaluator's first separable table fits its expansion
+    four, eight = count(grid[:4]), count(grid)
+    assert four and four == eight
 
 
 @pytest.mark.parametrize("fit_max_epsilon, kept", [(1e-3, 0), (0.0075, 2)])

@@ -11,8 +11,8 @@ epsilon, and the necessity of the log-epsilon term are checked separately.
 import numpy as np
 import pytest
 
-from qphelm import geometry, perturbation, potentials, specfun
-from qphelm.errors import ContainmentError
+from qphelm import geometry, nonlinear, perturbation, potentials, qpgreen, specfun
+from qphelm.errors import ContainmentError, SeriesTruncationError
 
 CENTER = (0.5, 0.5)
 
@@ -140,7 +140,50 @@ def test_log_family_sums_only_the_j_profile(green, monkeypatch, family):
     for eps, ref in refs.items():
         got = perturbation.rescaled_operator(family, 3, eps, dc, CENTER,
                                              green=green).matrix
-        assert np.array_equal(got, ref)
+        # the series sums the J-profile in its own order
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [1.3, 6.0, 2 + 0.5j])
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("shape", ["circle", "kite"])
+def test_series_members_match_direct_assembly(lat, shape, N, k):
+    # index 1 against the free-space assembly at eps*k, index 3 against the
+    # J-profile summed at eps*d, at every epsilon of the default grid
+    ref = geometry.make_curve("circle", radius=1.0) if shape == "circle" \
+        else geometry.make_curve("kite")
+    dc = geometry.discretize(ref, N)
+    grid = nonlinear.default_epsilon_grid(dc, CENTER, lat)
+    series = perturbation.FamilySeries(dc, k, max(grid))
+    for eps in grid:
+        for family in "MNP":
+            kind = perturbation._FAMILY_KIND[family]
+            for index, direct in (
+                    (1, potentials.assemble_free(kind, dc, eps * k).matrix),
+                    (3, _index3_from_both_profiles(family, eps, dc, k))):
+                got = series.member(family, index, eps)
+                err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+                assert err <= 1e-13, (family, index, eps, err)
+
+
+@pytest.mark.parametrize("k", [1.3, 2 + 0.5j])
+def test_series_at_zero_is_the_laplace_assembly(k):
+    dc = geometry.discretize(geometry.make_curve("kite"), 64)
+    series = perturbation.FamilySeries(dc, k, 0.1)
+    for family, kind in perturbation._FAMILY_KIND.items():
+        got = series.member(family, 1, 0.0)
+        assert np.array_equal(got, potentials.assemble_free(kind, dc, 0.0).matrix)
+
+
+def test_series_refuses_arguments_past_the_series_radius(lat):
+    # |k| eps max|d| = 16 * 0.45 * 2 = 14.4 > SERIES_RADIUS = 12
+    green16 = qpgreen.make_green_evaluator(lat, 16.0)
+    dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
+    with pytest.raises(SeriesTruncationError, match="series radius"):
+        perturbation.rescaled_operator("M", 1, 0.45, dc, CENTER, green=green16)
+    series = perturbation.FamilySeries(dc, 16.0, 0.3)
+    with pytest.raises(ValueError, match="epsilon_max"):
+        series.member("M", 1, 0.31)
 
 
 def test_normal_family_regular_part_at_zero_has_rank_structure(green):
