@@ -219,7 +219,10 @@ class HoleConfig:
 
 
 def rescale(cfg: HoleConfig) -> BoundaryCurve:
-    """Physical hole boundary t -> p + epsilon * x_ref(t)."""
+    """Physical hole boundary t -> p + epsilon * x_ref(t).
+
+    Its extent and disk come from the reference's 4,096 samples, mapped.
+    """
     ref = cfg.reference
     p = np.asarray(cfg.center, dtype=float)
     eps = float(cfg.epsilon)
@@ -233,7 +236,11 @@ def rescale(cfg: HoleConfig) -> BoundaryCurve:
     def acc(t):
         return eps * ref.acceleration(t)
 
-    return BoundaryCurve(pos, vel, acc, name=f"{ref.name}@p={tuple(p)},eps={eps}")
+    curve = BoundaryCurve(pos, vel, acc, name=f"{ref.name}@p={tuple(p)},eps={eps}")
+    # the reference's samples moved, with the bits of pos at the same
+    # parameters: extent and disk never sample the physical curve again
+    curve.__dict__["_samples"] = p + eps * ref._samples
+    return curve
 
 
 def trig_interpolate(values: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -34,16 +34,19 @@ fold in S_2 with the Bloch phase (for R only at moved points), and sum
 Ewald beyond the radius; an unfitted evaluator is the case with no point
 within it.  A call reduces all its points first.  The expansion then takes
 those within its radius rung by rung (the points of one order count) across
-the whole call, in blocks of at most _BLOCK points written straight into the
-call's outputs, a table's antipode rows included: each rung's fixed cost is
-paid once per call.  The basis tables are bounded by the block; the reduced
+the whole call, in blocks written straight into the call's outputs, a
+table's antipode rows included.  A block is sized by memory, not by point
+count: its phi table holds at most _PHI_ENTRIES entries, 512 points at the
+cap and a few thousand at the lowest rungs, so each block's fixed cost is
+shared among many points at every rung.  The basis tables are bounded by the block; the reduced
 points, shifts, squared radii and index arrays of the call grow with it, a
-few tens of bytes per point.  The S_2 fold and the Ewald sum go in _CHUNK
-runs.  The arithmetic follows k alone: for a real k (Im k = 0;
-GreenEvaluator.k is then a float) the phi table is real and the basis at
-order -n is the conjugate of the basis at n, so its table is never
-evaluated; the free-space profiles are real too.  A complex k keeps the
-complex tables.  The rule never looks at the data, which would flip at x = 0.
+few tens of bytes per point.  The S_2 fold goes in _S2_RUN runs and the
+Ewald sum, whose points carry every spatial shift, in _CHUNK runs.  The
+arithmetic follows k alone: for a real k (Im k = 0; GreenEvaluator.k is
+then a float) the phi table is real and the basis at order -n is the
+conjugate of the basis at n, so its table is never evaluated; the
+free-space profiles are real too.  A complex k keeps the complex tables.
+The rule never looks at the data, which would flip at x = 0.
 
 Tables at the differences y_i - y_j of points inside a disk about c of
 radius r0 with 2 r0 within the expansion's radius are separable.  Graf's
@@ -106,10 +109,11 @@ __all__ = [
     "ewald_oracle",
 ]
 
+# Points per Ewald run: each carries about 49 shifts x jmax series terms
 _CHUNK = 2048
-# Points per basis table of the expansion: larger blocks cost less per point
-# and more memory (about 5 kB per point with a real k at the cap)
-_BLOCK = 512
+# Points per S_2 run of the fold and of R's subtraction: a few profile sums
+# per point, so a longer run pays the interpreter's fixed cost less often
+_S2_RUN = 8192
 # Rows per product in separable_tables (at least two, so BLAS never takes its
 # one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
 _ROW_BLOCK = 16
@@ -130,6 +134,12 @@ _EXPANSION_CAP = 120
 _LADDER_RATIO = 0.9
 _LADDER_STEPS = 48
 _TERM_STEP = 8
+# phi-table entries per block of the expansion's rung pass: 512 points at the
+# cap, whose table has _EXPANSION_CAP + 3 rows (the gradient's extra order and
+# the recurrence's two start rows).  A rung's block is this budget over its
+# own row count, so low rungs take a few thousand points per block and no
+# basis table outgrows the cap block's (about 2.5 MB with a real k).
+_PHI_ENTRIES = 512 * (_EXPANSION_CAP + 3)
 
 
 def _shell_indices(s: int) -> np.ndarray:
@@ -207,6 +217,8 @@ class GreenEvaluator:
         E = self.ewald_split
         A = lattice.cell_measure
         qmin = float(np.min(lattice.q))
+        # the distance to a source lattice point under which G is refused
+        self._exclusion = _EXCLUSION_FACTOR * qmin
 
         # ---- spatial j-series coefficients a_j = (k/2E)^{2j} / j! -------------
         b = (k / (2.0 * E)) ** 2
@@ -297,7 +309,7 @@ class GreenEvaluator:
 
     def _require_clear(self, rho2: np.ndarray) -> None:
         """Refuse squared distances to a source lattice point inside the exclusion."""
-        excl = _EXCLUSION_FACTOR * float(np.min(self.lattice.q))
+        excl = self._exclusion
         if np.any(rho2 < excl * excl):
             raise NearLatticePointError(
                 f"evaluation point within {excl:.1e} of a source lattice point"
@@ -376,9 +388,9 @@ def _batched(x, kernel, trailing):
     return _shaped(x, out)
 
 
-def _chunks(idx: np.ndarray):
-    """The indices idx in runs of at most _CHUNK."""
-    return (idx[lo:lo + _CHUNK] for lo in range(0, len(idx), _CHUNK))
+def _chunks(idx: np.ndarray, run: int):
+    """The indices idx in runs of at most ``run``."""
+    return (idx[lo:lo + run] for lo in range(0, len(idx), run))
 
 
 # trailing shapes of a value, a gradient and a Hessian
@@ -433,8 +445,8 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
     the basis at x', and S_2(-x) = S_2(x) with the gradient negated.  Ewald
     serves the points beyond the radius, at +-x, and every point for G
     before regular_part has fitted the expansion.  R then subtracts S_2(x)
-    where it folded or summed G.  The fold, the Ewald sum and the
-    subtraction go in _CHUNK runs.
+    where it folded or summed G.  The fold and the subtraction go in _S2_RUN
+    runs, the Ewald sum in _CHUNK runs.
     """
     # only R fits the expansion: a few values of G never pay for the fit
     fb = ev.expansion if regular else ev._expansion
@@ -452,7 +464,7 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
         fb.fill(xr, r2, np.flatnonzero(near), len(rows) == 2,
                 [(a, at) for at in rows for a in out])
     fold = near & moved if regular else near
-    for idx in _chunks(np.flatnonzero(fold)):
+    for idx in _chunks(np.flatnonzero(fold), _S2_RUN):
         free = specfun.fundamental_solution(2, xr[idx], ev.k)
         for s, at in zip(signs, rows):
             at = at[idx]
@@ -462,13 +474,13 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
             for a, b in zip(out, _fold([a[at] for a in out], signed, ph)):
                 a[at] = b
     ewald = _ewald_kernel(ev, 1)
-    for idx in _chunks(np.flatnonzero(~near)):
+    for idx in _chunks(np.flatnonzero(~near), _CHUNK):
         for s, at in zip(signs, rows):
             for a, b in zip(out, ewald(s * pts[idx])):
                 a[at[idx]] = b
     if regular:
         v, g = out
-        for idx in _chunks(np.flatnonzero(fold | ~near)):
+        for idx in _chunks(np.flatnonzero(fold | ~near), _S2_RUN):
             free = specfun.fundamental_solution(2, pts[idx], ev.k)
             for s, at in zip(signs, rows):
                 v[at[idx]] -= free.value
@@ -496,6 +508,11 @@ def green_hessian(ev: GreenEvaluator, x):
     return ewald_oracle(ev, x)
 
 
+def _phi_top(nmax: int, umax: float) -> int:
+    """The start order of _phi_table's recurrence; its table has two rows more."""
+    return max(nmax, int(np.ceil(2.0 * umax)))
+
+
 def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     """phi_n(z) = n! (2/z)^n J_n(z) = 0F1(; n+1; -u) at u = z^2/4, rows n = 0..nmax.
 
@@ -508,7 +525,7 @@ def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
     is real for real u, which a real k gives (see _wavenumber).
     """
     u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
-    top = max(nmax, int(np.ceil(2.0 * umax)))
+    top = _phi_top(nmax, umax)
     phi = np.empty((top + 2,) + u.shape, dtype=u.dtype)
     for n in (top, top + 1):
         term = acc = np.ones_like(u)
@@ -635,6 +652,10 @@ class FourierBesselExpansion:
         # largest ladder radius with that count
         self._umax = {int(t): abs(k) ** 2 * self._ladder[tops == t][-1] ** 2 / 4.0
                       for t in np.unique(tops)}
+        # points per block of a count: its phi table, to order t + 1 for the
+        # gradient, holds at most _PHI_ENTRIES entries
+        self._block = {t: _PHI_ENTRIES // (_phi_top(t + 1, u) + 2)
+                       for t, u in self._umax.items()}
 
     def terms(self, rmax: float) -> int:
         """Highest order kept at |x| <= rmax.
@@ -669,16 +690,20 @@ class FourierBesselExpansion:
         With ``antipodes`` the same jet at -x follows, from the same basis.
         Each dest pairs an output array with row indices: point i goes to row
         rows[i].  The points are grouped by their ladder rung across the
-        whole call and each rung goes in blocks of at most _BLOCK points, so
-        no basis table grows with the call.  The dests are written last to
-        first: where two rows coincide (a table's diagonal) the first wins.
+        whole call and each rung goes in blocks whose phi table holds at most
+        _PHI_ENTRIES entries: 512 points at the cap, a few thousand at the
+        lowest rungs.  So no basis table grows with the call, and a low rung,
+        with few rows, shares each block's fixed cost among many points.  The
+        dests are written last to first: where two rows coincide (a table's
+        diagonal) the first wins.
         """
         level = np.searchsorted(self._ladder, np.sqrt(r2[idx]))
         tops = self._tops[np.minimum(level, _LADDER_STEPS - 1)]
         for top in np.flatnonzero(np.bincount(tops)):
             rung = idx[tops == top]
-            for lo in range(0, len(rung), _BLOCK):
-                sel = rung[lo:lo + _BLOCK]
+            block = self._block[top]
+            for lo in range(0, len(rung), block):
+                sel = rung[lo:lo + block]
                 # the gradient shifts the orders by one
                 jet = self._jet(x[sel], r2[sel], int(top) + 1, self._umax[top], antipodes)
                 for (a, rows), b in zip(dests[::-1], jet[::-1]):

@@ -97,6 +97,32 @@ def test_rescale_is_exact_affine_map():
     np.testing.assert_allclose(ds.curvature, dr.curvature / 0.1, rtol=1e-11)
 
 
+def test_a_rescaled_curve_maps_the_reference_samples():
+    # extent and disk of the physical curve have the bits of sampling it
+    # afresh, and taking them samples neither curve again
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    for shape, params in (("circle", dict(radius=1.0)), ("kite", dict())):
+        curve = geometry.make_curve(shape, **params)
+        calls = []
+
+        def position(t, curve=curve):
+            calls.append(np.size(t))
+            return curve.position(t)
+
+        ref = geometry.BoundaryCurve(position, curve.velocity, curve.acceleration)
+        for eps in (0.125, 2.0 ** -7, 0.001):
+            cfg = geometry.HoleConfig(reference=ref, center=(0.5, 0.5), epsilon=eps,
+                                      lattice=lat)
+            phys = geometry.rescale(cfg)
+            n = len(calls)
+            extent, disk = phys.extent, phys.disk
+            assert len(calls) == n
+            fresh = geometry.BoundaryCurve(phys.position, phys.velocity,
+                                           phys.acceleration)
+            assert all(np.array_equal(a, b) for a, b in zip(extent, fresh.extent))
+            assert np.array_equal(disk[0], fresh.disk[0]) and disk[1] == fresh.disk[1]
+
+
 def test_containment_bound_circle():
     lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
     disk = geometry.make_curve("circle", radius=1.0)

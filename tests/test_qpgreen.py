@@ -500,13 +500,14 @@ def _rung_points(ev, n, seed):
     return pts + shifts * ev.lattice.q
 
 
-def _rungs(ev, pts):
-    """The distinct order counts of the points within the expansion's radius."""
+def _rung_counts(ev, pts):
+    """The number of points within the expansion's radius at each order count."""
     fb = ev.expansion
     xr = pts - np.round(pts / ev.lattice.q) * ev.lattice.q
     r = np.hypot(xr[:, 0], xr[:, 1])
     level = np.searchsorted(fb._ladder, r[r <= fb.radius])
-    return set(fb._tops[np.minimum(level, qpgreen._LADDER_STEPS - 1)])
+    tops = fb._tops[np.minimum(level, qpgreen._LADDER_STEPS - 1)]
+    return {int(t): int(np.sum(tops == t)) for t in np.unique(tops)}
 
 
 def _alike(call, pts, seed):
@@ -529,13 +530,19 @@ def _alike(call, pts, seed):
                                   ((1.0, 1.7), 6.0)])
 def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     # the CLI splits grids over threads, and a call groups its points by rung
-    # and block; every point must come out bit for bit the same whichever
-    # batch it is evaluated in, single points included
+    # and block and runs S_2 and Ewald over them; every point must come out
+    # bit for bit the same whichever batch it is evaluated in, single points
+    # included
     lat = Lattice(q_diag=q, eta=(0.4, 0.7))
     ev = qpgreen.make_green_evaluator(lat, k)
     fb = ev.expansion
-    pts = _rung_points(ev, 3 * qpgreen._CHUNK + 300, 6)
-    assert _rungs(ev, pts) == set(fb._tops)
+    pts = _rung_points(ev, qpgreen._S2_RUN + 2 * qpgreen._CHUNK, 6)
+    counts = _rung_counts(ev, pts)
+    assert set(counts) == set(fb._tops)
+    # the whole call crosses a block boundary in some rung and a run
+    # boundary of the S_2 fold
+    assert any(n > fb._block[t] for t, n in counts.items())
+    assert sum(counts.values()) - 3 > qpgreen._S2_RUN
     xr = pts - np.round(pts / lat.q) * lat.q
     assert np.any(np.hypot(xr[:, 0], xr[:, 1]) > fb.radius) == (min(q) != max(q))
     off = pts[3:]  # G is singular at x = 0 and on the lattice
@@ -559,7 +566,7 @@ def test_each_point_is_evaluated_alike_in_any_batch(q, k):
     assert n * n >= 3 * qpgreen._CHUNK
     assert np.array_equal(d, -d.swapaxes(0, 1))
     i, j = np.triu_indices(n)
-    assert _rungs(ev, d[i, j]) == set(fb._tops)
+    assert set(_rung_counts(ev, d[i, j])) == set(fb._tops)
     table = qpgreen.regular_part(ev, d)
     flat = _alike(lambda p: qpgreen.regular_part(ev, p), d.reshape(-1, 2), 12)
     for a, b in zip(table, flat):
@@ -608,12 +615,9 @@ def test_the_basis_type_follows_k_alone():
         assert (qpgreen._phi_table((ev.k * ev.k / 4.0) * r2[:1], 16, 1.0).dtype == float) == real
 
 
-def test_a_flux_sized_green_call_stays_small():
-    # one green_eval call at the 288 x 128 point-node differences of a cell
-    # flux: the outputs take 1.7 MiB, the rest of the peak is bounded by the
-    # rung blocks and a few per-point arrays
-    import tracemalloc
-
+def _flux_call():
+    """A fitted evaluator (unit cell, k = 6), the N = 128 kite at scale 0.3
+    and the 288 x 128 point-node differences of a cell flux on it."""
     lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
     ev = qpgreen.make_green_evaluator(lat, 6.0)
     ev.expansion
@@ -623,6 +627,16 @@ def test_a_flux_sized_green_call_stays_small():
              for side in (0.0, 1.0) for order in (1, -1)]
     pts = (np.concatenate(edges)[:, None, :] - kite.points[None, :, :]).reshape(-1, 2)
     assert len(pts) == 36864
+    return ev, kite, pts
+
+
+def test_a_flux_sized_green_call_stays_small():
+    # one green_eval call at the point-node differences of a cell flux: the
+    # outputs take 1.7 MiB, the rest of the peak is bounded by the rung
+    # blocks and a few per-point arrays
+    import tracemalloc
+
+    ev, _, pts = _flux_call()
     qpgreen.green_eval(ev, pts[:600])
     tracemalloc.start()
     try:
@@ -631,6 +645,27 @@ def test_a_flux_sized_green_call_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * 2 ** 20
+
+
+def test_every_phi_table_stays_within_the_cap_block(monkeypatch):
+    # a rung's block is sized by its phi table's entries, not by its points:
+    # no table outgrows the cap block's, and low rungs take longer blocks
+    ev, kite, pts = _flux_call()
+    tables = []
+    phi_table = qpgreen._phi_table
+
+    def recorded(u, nmax, umax):
+        phi = phi_table(u, nmax, umax)
+        # the rows returned are a view of the whole recurrence table
+        tables.append((np.size(u), (phi if phi.base is None else phi.base).size))
+        return phi
+
+    monkeypatch.setattr(qpgreen, "_phi_table", recorded)
+    qpgreen.green_eval(ev, pts)
+    y = kite.points
+    qpgreen.regular_part(ev, y[:, None, :] - y[None, :, :])
+    assert max(entries for _, entries in tables) <= 512 * (qpgreen._EXPANSION_CAP + 3)
+    assert max(points for points, _ in tables) > 512
 
 
 # --------------------------------------------------------------------------- #

@@ -2,13 +2,14 @@
 
 Every ```python block of README.md is executed, in order, in one namespace,
 so a later block may use names an earlier one defined.  The CLI reference
-lists every configuration entry and exit code the CLI has.
+lists every configuration entry and exit code the CLI has, and the rung
+pass quotes the block and run sizes qpgreen uses.
 """
 
 import re
 from pathlib import Path
 
-from qphelm import cli
+from qphelm import cli, qpgreen
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +28,15 @@ def test_readme_lists_every_config_entry_and_exit_code():
     assert not [e for e in cli._ENTRY.values() if f"| `{e}` |" not in text]
     codes = [code for _, code, _ in cli._EXITS]
     assert not [c for c in codes if f"\n| {c} |" not in text]
+
+
+def test_readme_rung_pass_quotes_the_qpgreen_sizes():
+    text = " ".join(README.read_text().split())
+    rung_pass = text[text.index("**Rung pass.**"):text.index("**Real k.**")]
+    cap_block = qpgreen._PHI_ENTRIES // (qpgreen._EXPANSION_CAP + 3)
+    assert f"at most `{cap_block} × (cap + 3)` entries" in rung_pass
+    assert f"the cap takes blocks of {cap_block} points" in rung_pass
+    assert f"The `S₂` fold goes in {qpgreen._S2_RUN:,}-point runs" in rung_pass
+    assert f"the Ewald sum, whose points each carry every spatial shift, in " \
+        f"{qpgreen._CHUNK:,}-point runs" in rung_pass
+    assert f"Ewald serves every point, in the same {qpgreen._CHUNK:,}-point runs" in text
