@@ -47,6 +47,7 @@ __all__ = [
     "assemble_free",
     "boundary_trace_rows",
     "field_eval",
+    "inside_hole",
     "cell_flux_integral",
 ]
 
@@ -317,6 +318,31 @@ def _distance_guard(dc: DiscreteCurve, lattice: Lattice, points: np.ndarray):
             AccuracyGuardWarning,
             stacklevel=3,
         )
+
+
+def inside_hole(dc: DiscreteCurve, lattice: Lattice, points) -> np.ndarray:
+    """Which points lie inside the hole bounded by dc, or inside a periodic image of it.
+
+    Each point is reduced into the box [lo, lo + q) whose corner lo holds the
+    least node coordinate on each axis.  A hole narrower than a period meets
+    no image of itself inside that box, so the crossings of a ray from the
+    reduced point with the one node polygon decide, by their parity.  The
+    polygon stands in for the curve: a point on which the two disagree lies
+    within a chord's sagitta of the curve, inside one node spacing, where
+    _distance_guard already warns.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    q = lattice.q
+    lo = np.min(dc.points, axis=0)
+    p = pts - np.floor((pts - lo) / q) * q
+    a, b = dc.points, np.roll(dc.points, -1, axis=0)
+    x, y = p[:, :1], p[:, 1:]
+    # edge j spans the height y; a level edge never does, so its zero
+    # division is discarded
+    spans = (a[:, 1] > y) != (b[:, 1] > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+    return np.count_nonzero(spans & (x < at), axis=1) % 2 == 1
 
 
 def field_eval(kind: str, density: Density, points, *,

@@ -29,24 +29,33 @@ points of its call, so every point gets the same bits in any batch (a grid
 split over threads included).
 
 green_eval and regular_part serve a point through one driver, _cell, in
-one order: reduce it into the cell, take the expansion within its radius,
-fold in S_2 with the Bloch phase (for R only at moved points), and sum
-Ewald beyond the radius; an unfitted evaluator is the case with no point
-within it.  A call reduces all its points first.  The expansion then takes
-those within its radius rung by rung (the points of one order count) across
-the whole call, in blocks written straight into the call's outputs, a
-table's antipode rows included.  A block is sized by memory, not by point
-count: its phi table holds at most _PHI_ENTRIES entries, 512 points at the
-cap and a few thousand at the lowest rungs, so each block's fixed cost is
-shared among many points at every rung.  The basis tables are bounded by the block; the reduced
+one order: reduce it into the cell, take the expansion within its radius
+with S_2 folded in and the Bloch phase applied (for R only at moved
+points), and sum Ewald beyond the radius; an unfitted evaluator is the case
+with no point within it.  A call reduces all its points first.  The
+expansion then takes those within its radius rung by rung (the points of
+one order count) across the whole call, in blocks written straight into the
+call's outputs, a table's antipode rows included.  One block computes all
+that a point needs: its powers (-u)^m, u = (k|x|/2)^2, times a fixed
+per-rung matrix give the phi rows from order n0 = max(1, ceil(2 umax)) up
+and two free-space profiles of S_2, the backward recurrence the rows below
+n0, and the powers of w times the phi rows the basis, which one product per
+sign contracts with the coefficients.  S_2 takes J_0 = phi_0,
+J_1(z)/z = phi_1/2 and the two profile columns; a rung whose |k x| passes
+_PROFILE_RADIUS takes S_2 from specfun.  A block is sized by memory, not
+by point count: its table holds at most _PHI_ENTRIES entries, about 512
+points at the cap and a few thousand at the lowest rungs, so each block's
+fixed cost is shared among many points at every rung.  The basis tables
+are bounded by the block; the reduced
 points, shifts, squared radii and index arrays of the call grow with it, a
-few tens of bytes per point.  The S_2 fold goes in _S2_RUN runs and the
-Ewald sum, whose points carry every spatial shift, in _CHUNK runs.  The
-arithmetic follows k alone: for a real k (Im k = 0; GreenEvaluator.k is
-then a float) the phi table is real and the basis at order -n is the
-conjugate of the basis at n, so its table is never evaluated; the
-free-space profiles are real too.  A complex k keeps the complex tables.
-The rule never looks at the data, which would flip at x = 0.
+few tens of bytes per point.  R's subtraction of S_2(x), where the pass
+or Ewald gave G, goes in _S2_RUN runs and the Ewald sum, whose points carry
+every spatial shift, in _CHUNK runs.  The arithmetic follows k alone: for a
+real k (Im k = 0; GreenEvaluator.k is then a float) the phi table is real
+and the basis at order -n is the conjugate of the basis at n, so one
+product with the order -n coefficients conjugated serves both signs of the
+order; the free-space profiles are real too.  A complex k keeps both basis
+tables.  The rule never looks at the data, which would flip at x = 0.
 
 Tables at the differences y_i - y_j of points inside a disk about c of
 radius r0 with 2 r0 within the expansion's radius are separable.  Graf's
@@ -111,8 +120,9 @@ __all__ = [
 
 # Points per Ewald run: each carries about 49 shifts x jmax series terms
 _CHUNK = 2048
-# Points per S_2 run of the fold and of R's subtraction: a few profile sums
-# per point, so a longer run pays the interpreter's fixed cost less often
+# Points per S_2(x) run of R's subtraction (moved points and Ewald's): a
+# few profile sums per point, so a longer run pays the interpreter's fixed
+# cost less often
 _S2_RUN = 8192
 # Rows per product in separable_tables (at least two, so BLAS never takes its
 # one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
@@ -134,12 +144,18 @@ _EXPANSION_CAP = 120
 _LADDER_RATIO = 0.9
 _LADDER_STEPS = 48
 _TERM_STEP = 8
-# phi-table entries per block of the expansion's rung pass: 512 points at the
-# cap, whose table has _EXPANSION_CAP + 3 rows (the gradient's extra order and
-# the recurrence's two start rows).  A rung's block is this budget over its
-# own row count, so low rungs take a few thousand points per block and no
-# basis table outgrows the cap block's (about 2.5 MB with a real k).
+# Table entries per block of the expansion's rung pass (_phi_rows): 512 points
+# at the cap with _EXPANSION_CAP + 3 rows each.  A rung's block is this budget
+# over its own row count (the phi rows to the gradient's extra order or the
+# series' start, and S_2's two profile columns), so low rungs take a few
+# thousand points per block and no basis table outgrows the cap block's.
 _PHI_ENTRIES = 512 * (_EXPANSION_CAP + 3)
+# Largest |k x| of a rung whose S_2 comes from its block's own profile
+# columns.  Up to 8 the terms of N~_0's series stay within a few hundred of
+# the sum (I_0(8) = 427), and the block agrees with specfun's Horner sum to
+# about 1e-15 of G; towards specfun's series radius 12 both sums cancel to a
+# few 1e-13 of S_2 and differ by as much, so those rungs take specfun's sum.
+_PROFILE_RADIUS = 8.0
 
 
 def _shell_indices(s: int) -> np.ndarray:
@@ -425,28 +441,23 @@ def ewald_oracle(ev: GreenEvaluator, x):
     return _batched(x, _ewald_kernel(ev, 2), _JET)
 
 
-def _fold(r_jet: list, s_jet: list, phase: np.ndarray) -> list:
-    """G(x) = e^{i eta . q m*} (S_2(x') + R(x')) from the jets of R and S_2 at x'."""
-    return [(r + s) * phase.reshape((-1,) + (1,) * (s.ndim - 1))
-            for r, s in zip(r_jet, s_jet)]
-
-
 def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
           rows: list, size: int) -> list:
     """G, or with ``regular`` R = G - S_2, and its gradient at pts.
 
     Returns the value and the gradient, each with ``size`` rows.  rows holds
     one index array per sign: point i goes to row rows[0][i] and, for a
-    table's antipodes, its jet at -x to row rows[1][i].  A point is reduced into the cell, x' = x - q m*.  Within the
-    expansion's radius one rung pass (FourierBesselExpansion.fill) writes
-    R(x'), and S_2(x') is folded in with the Bloch phase: at every point for
-    G, at moved points only for R, which at unmoved ones is R(x') itself, so
-    nothing cancels at 0.  -x reduces to -x': the expansion serves it from
-    the basis at x', and S_2(-x) = S_2(x) with the gradient negated.  Ewald
-    serves the points beyond the radius, at +-x, and every point for G
+    table's antipodes, its jet at -x to row rows[1][i].  A point is reduced
+    into the cell, x' = x - q m*.  Within the expansion's radius one rung
+    pass (FourierBesselExpansion.fill) writes R(x') with S_2(x') folded in
+    and the Bloch phase applied: at every point for G, at moved points only
+    for R, which at unmoved ones is R(x') itself, so nothing cancels at 0.
+    -x reduces to -x' with the shift negated, exactly: the expansion serves
+    it from the basis at x', and S_2(-x) = S_2(x) with the gradient negated.
+    Ewald serves the points beyond the radius, at +-x, and every point for G
     before regular_part has fitted the expansion.  R then subtracts S_2(x)
-    where it folded or summed G.  The fold and the subtraction go in _S2_RUN
-    runs, the Ewald sum in _CHUNK runs.
+    where the pass folded or Ewald summed G, in _S2_RUN runs; the Ewald sum
+    goes in _CHUNK runs.
     """
     # only R fits the expansion: a few values of G never pay for the fit
     fb = ev.expansion if regular else ev._expansion
@@ -461,18 +472,9 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
     near = np.zeros(len(pts), dtype=bool)
     if fb is not None:
         near = r2 <= fb.radius ** 2
-        fb.fill(xr, r2, np.flatnonzero(near), len(rows) == 2,
+        fb.fill(xr, r2, np.flatnonzero(near), moved if regular else None,
+                lambda sel, s: ev._phase(s * shift[sel]),
                 [(a, at) for at in rows for a in out])
-    fold = near & moved if regular else near
-    for idx in _chunks(np.flatnonzero(fold), _S2_RUN):
-        free = specfun.fundamental_solution(2, xr[idx], ev.k)
-        for s, at in zip(signs, rows):
-            at = at[idx]
-            # -x reduces to -x' with the shift negated, exactly
-            ph = ev._phase(s * shift[idx])
-            signed = [free.value, s * free.gradient]
-            for a, b in zip(out, _fold([a[at] for a in out], signed, ph)):
-                a[at] = b
     ewald = _ewald_kernel(ev, 1)
     for idx in _chunks(np.flatnonzero(~near), _CHUNK):
         for s, at in zip(signs, rows):
@@ -480,7 +482,7 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
                 a[at[idx]] = b
     if regular:
         v, g = out
-        for idx in _chunks(np.flatnonzero(fold | ~near), _S2_RUN):
+        for idx in _chunks(np.flatnonzero(moved | ~near), _S2_RUN):
             free = specfun.fundamental_solution(2, pts[idx], ev.k)
             for s, at in zip(signs, rows):
                 v[at[idx]] -= free.value
@@ -508,58 +510,90 @@ def green_hessian(ev: GreenEvaluator, x):
     return ewald_oracle(ev, x)
 
 
-def _phi_top(nmax: int, umax: float) -> int:
-    """The start order of _phi_table's recurrence; its table has two rows more."""
-    return max(nmax, int(np.ceil(2.0 * umax)))
+def _series_table(top: int, umax: float, ntilde=None) -> tuple[int, np.ndarray]:
+    """n0 and the matrix whose product with the powers (-u)^m gives _phi_rows's table.
+
+    Column n, n = 0..max(top, n0 + 1), holds 1/(m! (n+1)_m), phi_n's series,
+    from n0 = max(1, ceil(2 umax)) up, where no term can cancel at
+    |u| <= umax (the columns below are replaced by the recurrence).  With
+    ``ntilde`` (specfun's series of N~_0) two more columns give N~_0(z) and
+    N~_0'(z)/z at z^2 = 4u.  The degree is where phi_n0's terms fall under
+    1e-17, or the degree specfun sums N~_0 to on its rung of |z| = 2 sqrt(umax)
+    if that is higher.
+    """
+    n0 = max(1, int(np.ceil(2.0 * umax)))
+    degree, bound = 0, 1.0
+    while bound > 1e-17:
+        degree += 1
+        bound *= umax / (degree * (n0 + degree))
+    profiles = () if ntilde is None else (ntilde, ntilde.dz_over_z)
+    rung = np.searchsorted(specfun.RUNGS, 2.0 * np.sqrt(umax))
+    degree = max([degree] + [int(f.rung_degrees[rung]) for f in profiles])
+    n = np.arange(max(top, n0 + 1) + 1)
+    m = np.arange(1, degree + 1)[:, None]
+    table = np.zeros((degree + 1, len(n) + len(profiles)))
+    table[:, :len(n)] = np.cumprod(np.r_[np.ones((1, len(n))), 1.0 / (m * (n + m))], axis=0)
+    for j, f in enumerate(profiles, len(n)):
+        # the coefficient of z^(2m) = (-4)^m (-u)^m
+        c = f.coefficients[:degree + 1]
+        table[:len(c), j] = c * (-4.0) ** np.arange(len(c))
+    return n0, table
+
+
+def _powers(a: np.ndarray, top: int) -> np.ndarray:
+    """a^n, n = 0..top, one row per order: log2(top) array products by doubling."""
+    pw = np.empty((top + 1, len(a)), dtype=a.dtype)
+    pw[0] = 1.0
+    pw[1:2] = a
+    m = 1
+    while m < top:
+        hi = min(2 * m, top)
+        np.multiply(pw[1:hi - m + 1], pw[m], out=pw[m + 1:hi + 1])
+        m = hi
+    return pw
+
+
+def _phi_rows(u: np.ndarray, n0: int, series: np.ndarray) -> np.ndarray:
+    """The table of ``series`` (see _series_table) at the points u, one row per column.
+
+    phi_n(z) = n! (2/z)^n J_n(z) = 0F1(; n+1; -u) at u = z^2/4.  The rows
+    from n0 up are one product of the powers (-u)^m with the series matrix,
+    the points leading, whose rows BLAS computes alike however many there
+    are; at an order >= 2 umax |phi_n - 1| < 0.65 and no term can cancel.
+    The rows below come from the backward recurrence
+    phi_{n-1} = phi_n - u phi_{n+1} / (n (n+1)), stable for the minimal
+    solution J_n.  phi_n(0) = 1, so the table is finite at x = 0.  The start
+    order and the series length follow from the bound umax >= |u| alone, so
+    each point's rows do not depend on the other points.  The table is real
+    for real u, which a real k gives (see _wavenumber).
+    """
+    tab = np.ascontiguousarray((_powers(-u, len(series) - 1).T @ series).T)
+    for n in range(n0, 0, -1):
+        tab[n - 1] = tab[n] - u * tab[n + 1] / (n * (n + 1))
+    return tab
 
 
 def _phi_table(u, nmax: int, umax: float) -> np.ndarray:
-    """phi_n(z) = n! (2/z)^n J_n(z) = 0F1(; n+1; -u) at u = z^2/4, rows n = 0..nmax.
-
-    The two top rows are hypergeometric series at an order >= 2 umax, where
-    |phi_n - 1| < 0.65 and no term can cancel; the rest come from the backward
-    recurrence phi_{n-1} = phi_n - u phi_{n+1} / (n (n+1)), stable for the
-    minimal solution J_n.  phi_n(0) = 1, so the table is finite at x = 0.
-    The start order and the series length follow from the bound umax >= |u|
-    alone, so each point's rows do not depend on the other points.  The table
-    is real for real u, which a real k gives (see _wavenumber).
-    """
+    """phi_n at u, rows n = 0..nmax (see _phi_rows)."""
     u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
-    top = _phi_top(nmax, umax)
-    phi = np.empty((top + 2,) + u.shape, dtype=u.dtype)
-    for n in (top, top + 1):
-        term = acc = np.ones_like(u)
-        m, bound = 0, 1.0
-        while bound > 1e-17:
-            m += 1
-            bound *= umax / (m * (n + m))
-            term = term * (-u) / (m * (n + m))
-            acc = acc + term
-        phi[n] = acc
-    for n in range(top, 0, -1):
-        phi[n - 1] = phi[n] - u * phi[n + 1] / (n * (n + 1))
-    return phi[: nmax + 1]
+    return _phi_rows(u, *_series_table(nmax, umax))[:nmax + 1]
 
 
-def _basis(w, u, top: int, umax: float):
-    """Basis rows w^n phi_n (n = 0..top) and conj(w)^n phi_n (n = 1..top), one per point.
+def _basis(w, phi: np.ndarray, negative: bool):
+    """Basis rows w^n phi_n (n = 0..top) and conj(w)^n phi_n (n = 1..top), one per order.
 
-    u = z^2/4 is the phi table's argument and umax bounds |u|; see _phi_table.
-    At a real u the second is the conjugate of the first.
+    phi holds phi_n in rows n = 0..top.  At a real phi the second is the
+    conjugate of the first; without ``negative`` it is None.
     """
-    phi = _phi_table(u, top, umax)
-    powers = np.empty(phi.shape, dtype=complex)
-    powers[0] = 1.0
-    for n in range(1, top + 1):
-        np.multiply(powers[n - 1], w, out=powers[n])
-    if not np.iscomplexobj(phi):
-        powers *= phi
-        return powers.T, np.conj(powers[1:]).T
-    # conj(w)^n phi_n, in place: numpy may swap the operands of a product
-    # with a large temporary, and complex products round by operand order
-    neg = np.conj(powers[1:])
-    neg *= phi[1:]
-    return (phi * powers).T, neg.T
+    pos = _powers(w, len(phi) - 1)
+    neg = None
+    if negative:
+        # in place: numpy may swap the operands of a product with a large
+        # temporary, and complex products round by operand order
+        neg = np.conj(pos[1:])
+        neg *= phi[1:]
+    pos *= phi
+    return pos, neg
 
 
 def _shift(n: np.ndarray, k: complex | float, scale: float) -> np.ndarray:
@@ -621,24 +655,34 @@ class FourierBesselExpansion:
         self.tolerance = max(1e-3 * ev.tolerance * scale, 16.0 * self.floor)
 
         # Coefficients over n = -L..L (index n + L) of R and of its
-        # derivatives, d/dz e_n = D_n e_{n-1} and d/dzbar e_n = D_-n e_{n+1}
-        # (_shift).  Rows: R, R_z, R_zbar.
+        # gradient from R_z and R_zbar, d/dz e_n = D_n e_{n-1} and
+        # d/dzbar e_n = D_-n e_{n+1} (_shift).  Rows: R, d_1 R = R_z + R_zbar,
+        # d_2 R = i (R_z - R_zbar).
         L = _EXPANSION_CAP + 1
         full = np.zeros(2 * L + 1, dtype=complex)
         full[1:-1] = c
         idx = np.arange(-L, L + 1)
         D, Dbar = _shift(idx, k, rho), _shift(-idx, k, rho)
-        rows = np.stack([full, np.r_[D[1:] * full[1:], 0.0],
-                         np.r_[0.0, Dbar[:-1] * full[:-1]]])
+        dz, dzbar = np.r_[D[1:] * full[1:], 0.0], np.r_[0.0, Dbar[:-1] * full[:-1]]
+        rows = np.stack([full, dz + dzbar, 1j * (dz - dzbar)])
         # transposed for products with the batch as the leading dimension,
-        # whose rows BLAS computes alike however many there are
-        self._pos = np.ascontiguousarray(rows[:, L:].T)
-        self._neg = np.ascontiguousarray(rows[:, L - 1::-1].T)
-        # e_n(-x) = (-1)^n e_n(x): the rows with order n signed by (-1)^n
-        # contract the basis at x into the jet at -x, bit for bit
+        # whose rows BLAS computes alike however many there are; per sign, the
+        # orders 0..L and -1..-L.  e_n(-x) = (-1)^n e_n(x): the rows with
+        # order n signed by (-1)^n contract the basis at x into the jet at -x,
+        # bit for bit.
         sign = (-1.0) ** np.arange(L + 1)[:, None]
-        self._pos_antipode = self._pos * sign
-        self._neg_antipode = self._neg * -sign[:-1]
+        pos = [rows[:, L:].T, rows[:, L:].T * sign]
+        neg = [rows[:, L - 1::-1].T, rows[:, L - 1::-1].T * -sign[:-1]]
+        if isinstance(k, float):
+            # e_-n = conj(e_n) at a real k: order -n's rows, conjugated and
+            # moved to row n, contract the basis of the orders n >= 0 too, and
+            # the jet is the first half of the product plus the conjugate of
+            # the second.  One product per sign: BLAS rounds a column by the
+            # product's width.
+            self._coef = [np.ascontiguousarray(np.hstack([a, np.r_[np.zeros((1, 3)), np.conj(b)]]))
+                          for a, b in zip(pos, neg)]
+        else:
+            self._coef = [tuple(map(np.ascontiguousarray, c)) for c in zip(pos, neg)]
         self.max_terms = self.terms(self.radius)
         # A point's order count comes from the first ladder radius at or above
         # |x|, rounded up to a multiple of _TERM_STEP, never from the other
@@ -648,14 +692,19 @@ class FourierBesselExpansion:
         tops = np.minimum(_EXPANSION_CAP,
                           -(-self._terms(self._ladder) // _TERM_STEP) * _TERM_STEP)
         self._tops = tops.astype(np.uint8)  # counts <= _EXPANSION_CAP, for bincount
-        # |u| = |k x|^2/4 in the phi table of a count is bounded at the
-        # largest ladder radius with that count
-        self._umax = {int(t): abs(k) ** 2 * self._ladder[tops == t][-1] ** 2 / 4.0
-                      for t in np.unique(tops)}
-        # points per block of a count: its phi table, to order t + 1 for the
-        # gradient, holds at most _PHI_ENTRIES entries
-        self._block = {t: _PHI_ENTRIES // (_phi_top(t + 1, u) + 2)
-                       for t, u in self._umax.items()}
+        # Per count, the table of its blocks (_phi_rows): phi to order t + 1
+        # for the gradient at |u| = |k x|^2/4 up to its bound at the largest
+        # ladder radius with that count, and, where |k x| stays within
+        # _PROFILE_RADIUS, N~_0 for S_2; beyond it S_2 comes from specfun.
+        # A block of a count holds at most _PHI_ENTRIES table entries.
+        self._series, self._block = {}, {}
+        for t in np.unique(tops):
+            zmax = abs(k) * self._ladder[tops == t][-1]
+            near = zmax <= _PROFILE_RADIUS
+            n0, table = _series_table(t + 1, zmax ** 2 / 4.0,
+                                      specfun._get_ntilde(0) if near else None)
+            self._series[int(t)] = n0, table.astype(np.result_type(k, 1.0)), near
+            self._block[int(t)] = _PHI_ENTRIES // table.shape[1]
 
     def terms(self, rmax: float) -> int:
         """Highest order kept at |x| <= rmax.
@@ -683,20 +732,26 @@ class FourierBesselExpansion:
             )
         return last
 
-    def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, antipodes: bool,
+    def fill(self, x: np.ndarray, r2: np.ndarray, idx: np.ndarray, fold, phase,
              dests: list) -> None:
-        """Write [R, grad R] at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
+        """Write the jet at the points x[idx] (|x| <= radius, r2 = |x|^2) into ``dests``.
 
-        With ``antipodes`` the same jet at -x follows, from the same basis.
-        Each dest pairs an output array with row indices: point i goes to row
-        rows[i].  The points are grouped by their ladder rung across the
-        whole call and each rung goes in blocks whose phi table holds at most
-        _PHI_ENTRIES entries: 512 points at the cap, a few thousand at the
-        lowest rungs.  So no basis table grows with the call, and a low rung,
-        with few rows, shares each block's fixed cost among many points.  The
-        dests are written last to first: where two rows coincide (a table's
-        diagonal) the first wins.
+        The jet is [R, grad R] at x' = x[i], with S_2(x') added and times the
+        Bloch phase at the points of ``fold`` (a mask over x; None: every
+        point), that is G(x) = e^{i eta . q m*} (S_2(x') + R(x')).
+        phase(sel, s) gives the phase at the points sel of the sign s.  Each
+        dest pairs an output array with row indices: point i goes to row
+        rows[i].  With two dests per sign the jet at -x follows, from the
+        same basis and S_2, with the phase of sign -1.  The points are
+        grouped by their ladder rung across the whole call and each rung goes
+        in blocks whose table (_phi_rows) holds at most _PHI_ENTRIES entries:
+        about 512 points at the cap, a few thousand at the lowest rungs.  So
+        no basis table grows with the call, and a low rung, with few rows,
+        shares each block's fixed cost among many points.  The dests are
+        written last to first: where two rows coincide (a table's diagonal)
+        the first wins.
         """
+        signs = (1.0, -1.0)[:len(dests) // 2]
         level = np.searchsorted(self._ladder, np.sqrt(r2[idx]))
         tops = self._tops[np.minimum(level, _LADDER_STEPS - 1)]
         for top in np.flatnonzero(np.bincount(tops)):
@@ -704,24 +759,64 @@ class FourierBesselExpansion:
             block = self._block[top]
             for lo in range(0, len(rung), block):
                 sel = rung[lo:lo + block]
-                # the gradient shifts the orders by one
-                jet = self._jet(x[sel], r2[sel], int(top) + 1, self._umax[top], antipodes)
+                if len(sel) == 1:
+                    # BLAS takes a vector path for one row, with other
+                    # rounding; both copies write the same bits
+                    sel = np.repeat(sel, 2)
+                f = slice(None) if fold is None else fold[sel]
+                at = sel[f]
+                jet = self._jet(x[sel], r2[sel], int(top), signs, f,
+                                [phase(at, s) for s in signs] if len(at) else [])
                 for (a, rows), b in zip(dests[::-1], jet[::-1]):
                     a[rows[sel]] = b
 
-    def _jet(self, x, r2, top: int, umax: float, antipodes: bool) -> list:
-        if len(x) == 1:
-            # BLAS takes a vector path for one row, with other rounding
-            jet = self._jet(np.repeat(x, 2, axis=0), np.repeat(r2, 2), top, umax, antipodes)
-            return [a[:1] for a in jet]
-        pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho,
-                          (self.k * self.k / 4.0) * r2, top, umax)
-        rows = [(self._pos, self._neg), (self._pos_antipode, self._neg_antipode)]
+    def _jet(self, x, r2, count: int, signs: tuple, fold, phases: list) -> list:
+        """[G or R, its gradient] per sign at the points x of one order count (see fill).
+
+        S_2 is folded in at the points ``fold`` indexes when ``phases``
+        holds their Bloch phase per sign.  Its profiles come from
+        the block's own table: J_0 = phi_0, J_1(z)/z = phi_1/2, and N~_0 and
+        N~_0'/z from its last two columns; a count whose |k x| passes
+        _PROFILE_RADIUS takes S_2 from specfun.
+        """
+        top = count + 1  # the gradient shifts the orders by one
+        n0, series, near = self._series[count]
+        k = self.k
+        tab = _phi_rows((k * k / 4.0) * r2, n0, series)
+        pos, neg = _basis((x[:, 0] + 1j * x[:, 1]) / self.rho, tab[:top + 1],
+                          not isinstance(k, float))
+        if phases and near:
+            sv, sg = self._free(x[fold], r2[fold], tab[[0, 1, -2, -1]][:, fold])
+        elif phases:
+            free = specfun.fundamental_solution(2, x[fold], k)
+            sv, sg = free.value, free.gradient
         jet = []
-        for cpos, cneg in rows[:1 + antipodes]:
-            val, dz, dzbar = (pos @ cpos[: top + 1] + neg @ cneg[:top]).T
-            jet += [val, np.stack([dz + dzbar, 1j * (dz - dzbar)], axis=1)]
+        for i, coef in enumerate(self._coef[:len(signs)]):
+            if neg is None:
+                y = pos.T @ coef[:top + 1]
+                y = y[:, :3] + np.conj(y[:, 3:])
+            else:
+                y = pos.T @ coef[0][:top + 1] + neg.T @ coef[1][:top]
+            val, grad = y[:, 0], y[:, 1:]
+            if phases:
+                val[fold] = (val[fold] + sv) * phases[i]
+                grad[fold] = (grad[fold] + signs[i] * sg) * phases[i][:, None]
+            jet += [val, grad]
         return jet
+
+    def _free(self, x, r2, profiles) -> tuple:
+        """S_2 and its gradient at x (r2 = |x|^2 > 0), specfun.fundamental_solution's sum.
+
+        profiles holds phi_0 = J_0(z), phi_1 = 2 J_1(z)/z, N~_0(z) and
+        N~_0'(z)/z at z = k|x|, the first two and last two rows of a block's
+        table.
+        """
+        k2 = self.k * self.k
+        logr = np.log(np.sqrt(r2))
+        j0, j1, n, dn = profiles
+        J = j0 / (2.0 * np.pi)
+        radial = k2 * (j1 / (-4.0 * np.pi)) * logr + J / r2 + k2 * (dn / 4.0)
+        return J * logr + n / 4.0, x * radial[:, None]
 
 
 def regular_part(ev: GreenEvaluator, x):
@@ -763,10 +858,13 @@ def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
 
 def _disk_basis(k: complex | float, u: np.ndarray, scale: float, P: int) -> np.ndarray:
     """(u/scale)^|p| phi_|p|(k|u|), conjugated for p < 0: one row per point, p = -P..P."""
+    if len(u) == 1:
+        # BLAS takes a vector path for one row, with other rounding
+        return _disk_basis(k, np.repeat(u, 2, axis=0), scale, P)[:1]
     pos, neg = _basis((u[:, 0] + 1j * u[:, 1]) / scale,
-                      (k * k / 4.0) * np.sum(u * u, axis=1), P,
-                      abs(k) ** 2 * scale ** 2 / 4.0)
-    return np.concatenate([neg[:, ::-1], pos], axis=1)
+                      _phi_table((k * k / 4.0) * np.sum(u * u, axis=1), P,
+                                 abs(k) ** 2 * scale ** 2 / 4.0), True)
+    return np.concatenate([neg[::-1], pos]).T
 
 
 def _graf_weights(fb: FourierBesselExpansion, scale: float, P: int) -> np.ndarray:

@@ -55,9 +55,20 @@ class BVPSolution:
     notes: tuple[str, ...]
 
     def field(self, points, want_gradients: bool = False) -> potentials.FieldSample:
-        """Evaluate the represented solution away from the boundary."""
+        """Evaluate the represented solution away from the boundary.
+
+        A point inside the hole or one of its periodic images
+        (potentials.inside_hole) raises ValueError: the representation is
+        not the solution there.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        inside = potentials.inside_hole(self.density.curve, self.green.lattice, pts)
+        if np.any(inside):
+            raise ValueError(
+                f"target {pts[np.argmax(inside)].tolist()} lies inside the hole (or a "
+                f"periodic image of it), where the representation is not the solution")
         kind = _representation(self.problem, self.a_flag)[0]
-        return potentials.field_eval(kind, self.density, points,
+        return potentials.field_eval(kind, self.density, pts,
                                      green=self.green, want_gradients=want_gradients)
 
 

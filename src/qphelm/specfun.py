@@ -203,8 +203,11 @@ class ProfilePoints:
                                         f"{last:.3g} exceeds {allowed:.3g}")
         degrees, w = series.rung_degrees, self.w
         acc, tmp = np.zeros_like(w), np.empty_like(w)
-        for m in range(degrees[self.top], -1, -1):
-            q = self.below[np.searchsorted(degrees, m)]
+        top = degrees[self.top]
+        # the first point whose rung sums degree m, for every m at once
+        starts = self.below[np.searchsorted(degrees, np.arange(top + 1))]
+        for m in range(top, -1, -1):
+            q = starts[m]
             # out of place: numpy's in-place complex multiply rounds an array
             # of one point differently from a longer one
             np.multiply(acc[q:], w[q:], out=tmp[q:])

@@ -200,8 +200,8 @@ def test_green_eval_run_is_deterministic(tmp_path):
 
 def test_a_green_eval_run_builds_one_wave(tmp_path, monkeypatch):
     # the evaluator is built on the run's wave context: the spectrum is scanned
-    # for resonances once, and its distance is taken for that wave and for
-    # the manifest's results
+    # for resonances once, and its distance is taken once, for that wave,
+    # whose value the manifest's results report
     counts = {"resonance_set": 0, "spectrum_distance": 0}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qphelm"]
     for name in counts:
@@ -215,7 +215,7 @@ def test_a_green_eval_run_builds_one_wave(tmp_path, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     assert cli.run("green-eval", cli.parse_config(json.dumps(GREEN_CFG)), tmp_path) == 0
-    assert counts == {"resonance_set": 1, "spectrum_distance": 2}
+    assert counts == {"resonance_set": 1, "spectrum_distance": 1}
 
 
 def test_solve_dirichlet_run(tmp_path):
@@ -427,6 +427,22 @@ def test_a_probe_inside_a_fitted_hole_exits_2(tmp_path, monkeypatch):
     assert "probe [0.5, 0.52] lies inside the hole" in man["error"]
     assert "epsilon=0.03125" in man["error"]
     assert not (tmp_path / "farfield.csv").exists()
+
+
+def test_a_bvp_probe_inside_the_hole_or_an_image_exits_2(tmp_path):
+    # the README's solve-dirichlet example with one probe inside the hole and
+    # one inside an image of it, where the representation is not the solution
+    cfg = copy.deepcopy(DIRICHLET_CFG)
+    cfg["geometry"]["N"] = 128
+    cfg["probes"] = [[0.6, 0.55], [1.6, 0.5]]
+    assert cli.run("solve-dirichlet", cli.parse_config(json.dumps(cfg)), tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "target [0.6, 0.55] lies inside the hole" in man["error"]
+    assert not (tmp_path / "probes.csv").exists()
+    cfg["probes"] = [[1.6, 0.5]]
+    assert cli.run("solve-dirichlet", cli.parse_config(json.dumps(cfg)), tmp_path / "b") == 2
+    assert "target [1.6, 0.5] lies inside the hole" in _manifest(tmp_path / "b")["error"]
 
 
 def test_main_green_eval_end_to_end(tmp_path):

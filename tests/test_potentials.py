@@ -10,6 +10,7 @@ Oracles (all independent of the singular Nystrom quadrature under test):
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qphelm.potentials import (
     boundary_trace_rows,
     cell_flux_integral,
     field_eval,
+    inside_hole,
     log_weight_matrix,
     log_weight_rows,
     regular_tables,
@@ -420,3 +422,48 @@ def test_double_layer_gradient_by_parts_matches_the_hessian_contraction(q, k):
     _, _, H = qpgreen.ewald_oracle(ev, probes[:, None, :] - dc.points[None, :, :])
     ref = -np.einsum("pjil,jl,j->pi", H, dc.normals, mu * dc.weights)
     assert np.max(np.abs(got.gradients - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# --------------------------------------------------------------------------- #
+# the solution's domain: the side test of the node polygon
+
+
+def _kite(N):
+    return geometry.discretize(geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), N)
+
+
+def test_inside_hole_finds_the_hole_and_its_images(lat, circle128):
+    # points beyond one node spacing of the curve get the side of the curve
+    # itself, in any cell: the circle against its disk, the kite against a
+    # 4,096-node polygon of it
+    pts = np.random.default_rng(3).uniform(-1.5, 2.5, size=(4000, 2))
+    red = pts - np.round(pts - 0.5)
+    r = np.hypot(red[:, 0] - 0.5, red[:, 1] - 0.5)
+    far = np.abs(r - 0.35) > np.max(circle128.weights)
+    assert np.array_equal(inside_hole(circle128, lat, pts)[far], (r < 0.35)[far])
+    kite, fine = _kite(128), _kite(4096)
+    d = red[:, None, :] - fine.points[None, :, :]
+    far = np.min(np.sum(d * d, axis=2), axis=1) > np.max(kite.weights) ** 2
+    side = inside_hole(kite, lat, pts)
+    assert np.array_equal(side[far], inside_hole(fine, lat, pts)[far])
+    assert 0 < np.sum(side) < len(pts)
+    # the kite's notch, left of its centre, is outside, in every cell
+    notch = np.array([[0.14, 0.5], [1.14, 0.5], [0.14, -1.5], [-2.86, 3.5]])
+    assert not inside_hole(kite, lat, notch).any()
+    assert inside_hole(kite, lat, notch + [0.3, 0.0]).all()
+
+
+def test_the_benchmark_probes_lie_outside_the_hole(monkeypatch):
+    # the bvp and field workloads' probes (both holes, several seeds) are
+    # never refused by the side test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from qpbench import workloads
+
+    lat = workloads.lattice()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for shape in ("circle", "kite"):
+            probes = workloads.draw_probes(rng, workloads.hole(shape), lat, 1000)
+            for N in (128, 256):
+                dc = geometry.discretize(workloads.hole(shape), N)
+                assert not inside_hole(dc, lat, probes).any()

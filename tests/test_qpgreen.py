@@ -648,24 +648,70 @@ def test_a_flux_sized_green_call_stays_small():
 
 
 def test_every_phi_table_stays_within_the_cap_block(monkeypatch):
-    # a rung's block is sized by its phi table's entries, not by its points:
-    # no table outgrows the cap block's, and low rungs take longer blocks
+    # a rung's block is sized by its table's entries (the phi rows and the
+    # free-space profiles' columns), not by its points: no table outgrows the
+    # cap block's, and low rungs take longer blocks
     ev, kite, pts = _flux_call()
     tables = []
-    phi_table = qpgreen._phi_table
+    phi_rows = qpgreen._phi_rows
 
-    def recorded(u, nmax, umax):
-        phi = phi_table(u, nmax, umax)
-        # the rows returned are a view of the whole recurrence table
-        tables.append((np.size(u), (phi if phi.base is None else phi.base).size))
-        return phi
+    def recorded(u, n0, series):
+        tab = phi_rows(u, n0, series)
+        tables.append((np.size(u), tab.size))
+        return tab
 
-    monkeypatch.setattr(qpgreen, "_phi_table", recorded)
+    monkeypatch.setattr(qpgreen, "_phi_rows", recorded)
     qpgreen.green_eval(ev, pts)
     y = kite.points
     qpgreen.regular_part(ev, y[:, None, :] - y[None, :, :])
     assert max(entries for _, entries in tables) <= 512 * (qpgreen._EXPANSION_CAP + 3)
     assert max(points for points, _ in tables) > 512
+
+
+@pytest.mark.parametrize("k", [1.3, 6.0, 6.0 + 0.5j, 20.0])
+def test_the_rung_pass_folds_in_the_free_space_kernel(k):
+    # a fitted green_eval at x = x' + q m is e^{i eta . q m} (R(x') + S_2(x'))
+    # with R(x') from regular_part and S_2 from specfun, |x'| from 1e-6 to
+    # the radius, to 1e-14 of |R| + |S_2|; at k = 20 the outer rungs pass
+    # the block's profile radius and specfun's series radius
+    lat = Lattice(q_diag=(1.0, 1.0), eta=(0.4, 0.7))
+    ev = qpgreen.make_green_evaluator(lat, k)
+    fb = ev.expansion
+    assert any(not near for _, _, near in fb._series.values()) == (k == 20.0)
+    rng = np.random.default_rng(17)
+    r = np.geomspace(1e-6, fb.radius, 800)
+    th = rng.uniform(0.0, 2.0 * np.pi, len(r))
+    x = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) \
+        + rng.integers(-2, 3, size=(len(r), 2)) * lat.q
+    # the evaluator's own reduction: x - q m* rounds at |x'| << 1
+    xr, shift = ev._reduce(x)
+    if k == 20.0:
+        assert np.max(abs(k) * np.hypot(xr[:, 0], xr[:, 1])) > specfun.SERIES_RADIUS
+    gv, gg = qpgreen.green_eval(ev, x)
+    rv, rg = qpgreen.regular_part(ev, xr)
+    s = specfun.fundamental_solution(2, xr, ev.k)
+    ph = ev._phase(shift)
+    scale_v = np.abs(rv) + np.abs(s.value)
+    scale_g = np.max(np.abs(rg) + np.abs(s.gradient), axis=1)
+    assert np.max(np.abs(gv - ph * (rv + s.value)) / scale_v) <= 1e-14
+    err_g = np.max(np.abs(gg - ph[:, None] * (rg + s.gradient)), axis=1)
+    assert np.max(err_g / scale_g) <= 1e-14
+
+
+def test_a_fitted_green_call_takes_s2_from_its_blocks(monkeypatch):
+    # S_2 and its gradient come from the rung pass's own tables: a flux-sized
+    # call never sums specfun's profiles
+    ev, _, pts = _flux_call()
+    calls = []
+    original = specfun.fundamental_solution
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "fundamental_solution", counted)
+    qpgreen.green_eval(ev, pts)
+    assert calls == []
 
 
 # --------------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ def test_readme_rung_pass_quotes_the_qpgreen_sizes():
     cap_block = qpgreen._PHI_ENTRIES // (qpgreen._EXPANSION_CAP + 3)
     assert f"at most `{cap_block} × (cap + 3)` entries" in rung_pass
     assert f"the cap takes blocks of {cap_block} points" in rung_pass
-    assert f"The `S₂` fold goes in {qpgreen._S2_RUN:,}-point runs" in rung_pass
+    assert f"R's subtraction of `S₂(x)` goes in {qpgreen._S2_RUN:,}-point runs" in rung_pass
     assert f"the Ewald sum, whose points each carry every spatial shift, in " \
         f"{qpgreen._CHUNK:,}-point runs" in rung_pass
     assert f"Ewald serves every point, in the same {qpgreen._CHUNK:,}-point runs" in text
