@@ -328,27 +328,6 @@ def continuation_sweep(B: RobinNonlinearity, curve: DiscreteCurve, center, *,
     return _walk(epsilons, B, curve, center, green, None, tol)
 
 
-def _hole_guard(states, pts: np.ndarray, center, lattice: Lattice):
-    """Refuse a probe inside the physical hole of a state or of its periodic images.
-
-    The hole's enclosing disk is ``BoundaryCurve.disk`` scaled by epsilon
-    about p + epsilon*c.  Each probe-centre difference is reduced into the
-    centred cell, as ``potentials._distance_guard`` reduces its differences.
-    Inside the hole S[theta] is not the solution, so a value there is wrong.
-    """
-    p = np.asarray(center, dtype=float)
-    for s in states:
-        c, radius = s.theta.curve.curve.disk
-        d = pts - (p + s.epsilon * c)
-        d -= np.round(d / lattice.q) * lattice.q
-        inside = np.sum(d * d, axis=1) <= (s.epsilon * radius) ** 2
-        if np.any(inside):
-            raise ValueError(
-                f"probe {pts[np.argmax(inside)].tolist()} lies inside the hole (or a "
-                f"periodic image of it) at epsilon={s.epsilon}, where the layer "
-                f"potential is not the solution")
-
-
 def reconstruct_field(state: ContinuationState, probes, *, center,
                       green: qpgreen.GreenEvaluator) -> potentials.FieldSample:
     """Evaluate u = S[physical-hole density] at probe points.
@@ -357,11 +336,7 @@ def reconstruct_field(state: ContinuationState, probes, *, center,
     ValueError.
     """
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
-    _hole_guard([state], pts, center, green.lattice)
-    phys = perturbation.physical_curve(state.theta.curve, center, state.epsilon,
-                                       green.lattice)
-    dens = potentials.Density(curve=phys, values=np.asarray(state.theta.values))
-    return potentials.field_eval("single", dens, pts, green=green)
+    return potentials.FieldSample(pts, _probe_values([state], pts, center, green)[0])
 
 
 def _probe_values(states, pts: np.ndarray, center,
@@ -369,11 +344,20 @@ def _probe_values(states, pts: np.ndarray, center,
     """u = S[theta] of every state at the probes, (n_states, n_probes), in one Green call.
 
     Each state is contracted as ``potentials.field_eval`` contracts the single
-    layer, v_s @ (theta_s w_s), with its own distance guard, so a value is the
-    one ``reconstruct_field`` gives.
+    layer, v_s @ (theta_s w_s), with its own distance guard.  A probe inside a
+    state's physical hole or one of its images (``potentials.inside_hole``)
+    raises ValueError: S[theta] is not the solution there.
     """
-    physs = [perturbation.physical_curve(s.theta.curve, center, s.epsilon, green.lattice)
-             for s in states]
+    physs = []
+    for s in states:
+        phys = perturbation.physical_curve(s.theta.curve, center, s.epsilon, green.lattice)
+        inside = potentials.inside_hole(phys, green.lattice, pts)
+        if np.any(inside):
+            raise ValueError(
+                f"probe {pts[np.argmax(inside)].tolist()} lies inside the hole (or a "
+                f"periodic image of it) at epsilon={s.epsilon}, where the layer "
+                f"potential is not the solution")
+        physs.append(phys)
     for phys in physs:
         potentials._distance_guard(phys, green.lattice, pts)
     d = np.concatenate([(pts[:, None, :] - phys.points[None, :, :]).reshape(-1, 2)
@@ -392,11 +376,11 @@ def boundary_condition_residual(state: ContinuationState, B: RobinNonlinearity,
     taus = solvers._midpoint_taus(phys.N)
     tv = np.asarray(state.theta.values, dtype=complex)
     th_tau = geometry.trig_interpolate(tv, taus)
-    tables = potentials.regular_tables(phys, green, taus)
+    rows = potentials.nystrom_rows(phys, green, ("single_trace", "adjoint_double"), taus)
     vrows = potentials.boundary_trace_rows("single_trace", phys, taus, green=green,
-                                           tables=tables)
+                                           rows=rows)
     krows = potentials.boundary_trace_rows("adjoint_double", phys, taus, green=green,
-                                           tables=tables)
+                                           rows=rows)
     u_tau = vrows @ tv
     dnu_tau = 0.5 * th_tau + krows @ tv
     return float(np.max(np.abs(dnu_tau - B.fn(u_tau))))
@@ -437,7 +421,6 @@ def far_field_scaling(states, probes, *, center, green: qpgreen.GreenEvaluator,
         warnings.warn("epsilon sweep is short; far-field fit may be degenerate",
                       stacklevel=2)
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
-    _hole_guard(states, pts, center, green.lattice)
     eps = np.array([s.epsilon for s in states])
     U = _probe_values(states, pts, center, green)
     basis = np.stack([np.ones_like(eps), eps, eps * np.log(eps)], axis=1)

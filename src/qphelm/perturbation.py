@@ -92,9 +92,10 @@ class FamilySeries:
     Index 1 is the free-space Nystrom matrix at kappa: its profiles are even
     entire functions of kappa|d|, so every entry is sum_m kappa^(2m) C_m.  C_m
     is ``potentials._combine`` applied to the order-m monomials of the
-    profiles with k^2 = 1; the double kinds' k^2 gJ and k^2 gN terms move up
-    one power, and C_0 is the Laplace matrix.  Index 3 is the J-profile at
-    epsilon*d: M3 = sum_m kappa^(2m) (j_m / 2 pi) |d|^(2m) w, and N3, P3 =
+    profiles with k^2 = 1 on one free-space ``potentials.NystromRows``; the
+    double kinds' k^2 gJ and k^2 gN terms move up one power, and C_0 is the
+    Laplace matrix.  Index 3 is the J-profile at epsilon*d: M3 =
+    sum_m kappa^(2m) (j_m / 2 pi) |d|^(2m) w, and N3, P3 =
     epsilon k^2 sum_m kappa^(2m) g_m |d|^(2m) (nu . d) w.
 
     One table serves every |epsilon| <= ``epsilon_max``.  Its degree is the
@@ -107,7 +108,9 @@ class FamilySeries:
     def __init__(self, curve: DiscreteCurve, k, epsilon_max: float):
         self.curve, self.k = curve, k
         self.epsilon_max = abs(float(epsilon_max))
-        d = curve.points[:, None, :] - curve.points[None, :, :]
+        # the geometry of every family's planes; the row set serves no matrix
+        self._rows = potentials.NystromRows(curve, (), k, None, None)
+        d = self._rows.d
         r2 = np.sum(d * d, axis=2)
         z_max = abs(k) * self.epsilon_max * math.sqrt(float(r2.max()))
         if z_max > specfun.SERIES_RADIUS:
@@ -130,20 +133,21 @@ class FamilySeries:
     def _family_planes(self, family: str):
         """(index-1 planes, index-3 planes) of one family, each (degree + 1, N, N)."""
         if family not in self._planes:
-            kind = _FAMILY_KIND[family]
-            dc = self.curve
-            g = potentials._row_geometry(kind, dc, None)
-            w = dc.weights[None, None, :]
+            kind, rows = _FAMILY_KIND[family], self._rows
+            w = self.curve.weights[None, None, :]
             J2 = self._monomials("J2")
             if kind == "single_trace":
+                contraction = None
                 profiles = zip(J2, self._monomials("N2"))
                 log_planes = J2 * w
             else:
+                contraction = rows.contraction(kind)
                 # k^2 gJ and k^2 gN: one power of kappa^2 up
                 gJ, gN = self._monomials("gJ"), self._monomials("gN")
                 profiles = zip([0.0, *gJ[:-1]], [0.0, *gN[:-1]], J2)
-                log_planes = gJ * g.nd * w
-            one_planes = np.stack([potentials._combine(kind, g, dc, 1.0, p) for p in profiles])
+                log_planes = gJ * contraction[0] * w
+            one_planes = np.stack([potentials._combine(kind, rows, contraction, 1.0, p)
+                                   for p in profiles])
             self._planes[family] = (one_planes, log_planes)
         return self._planes[family]
 
@@ -166,7 +170,7 @@ class FamilySeries:
         return matrix
 
 
-# the profiles of potentials._profiles as (scale, series coefficients):
+# the profiles of potentials.NystromRows.matrix as (scale, series coefficients):
 # J2 = J~0/(2 pi), gJ = -J~1/(2 pi), N2 = N~0/4 and gN = (N~0'/z)/4
 _PROFILES = {
     "J2": (1.0 / (2.0 * np.pi), specfun._get_jtilde(0.0).coefficients),
@@ -242,10 +246,9 @@ _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),
 
 
 def _boundary_identity_residual(kind, epsilon, tv, curve, phys, green,
-                                phys_tables, series, fam_tables) -> float:
+                                phys_rows, series, fam_tables) -> float:
     op_kind, family = _BOUNDARY_IDENTITY[kind]
-    lhs = potentials.assemble(op_kind, phys, green=green,
-                              tables=phys_tables).matrix @ tv
+    lhs = potentials.assemble(op_kind, phys, green=green, rows=phys_rows).matrix @ tv
     parts = [_family_matrix(family, i, epsilon, curve, series, fam_tables) @ tv
              for i in (1, 2, 3)]
     loge = math.log(epsilon)
@@ -286,7 +289,7 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     Boundary kinds compare Nystrom traces on the physical hole boundary with
     the eps-weighted combination of the three family members; far kinds
     compare the layer field at probe points with the eps-scaled far map.  The
-    physical-curve table and the scaled family table are assembled once for
+    physical curve's row set and the scaled family table are built once for
     every kind.  ``kinds`` defaults to all five with ``probes`` and to the
     boundary kinds without; far kinds need ``probes``.  Both rules are checked
     before any assembly, and the residuals come back in the order of
@@ -309,12 +312,13 @@ def rescaling_identity_suite(epsilon: float, theta: potentials.Density,
     boundary = [k for k in kinds if k in _BOUNDARY_IDENTITY]
     if boundary:
         series = FamilySeries(curve, green.k, epsilon)
-        phys_tables = potentials.regular_tables(phys, green)
+        phys_rows = potentials.nystrom_rows(
+            phys, green, [_BOUNDARY_IDENTITY[kind][0] for kind in boundary])
         fam_tables = scaled_regular_tables(curve, epsilon, green)
         for kind in boundary:
             out[kind] = _boundary_identity_residual(
                 kind, epsilon, tv, curve, phys, green,
-                phys_tables=phys_tables, series=series, fam_tables=fam_tables)
+                phys_rows=phys_rows, series=series, fam_tables=fam_tables)
     for kind in kinds:
         if kind not in _BOUNDARY_IDENTITY:
             out[kind] = _far_identity_residual(kind, epsilon, tv, curve, phys,

@@ -7,8 +7,9 @@ splits serve the quasi-periodic kernel (free-space profile plus analytic
 remainder of the periodic Green function) and the free-space kernel at any
 wavenumber, including zero (the Laplace limit the perturbation theory needs).
 
-One routine, ``_nystrom``, builds the node matrices and the off-node trace
-rows.  The periodic remainder is a pairwise (value, gradient) table that
+One row set per curve, ``NystromRows``, builds the node matrices or the
+off-node trace rows of every kind from geometry, tables and profiles built
+once.  The periodic remainder is a pairwise (value, gradient) table that
 ``_table_kernel`` contracts by operator kind, as the index-2 rescaled
 families of :mod:`qphelm.perturbation` do.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,8 @@ __all__ = [
     "log_weight_matrix",
     "log_weight_rows",
     "regular_tables",
+    "NystromRows",
+    "nystrom_rows",
     "assemble",
     "assemble_free",
     "boundary_trace_rows",
@@ -148,108 +152,109 @@ def _table_kernel(kind: str, target_normals: np.ndarray, source_normals: np.ndar
     return _contract(kind, target_normals, source_normals, gradients)
 
 
-@dataclass(frozen=True)
-class _RowGeometry:
-    """The wavenumber-free part of one kind's Nystrom rows.
+class NystromRows:
+    """The Nystrom rows of one curve for its ``kinds``: at the nodes (taus None) or at taus.
 
-    d = x(tau) - y(s) gives r = |d| and the smooth log ratio
-    L = log(|d| / (2 |sin((tau - s)/2)|)); the double kinds add nd, the normal
-    contraction of d, and ratio = nd / r^2.  On the nodes the diagonal takes
-    the limits L -> log |x'| and ratio -> kappa/2.  W holds the log weights.
+    Built once: d = x(tau) - y(s), r = |d|, L = log(|d| / (2 |sin((tau - s)/2)|)),
+    the log weights W, the target normals and, with ``green``, the periodic
+    kernel's regular-part ``tables`` (else free space at k; a float k stays
+    real); on first use, z = k r (``specfun.ProfilePoints``) and J2 = J~0(z)/(2 pi).
+    A double kind's nd = nu . d, ratio = nd / r^2 and a kind's other profiles
+    come on request, each kind once, in any order; d goes once no double kind
+    is left, z once no kind is.  On the nodes L -> log |x'|, ratio -> kappa/2.
     """
 
-    r: np.ndarray
-    L: np.ndarray
-    W: np.ndarray
-    target_normals: np.ndarray
-    nd: np.ndarray | None = None
-    ratio: np.ndarray | None = None
+    def __init__(self, curve: DiscreteCurve, kinds, k: complex | float, taus,
+                 green: qpgreen.GreenEvaluator | None):
+        self.curve, self.k, self.green, self._pending = curve, k, green, list(kinds)
+        self.taus = None if taus is None else np.atleast_1d(np.asarray(taus, dtype=float))
+        self.tables = None if green is None else regular_tables(curve, green, self.taus)
+        if self.taus is None:
+            ts, xt, self.target_normals = curve.t, curve.points, curve.normals
+        else:
+            ts = self.taus
+            xt, vt = curve.curve.position(ts), curve.curve.velocity(ts)
+            st = np.sqrt(np.sum(vt * vt, axis=-1))
+            self.target_normals = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
+        self.d = xt[:, None, :] - curve.points[None, :, :]
+        self.r = np.sqrt(np.sum(self.d * self.d, axis=2))
+        if self.taus is not None and np.any(self.r == 0.0):
+            raise ValueError("off-node targets must avoid the quadrature nodes")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.L = np.log(self.r / (2.0 * np.abs(np.sin(0.5 * (ts[:, None] - curve.t)))))
+        if self.taus is None:
+            np.fill_diagonal(self.L, np.log(curve.speeds))
+        self.W = log_weight_matrix(curve.N) if self.taus is None else log_weight_rows(curve.N, ts)
+
+    def _check(self, curve: DiscreteCurve, green, taus):
+        """Refuse to serve rows of another curve, evaluator or set of taus."""
+        if curve is not self.curve or green is not self.green \
+                or not np.array_equal(self.taus, taus):
+            raise ValueError("the row set was built for another curve, Green "
+                             "evaluator or set of taus")
+
+    @cached_property
+    def _shared(self) -> tuple:
+        """(z, J2): the profiles' argument and the one profile every kind takes."""
+        z = specfun.ProfilePoints(self.k * self.r)
+        return z, specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
+
+    def contraction(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(nd, ratio) of a double kind."""
+        nd = _contract(kind, self.target_normals, self.curve.normals, self.d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = nd / (self.r * self.r)
+        if self.taus is None:
+            # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
+            np.fill_diagonal(ratio, 0.5 * self.curve.curvature)
+        return nd, ratio
+
+    def matrix(self, kind: str) -> np.ndarray:
+        """The rows of one kind: V combines (J2, N2), the log and remainder
+        profiles of the kernel; K and K* their derivatives over z, (gJ, gN), and J2."""
+        if kind not in OPERATOR_KINDS or kind not in self._pending:
+            raise ValueError(f"operator kind {kind!r} is unknown or not left in this row set")
+        self._pending.remove(kind)
+        z, J2 = self._shared
+        if kind == "single_trace":
+            contraction, profiles = None, (J2, specfun.entire_neumann(2, z) / 4.0)
+        else:
+            contraction = self.contraction(kind)
+            profiles = (*specfun.fs_coefficients_dz_over_z(2, z), J2)
+        if all(p == "single_trace" for p in self._pending):
+            self.d = None
+        if not self._pending:
+            del self._shared, z
+        return _combine(kind, self, contraction, self.k * self.k, profiles)
 
 
-def _row_geometry(kind: str, dc: DiscreteCurve, taus) -> _RowGeometry:
-    """Geometry of the rows at the nodes (``taus`` None) or at off-node ``taus``."""
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    on_nodes = taus is None
-    if on_nodes:
-        ts, xt, nut = dc.t, dc.points, dc.normals
-    else:
-        ts, xt, vt = taus, dc.curve.position(taus), dc.curve.velocity(taus)
-        st = np.sqrt(np.sum(vt * vt, axis=-1))
-        nut = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
-    d = xt[:, None, :] - dc.points[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=2))
-    if not on_nodes and np.any(r == 0.0):
-        raise ValueError("off-node targets must avoid the quadrature nodes")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.log(r / (2.0 * np.abs(np.sin(0.5 * (ts[:, None] - dc.t[None, :])))))
-    if on_nodes:
-        np.fill_diagonal(L, np.log(dc.speeds))
-    W = log_weight_matrix(dc.N) if on_nodes else log_weight_rows(dc.N, taus)
-    if kind == "single_trace":
-        return _RowGeometry(r, L, W, nut)
-    nd = _contract(kind, nut, dc.normals, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = nd / (r * r)
-    if on_nodes:
-        # curvature limit of (nu . d)/r^2: +kappa/2 for both orientations
-        np.fill_diagonal(ratio, 0.5 * dc.curvature)
-    return _RowGeometry(r, L, W, nut, nd, ratio)
-
-
-def _profiles(kind: str, k: complex | float, r: np.ndarray) -> tuple:
-    """The free-space profiles one kind combines, at z = k r.
-
-    The single layer takes (J2, N2), the log and remainder profiles of the
-    kernel; the double kinds take their derivatives over z, (gJ, gN), and J2.
-    """
-    if kind == "single_trace":
-        return specfun.fs_coefficients(2, k * r)
-    z = specfun.ProfilePoints(k * r)
-    gJ, gN = specfun.fs_coefficients_dz_over_z(2, z)
-    return gJ, gN, specfun.entire_bessel_J(0.0, z) / (2.0 * np.pi)
-
-
-def _combine(kind: str, g: _RowGeometry, dc: DiscreteCurve, k2, profiles,
-             tables=None) -> np.ndarray:
+def _combine(kind: str, rows: NystromRows, contraction, k2, profiles) -> np.ndarray:
     """Nystrom rows from the geometry and the profiles: W A1 + (2 pi / N) A2.
 
     The profiles give the log factor A1 and, with L, the smooth part A2; the
-    regular-part ``tables`` (values, gradients) of the periodic kernel add to
-    A2.  The double kinds scale their derivative profiles by k2 = k^2.
+    rows' regular-part tables of the periodic kernel add to A2.  The double
+    kinds read their ``contraction`` (nd, ratio) and scale their derivative
+    profiles by k2 = k^2.
     """
+    dc = rows.curve
     if kind == "single_trace":
         J2, N2 = profiles
         A1 = 0.5 * J2
-        A2 = J2 * g.L + N2
+        A2 = J2 * rows.L + N2
     else:
-        gJ, gN, J2 = profiles
-        A1 = 0.5 * k2 * gJ * g.nd
-        A2 = k2 * gJ * g.nd * g.L + J2 * g.ratio + k2 * gN * g.nd
-    if tables is not None:
-        A2 = A2 + _table_kernel(kind, g.target_normals, dc.normals, *tables)
-    return (g.W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
-
-
-def _nystrom(kind: str, dc: DiscreteCurve, k: complex | float, tables, taus) -> np.ndarray:
-    """Nystrom rows of one operator kind: at the nodes, or at off-node ``taus``.
-
-    The free-space profiles at k|d| (``_profiles``) combine with the row
-    geometry (``_row_geometry``) into the log factor A1 and the smooth part
-    A2 (``_combine``); free space has no ``tables``.  A real k (a float)
-    keeps the profiles real.
-    """
-    g = _row_geometry(kind, dc, taus)
-    return _combine(kind, g, dc, k * k, _profiles(kind, k, g.r), tables)
+        (gJ, gN, J2), (nd, ratio) = profiles, contraction
+        A1 = 0.5 * k2 * gJ * nd
+        A2 = k2 * gJ * nd * rows.L + J2 * ratio + k2 * gN * nd
+    if rows.tables is not None:
+        A2 = A2 + _table_kernel(kind, rows.target_normals, dc.normals, *rows.tables)
+    return (rows.W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
 
 
 def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=None):
     """Pairwise regular-part tables (values, gradients) for a discrete curve.
 
-    Rows are the nodes, or with ``taus`` the curve points at those parameters.
-    Precompute once and pass via ``tables=`` to :func:`assemble` (node rows)
-    or :func:`boundary_trace_rows` (the same ``taus``) when several operator
-    kinds share one curve — the table is identical across kinds.  A curve
+    Rows are the nodes, or with ``taus`` the curve points at those parameters;
+    :func:`nystrom_rows` builds them once for every operator kind.  A curve
     whose enclosing disk (``BoundaryCurve.disk``) passes
     ``qpgreen.separable_order`` takes ``qpgreen.separable_tables``: a matrix
     product of basis tables, within rounding of the pointwise values.  Any
@@ -265,13 +270,24 @@ def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=Non
     return tables
 
 
+def nystrom_rows(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, kinds,
+                 taus=None) -> NystromRows:
+    """The periodic row set of a curve for ``kinds``: at its nodes, or at off-node ``taus``.
+
+    Pass it as ``rows=`` to :func:`assemble` (node rows) or
+    :func:`boundary_trace_rows` (the same ``taus``), which refuse a row set
+    built for another curve, evaluator or set of taus, and a kind it has
+    already served or was not built for."""
+    return NystromRows(curve, kinds, green.k, taus, green)
+
+
 def assemble(kind: str, curve: DiscreteCurve, *, green: qpgreen.GreenEvaluator,
-             tables=None) -> BoundaryOperator:
+             rows: NystromRows | None = None) -> BoundaryOperator:
     """Assemble a quasi-periodic boundary operator on the given curve."""
-    if tables is None:
-        tables = regular_tables(curve, green)
-    M = _nystrom(kind, curve, green.k, tables, None)
-    return BoundaryOperator(kind=kind, matrix=M, curve=curve)
+    if rows is None:
+        rows = nystrom_rows(curve, green, (kind,))
+    rows._check(curve, green, None)
+    return BoundaryOperator(kind=kind, matrix=rows.matrix(kind), curve=curve)
 
 
 def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperator:
@@ -279,21 +295,23 @@ def assemble_free(kind: str, curve: DiscreteCurve, k: complex) -> BoundaryOperat
 
     A real k (Im k = 0) assembles in real arithmetic, into a real matrix.
     """
-    M = _nystrom(kind, curve, qpgreen._wavenumber(k), None, None)
+    M = NystromRows(curve, (kind,), qpgreen._wavenumber(k), None, None).matrix(kind)
     return BoundaryOperator(kind=kind, matrix=M, curve=curve)
 
 
 def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
-                        green: qpgreen.GreenEvaluator, tables=None) -> np.ndarray:
+                        green: qpgreen.GreenEvaluator,
+                        rows: NystromRows | None = None) -> np.ndarray:
     """Off-node evaluation rows of a quasi-periodic boundary operator at taus.
 
-    ``tables`` may carry ``regular_tables(dc, green, taus)``.  taus must avoid
-    the nodes (the on-node limits live in the assembled matrices).
+    ``rows`` may carry ``nystrom_rows(dc, green, kinds, taus)``.  taus must
+    avoid the nodes (the on-node limits live in the assembled matrices).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if tables is None:
-        tables = regular_tables(dc, green, taus)
-    return _nystrom(kind, dc, green.k, tables, taus)
+    if rows is None:
+        rows = nystrom_rows(dc, green, (kind,), taus)
+    rows._check(dc, green, taus)
+    return rows.matrix(kind)
 
 
 # --------------------------------------------------------------------------- #

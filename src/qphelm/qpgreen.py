@@ -42,7 +42,7 @@ and two free-space profiles of S_2, the backward recurrence the rows below
 n0, and the powers of w times the phi rows the basis, which one product per
 sign contracts with the coefficients.  S_2 takes J_0 = phi_0,
 J_1(z)/z = phi_1/2 and the two profile columns; a rung whose |k x| passes
-_PROFILE_RADIUS takes S_2 from specfun.  A block is sized by memory, not
+specfun.SERIES_RADIUS takes S_2 from specfun.  A block is sized by memory, not
 by point count: its table holds at most _PHI_ENTRIES entries, about 512
 points at the cap and a few thousand at the lowest rungs, so each block's
 fixed cost is shared among many points at every rung.  The basis tables
@@ -150,12 +150,6 @@ _TERM_STEP = 8
 # series' start, and S_2's two profile columns), so low rungs take a few
 # thousand points per block and no basis table outgrows the cap block's.
 _PHI_ENTRIES = 512 * (_EXPANSION_CAP + 3)
-# Largest |k x| of a rung whose S_2 comes from its block's own profile
-# columns.  Up to 8 the terms of N~_0's series stay within a few hundred of
-# the sum (I_0(8) = 427), and the block agrees with specfun's Horner sum to
-# about 1e-15 of G; towards specfun's series radius 12 both sums cancel to a
-# few 1e-13 of S_2 and differ by as much, so those rungs take specfun's sum.
-_PROFILE_RADIUS = 8.0
 
 
 def _shell_indices(s: int) -> np.ndarray:
@@ -695,12 +689,14 @@ class FourierBesselExpansion:
         # Per count, the table of its blocks (_phi_rows): phi to order t + 1
         # for the gradient at |u| = |k x|^2/4 up to its bound at the largest
         # ladder radius with that count, and, where |k x| stays within
-        # _PROFILE_RADIUS, N~_0 for S_2; beyond it S_2 comes from specfun.
+        # specfun.SERIES_RADIUS, N~_0 for S_2 (there its series' terms stay within
+        # I_0(8) = 427 of the sum); beyond it S_2 comes from specfun, whose
+        # profiles there are SciPy's.
         # A block of a count holds at most _PHI_ENTRIES table entries.
         self._series, self._block = {}, {}
         for t in np.unique(tops):
             zmax = abs(k) * self._ladder[tops == t][-1]
-            near = zmax <= _PROFILE_RADIUS
+            near = zmax <= specfun.SERIES_RADIUS
             n0, table = _series_table(t + 1, zmax ** 2 / 4.0,
                                       specfun._get_ntilde(0) if near else None)
             self._series[int(t)] = n0, table.astype(np.result_type(k, 1.0)), near
@@ -777,7 +773,7 @@ class FourierBesselExpansion:
         holds their Bloch phase per sign.  Its profiles come from
         the block's own table: J_0 = phi_0, J_1(z)/z = phi_1/2, and N~_0 and
         N~_0'/z from its last two columns; a count whose |k x| passes
-        _PROFILE_RADIUS takes S_2 from specfun.
+        specfun.SERIES_RADIUS takes S_2 from specfun.
         """
         top = count + 1  # the gradient shifts the orders by one
         n0, series, near = self._series[count]

@@ -91,14 +91,6 @@ def _lu_solve_refined(A: np.ndarray, b: np.ndarray, solve_tol: float):
     return x, cond
 
 
-def _nodal_values(curve: DiscreteCurve, data) -> np.ndarray:
-    if isinstance(data, potentials.Density):
-        return np.asarray(data.values, dtype=complex)
-    if callable(data):
-        return np.asarray(data(curve.t), dtype=complex)
-    return np.asarray(data, dtype=complex)
-
-
 def _midpoint_taus(N: int) -> np.ndarray:
     # midpoints of the discretization grid itself are never nodes
     idx = np.unique(np.round(np.linspace(0, N - 1, _N_CHECK)).astype(int))
@@ -124,22 +116,23 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol)
             f"Green evaluator built for q={green.lattice.q_diag}, "
             f"eta={green.lattice.eta}, k={green.k}; the solve asks for "
             f"q={lattice.q_diag}, eta={lattice.eta}, k={complex(wave.k)}")
-    g = _nodal_values(curve, data)
+    g = np.asarray(data, dtype=complex)
     _, jump, terms = _representation(problem, a_flag)
-    tables = potentials.regular_tables(curve, green)
+    kinds = [kind for kind, _ in terms]
+    rows = potentials.nystrom_rows(curve, green, kinds)
     A = jump * np.eye(curve.N)
     for kind, c in terms:
-        A = A + c * potentials.assemble(kind, curve, green=green, tables=tables).matrix
+        A = A + c * potentials.assemble(kind, curve, green=green, rows=rows).matrix
+    del rows  # its N x N arrays go before the LU and the trace rows
     mu, cond = _lu_solve_refined(A.astype(complex), g, solve_tol)
 
     # boundary-condition residual at off-node midpoints
     taus = _midpoint_taus(curve.N)
-    trace_tables = potentials.regular_tables(curve, green, taus)
+    rows = potentials.nystrom_rows(curve, green, kinds, taus)
     trace = jump * geometry.trig_interpolate(mu, taus)
     for kind, c in terms:
-        rows = potentials.boundary_trace_rows(kind, curve, taus, green=green,
-                                              tables=trace_tables)
-        trace = trace + c * (rows @ mu)
+        trace = trace + c * (potentials.boundary_trace_rows(kind, curve, taus, green=green,
+                                                            rows=rows) @ mu)
     residual = float(np.max(np.abs(trace - geometry.trig_interpolate(g, taus))))
 
     notes = ()
@@ -164,7 +157,7 @@ def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
     curve : DiscreteCurve for the hole boundary.
     lattice, wave : the problem's lattice and wavenumber; ``green`` must have
         been built for the same ones (ValueError otherwise).
-    data : Density, callable of the parameter, or nodal array of boundary values.
+    data : nodal array of boundary values.
     a_flag : 0 or 1; 1 adds the i*V coupling that restores unique solvability
         when k^2 is an interior Neumann eigenvalue of the hole.
     """
@@ -177,6 +170,7 @@ def solve_neumann(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,
                   solve_tol: float = 1e-10) -> BVPSolution:
     """Solve the exterior quasi-periodic Neumann problem around one hole.
 
-    ``green`` must have been built for ``lattice`` and ``wave.k``.
+    ``data`` holds the normal derivative at the nodes.  ``green`` must have
+    been built for ``lattice`` and ``wave.k``.
     """
     return _solve_common("neumann", curve, lattice, wave, data, 0, green, solve_tol)

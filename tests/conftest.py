@@ -4,10 +4,12 @@ Building the quasi-periodic evaluator and discretized curves once per session
 keeps the suite fast; all objects are immutable from the tests' point of view.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
-from qphelm import geometry, qpgreen
+from qphelm import geometry, qpgreen, specfun
 from qphelm.lattice import Lattice, make_wave_context
 
 
@@ -48,3 +50,18 @@ def kite96():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def j0_sizes(monkeypatch):
+    """Argument sizes of the J_0 profile calls (specfun.entire_bessel_J at order 0)."""
+    sizes = collections.Counter()
+    original = specfun.entire_bessel_J
+
+    def counted(nu, z):
+        if nu == 0:
+            sizes[np.asarray(z).size] += 1
+        return original(nu, z)
+
+    monkeypatch.setattr(specfun, "entire_bessel_J", counted)
+    return sizes

@@ -8,11 +8,12 @@ follow the leading epsilon-scaling law with the limit-density charge.
 """
 
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qphelm import geometry, nonlinear, potentials, qpgreen, specfun
+from qphelm import geometry, nonlinear, perturbation, potentials, qpgreen, solvers, specfun
 from qphelm.errors import QphelmError
 
 CENTER = (0.5, 0.5)
@@ -217,6 +218,55 @@ def test_a_probe_inside_a_hole_or_its_image_is_refused(sweep_states, green):
     # the fit runs from the smallest epsilon up: 0.03 is the first to cover it
     with pytest.raises(ValueError, match=r"\[0.5, 0.52\].*epsilon=0.03"):
         nonlinear.far_field_scaling(sweep_states, probes, center=CENTER, green=green)
+
+
+@pytest.mark.filterwarnings("ignore::qphelm.potentials.AccuracyGuardWarning")
+def test_probes_in_a_kites_notch_are_accepted(green, poly2):
+    # the reference kite at (0.5, 0.5) leaves the notch left of its centre
+    # outside the hole, though inside the hole's enclosing disk; the first
+    # probe lies within a node spacing of the curve
+    kite = geometry.discretize(geometry.make_curve("kite"), 64)
+    theta = nonlinear.limit_density(kite, poly2)
+    states = [nonlinear.ContinuationState(eps, nonlinear._slaved_r(eps), theta, 0, 0.0, ())
+              for eps in (0.1, 0.08, 0.06, 0.04)]
+    notch = np.array([[0.5 + 0.1 * x, 0.5] for x in (-1.1, -1.3, -1.45)])
+    phys = perturbation.physical_curve(kite, CENTER, 0.1, green.lattice)
+    assert not potentials.inside_hole(phys, green.lattice, notch).any()
+    u = nonlinear.reconstruct_field(states[0], notch, center=CENTER, green=green)
+    assert np.all(np.isfinite(u.values))
+    fit = nonlinear.far_field_scaling(states, notch, center=CENTER, green=green)
+    assert np.all(np.isfinite(fit.c0))
+    # inside the kite, and inside an image of it; the fit runs from the
+    # smallest epsilon up, and 0.06 is the first to cover them
+    for probe in ([0.45, 0.5], [1.45, -0.5]):
+        with pytest.raises(ValueError, match="inside the hole"):
+            nonlinear.reconstruct_field(states[0], [probe], center=CENTER, green=green)
+        with pytest.raises(ValueError, match=r"inside the hole .*epsilon=0.06,"):
+            nonlinear.far_field_scaling(states, [probe], center=CENTER, green=green)
+
+
+def test_the_benchmark_sweep_probes_are_never_refused(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from qpbench import workloads
+
+    lat = workloads.lattice()
+    disk = geometry.discretize(geometry.make_curve("circle", radius=1.0),
+                               workloads.SWEEP_N)
+    for seed in range(8):
+        probes = workloads.draw_sweep(seed)
+        for eps in nonlinear.default_epsilon_grid(disk, workloads.CENTER, lat):
+            phys = perturbation.physical_curve(disk, workloads.CENTER, eps, lat)
+            assert not potentials.inside_hole(phys, lat, probes).any(), (seed, eps)
+
+
+def test_boundary_condition_residual_takes_one_j0_profile(sweep_states, green, poly2,
+                                                          j0_sizes):
+    # the V and K* trace rows share one row set, so one J_0 profile on its
+    # pairs where each kind took its own
+    state = sweep_states[0]
+    nonlinear.boundary_condition_residual(state, poly2, center=CENTER, green=green)
+    N = state.theta.curve.N
+    assert j0_sizes[len(solvers._midpoint_taus(N)) * N] == 1
 
 
 def test_sweep_profile_calls_do_not_grow_with_the_grid(green, poly2, monkeypatch):

@@ -176,14 +176,15 @@ def test_series_at_zero_is_the_laplace_assembly(k):
 
 
 def test_series_refuses_arguments_past_the_series_radius(lat):
-    # |k| eps max|d| = 16 * 0.45 * 2 = 14.4 > SERIES_RADIUS = 12
+    # |k| eps max|d| = 16 * 0.45 * 2 = 14.4 > SERIES_RADIUS = 8
     green16 = qpgreen.make_green_evaluator(lat, 16.0)
     dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
     with pytest.raises(SeriesTruncationError, match="series radius"):
         perturbation.rescaled_operator("M", 1, 0.45, dc, CENTER, green=green16)
-    series = perturbation.FamilySeries(dc, 16.0, 0.3)
+    # z_max = 16 * 0.2 * 2 = 6.4: the table builds, and refuses a larger epsilon
+    series = perturbation.FamilySeries(dc, 16.0, 0.2)
     with pytest.raises(ValueError, match="epsilon_max"):
-        series.member("M", 1, 0.31)
+        series.member("M", 1, 0.21)
 
 
 def test_normal_family_regular_part_at_zero_has_rank_structure(green):

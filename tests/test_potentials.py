@@ -18,7 +18,7 @@ from scipy.special import jv, jvp, yv, yvp
 
 from jump_oracle import one_sided_limits
 from oracle_qpgreen import assert_tables_agree, regular_part_by_ewald
-from qphelm import geometry, perturbation, qpgreen
+from qphelm import geometry, perturbation, potentials, qpgreen, solvers
 from qphelm.errors import ResonanceError
 from qphelm.lattice import Lattice, make_wave_context
 from qphelm.potentials import (
@@ -32,6 +32,7 @@ from qphelm.potentials import (
     inside_hole,
     log_weight_matrix,
     log_weight_rows,
+    nystrom_rows,
     regular_tables,
 )
 
@@ -167,18 +168,19 @@ def test_assembly_is_deterministic(circle128, green):
 
 
 def test_shared_regular_tables_are_exactly_reused(circle128, green):
-    tables = regular_tables(circle128, green)
+    rows = nystrom_rows(circle128, green, ["single_trace"])
     A = assemble("single_trace", circle128, green=green).matrix
-    B = assemble("single_trace", circle128, green=green, tables=tables).matrix
+    B = assemble("single_trace", circle128, green=green, rows=rows).matrix
     assert np.array_equal(A, B)
 
 
 def test_shared_trace_tables_give_bit_identical_rows(circle128, green):
     taus = (2 * np.arange(0, 128, 9) + 1) * np.pi / 128
-    tables = regular_tables(circle128, green, taus)
-    for kind in ("single_trace", "double_boundary", "adjoint_double"):
+    kinds = ("single_trace", "double_boundary", "adjoint_double")
+    rows = nystrom_rows(circle128, green, kinds, taus)
+    for kind in kinds:
         alone = boundary_trace_rows(kind, circle128, taus, green=green)
-        shared = boundary_trace_rows(kind, circle128, taus, green=green, tables=tables)
+        shared = boundary_trace_rows(kind, circle128, taus, green=green, rows=rows)
         assert np.array_equal(alone, shared)
 
 
@@ -188,7 +190,7 @@ def _pointwise_tables(green, d):
     return v.reshape(d.shape[:-1]), g.reshape(d.shape)
 
 
-def test_node_tables_match_pointwise_tables(circle128, green):
+def test_node_tables_match_pointwise_tables(circle128, green, monkeypatch):
     kite = geometry.discretize(
         geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 128)
     for curve in (circle128, kite):
@@ -201,10 +203,75 @@ def test_node_tables_match_pointwise_tables(circle128, green):
         # bvp's kite (r0 = 0.570) falls back: the bits of the pointwise path
         assert curve is kite
         assert all(np.array_equal(a, b) for a, b in zip(tables, pointwise))
-        for kind in ("single_trace", "double_boundary", "adjoint_double"):
+        with monkeypatch.context() as m:
+            m.setattr(potentials, "regular_tables", lambda *args: pointwise)
+            rows = nystrom_rows(curve, green, potentials.OPERATOR_KINDS)
+        for kind in potentials.OPERATOR_KINDS:
             A = assemble(kind, curve, green=green).matrix
-            B = assemble(kind, curve, green=green, tables=pointwise).matrix
+            B = assemble(kind, curve, green=green, rows=rows).matrix
             assert np.array_equal(A, B), kind
+
+
+def test_a_row_set_gives_the_same_bits_in_any_order_of_kinds(green):
+    kite = geometry.discretize(
+        geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 64)
+    taus = (2 * np.arange(0, 64, 5) + 1) * np.pi / 64
+    kinds = ("single_trace", "double_boundary", "adjoint_double")
+    alone = {kind: (assemble(kind, kite, green=green).matrix,
+                    boundary_trace_rows(kind, kite, taus, green=green)) for kind in kinds}
+    for order in (kinds, kinds[::-1], kinds[1:] + kinds[:1]):
+        rows, trace = nystrom_rows(kite, green, kinds), nystrom_rows(kite, green, kinds, taus)
+        for kind in order:
+            assert np.array_equal(assemble(kind, kite, green=green, rows=rows).matrix,
+                                  alone[kind][0]), (order, kind)
+            assert np.array_equal(
+                boundary_trace_rows(kind, kite, taus, green=green, rows=trace),
+                alone[kind][1]), (order, kind)
+
+
+def test_a_row_set_of_another_curve_or_other_taus_is_refused(circle128, green):
+    other = geometry.discretize(circle128.curve, 128)
+    taus = (2 * np.arange(0, 128, 9) + 1) * np.pi / 128
+    kinds = ("single_trace", "adjoint_double")
+    rows, trace = nystrom_rows(circle128, green, kinds), nystrom_rows(circle128, green, kinds, taus)
+    for bad in (lambda: assemble("single_trace", other, green=green, rows=rows),
+                lambda: assemble("single_trace", circle128, green=green, rows=trace),
+                lambda: boundary_trace_rows("single_trace", circle128, taus,
+                                            green=green, rows=rows),
+                # as many taus as the row set's, but not the same ones
+                lambda: boundary_trace_rows("adjoint_double", circle128, taus + 0.01,
+                                            green=green, rows=trace),
+                lambda: boundary_trace_rows("adjoint_double", other, taus,
+                                            green=green, rows=trace)):
+        with pytest.raises(ValueError, match="row set was built for another"):
+            bad()
+    # a kind the row set was not built for, or one it has already served
+    for kind in ("double_boundary", "single_layer"):
+        with pytest.raises(ValueError, match=f"'{kind}' is unknown or not left"):
+            assemble(kind, circle128, green=green, rows=rows)
+    assemble("adjoint_double", circle128, green=green, rows=rows)
+    with pytest.raises(ValueError, match="'adjoint_double' is unknown or not left"):
+        assemble("adjoint_double", circle128, green=green, rows=rows)
+
+
+def test_a_row_set_drops_d_and_z_after_the_last_kind_that_needs_them(circle128, green):
+    rows = nystrom_rows(circle128, green, ("double_boundary", "single_trace"))
+    rows.matrix("double_boundary")
+    assert rows.d is None and "_shared" in vars(rows)
+    rows.matrix("single_trace")
+    assert "_shared" not in vars(rows)
+
+
+def test_one_j0_profile_per_row_set(lat, wave, green, j0_sizes):
+    # an a_flag = 1 Dirichlet solve takes K and V on the node pairs, then on
+    # the trace pairs: one J_0 profile on each row set, where each kind took
+    # its own
+    kite = geometry.discretize(
+        geometry.make_curve("kite", scale=0.3, center=(0.5, 0.5)), 128)
+    n_trace = len(solvers._midpoint_taus(128))
+    solvers.solve_dirichlet(kite, lat, wave, np.exp(np.cos(kite.t)) + 0j, 1,
+                            green=green)
+    assert (j0_sizes[128 * 128], j0_sizes[n_trace * 128]) == (1, 1)
 
 
 @pytest.mark.parametrize("epsilon", [0.125, 1e-3, -0.125, 0.3])

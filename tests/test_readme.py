@@ -2,14 +2,15 @@
 
 Every ```python block of README.md is executed, in order, in one namespace,
 so a later block may use names an earlier one defined.  The CLI reference
-lists every configuration entry and exit code the CLI has, and the rung
-pass quotes the block and run sizes qpgreen uses.
+lists every configuration entry and exit code the CLI has, the rung pass
+quotes the block and run sizes qpgreen uses, and the series radius quoted is
+specfun's.
 """
 
 import re
 from pathlib import Path
 
-from qphelm import cli, qpgreen
+from qphelm import cli, qpgreen, specfun
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +41,13 @@ def test_readme_rung_pass_quotes_the_qpgreen_sizes():
     assert f"the Ewald sum, whose points each carry every spatial shift, in " \
         f"{qpgreen._CHUNK:,}-point runs" in rung_pass
     assert f"Ewald serves every point, in the same {qpgreen._CHUNK:,}-point runs" in text
+
+
+def test_readme_quotes_the_specfun_series_radius():
+    text = " ".join(README.read_text().split())
+    radius = f"{specfun.SERIES_RADIUS:g}"
+    assert f"power series in `w = (k|x|)²` for `k|x| ≤ {radius}` " \
+        "(`specfun.SERIES_RADIUS`)" in text
+    assert f"A `z_max` above {radius} (`specfun.SERIES_RADIUS`) raises" in text
+    assert f"trusted up to `|k|·ε·max|d| = {radius}`" in text
+    assert f"A rung whose `|k x'|` can pass {radius}, specfun's series radius" in text

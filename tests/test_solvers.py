@@ -147,15 +147,6 @@ def test_solution_is_linear_in_data(circle128, lat, wave, green, rng):
     assert np.max(np.abs(mus[2] - (a * mus[0] + b * mus[1]))) < 1e-10
 
 
-def test_data_callable_matches_nodal_array(circle128, lat, wave, green):
-    def fn(t):
-        return np.cos(t) + 0.5j * np.sin(3 * t)
-
-    s1 = solvers.solve_dirichlet(circle128, lat, wave, fn, green=green)
-    s2 = solvers.solve_dirichlet(circle128, lat, wave, fn(circle128.t), green=green)
-    assert np.array_equal(s1.density.values, s2.density.values)
-
-
 def test_solution_field_is_quasiperiodic_helmholtz(circle128, lat, wave, green,
                                                    manufactured):
     sol = solvers.solve_dirichlet(circle128, lat, wave, manufactured["trace"],

@@ -265,3 +265,34 @@ def test_analytic_correction_at_origin():
 def test_singular_origin_rejected():
     with pytest.raises(ValueError):
         sf.fundamental_solution(2, np.zeros(2), 1.0)
+
+
+def test_profiles_and_kernel_past_the_series_radius_match_mpmath():
+    # 8 < |z| < 12: the power series cancel there to a few 1e-13 (N~_0 and
+    # J~_0) and S_2 at k = 20 drifted by ~1e-12 of its size; past
+    # SERIES_RADIUS the profiles are SciPy's
+    assert sf.SERIES_RADIUS == 8.0
+    z = np.linspace(8.05, 11.95, 40)
+    with mp.workdps(30):
+        refs = [
+            (sf.entire_bessel_J(0.0, z), [mp.besselj(0, mp.mpf(v)) for v in z]),
+            (sf.entire_bessel_J(1.0, z), [mp.besselj(1, mp.mpf(v)) / v for v in z]),
+            (sf.entire_neumann(2, z), [oracle.ntilde0_check(v) for v in z]),
+            (sf.entire_neumann_dz_over_z(2, z),
+             [mp.diff(oracle.ntilde0_check, mp.mpf(v)) / v for v in z]),
+        ]
+        for got, ref in refs:
+            assert np.max(np.abs(got - np.array(ref, dtype=float))) <= 5e-15
+        k = 20.0
+        rng = np.random.default_rng(3)
+        r, a = z / k, rng.uniform(0.0, 2.0 * np.pi, z.size)
+        x = np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+        fs = sf.fundamental_solution(2, x, k)
+        kk, c = mp.mpf(k), (mp.log(mp.mpf(k) / 2) + mp.euler) / (2 * mp.pi)
+        value = np.array([float(oracle.fs2(p[0], p[1], k)) for p in x])
+        # dS_2/dr = -k Y_1(kr)/4 + (log(k/2) + gamma) k J_1(kr) / (2 pi)
+        radial = np.array([float(-kk * mp.bessely(1, kk * v) / 4 + c * kk * mp.besselj(1, kk * v))
+                           for v in r])
+    gradient = x * (radial / r)[:, None]
+    assert np.max(np.abs(fs.value - value)) <= 1e-14 * np.max(np.abs(value))
+    assert np.max(np.abs(fs.gradient - gradient)) <= 1e-14 * np.max(np.abs(gradient))
