@@ -351,15 +351,14 @@ def _reference_curve(cfg: RunConfig) -> geometry.DiscreteCurve:
 def _setup(cfg: RunConfig, manifest: _Manifest):
     """(wave, green) at the configured resonance tolerance.
 
-    The wave context is built once, at ``tolerances.resonance``, so a resonant
-    wavenumber is refused the same way by every subcommand, and the evaluator
-    is built on it.  The evaluator carries the lattice and k; the wave goes to
+    The wave context is built once, at ``tolerances.resonance``, and the
+    evaluator built on it refuses a resonant wavenumber, the same way for
+    every subcommand.  The evaluator carries the lattice and k; the wave goes to
     the solvers, which check it against the evaluator.  The manifest records
     the evaluator's parameters when the run ends.
     """
     lattice = cfg.lattice()
-    wave = make_wave_context(lattice, cfg.k, resonance_tolerance=cfg.tolerances["resonance"],
-                             require_nonresonant=True)
+    wave = make_wave_context(lattice, cfg.k, resonance_tolerance=cfg.tolerances["resonance"])
     green = qpgreen.GreenEvaluator(lattice, wave)
     manifest.green = green
     return wave, green

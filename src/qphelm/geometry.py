@@ -58,6 +58,32 @@ class BoundaryCurve:
         return center, float(np.max(np.hypot(*(self._samples - center).T)))
 
 
+def _trig_curve(center, cos, sin, name: str) -> BoundaryCurve:
+    """center + sum_n (cos[n] cos(n t) + sin[n] sin(n t)), one (x_1, x_2) row per order n.
+
+    d/dt takes an order's pair (cos[n], sin[n]) to (n sin[n], -n cos[n]), so
+    velocity and acceleration come from the position's own coefficients.
+    """
+    def series(a, b, offset=0.0):
+        terms = [(trig, n, np.array(row)) for trig, rows in ((np.cos, a), (np.sin, b))
+                 for n, row in enumerate(rows.tolist()) if any(row)]
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            # summed term by term in order: a matrix product's fused
+            # multiply-adds would round the kite otherwise
+            out = np.zeros(t.shape + (2,))
+            for trig, n, row in terms:
+                out = out + np.multiply.outer(trig(n * t), row)
+            return out + offset
+        return f
+
+    a, b = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    n = np.arange(len(a))[:, None]
+    return BoundaryCurve(series(a, b, np.asarray(center, dtype=float)),
+                         series(n * b, -n * a), series(-n * n * a, -n * n * b), name=name)
+
+
 def make_curve(shape: str, center=(0.0, 0.0), *, radius: float | None = None,
                a: float | None = None, b: float | None = None,
                scale: float = 1.0) -> BoundaryCurve:
@@ -65,73 +91,23 @@ def make_curve(shape: str, center=(0.0, 0.0), *, radius: float | None = None,
 
     The kite is x(t) = scale * (cos t + 0.65 cos 2t - 0.65, 1.5 sin t) + center;
     scale defaults to 1 (the reference hole shape) and lets the same curve serve
-    as a cell boundary at reduced size.
+    as a cell boundary at reduced size.  Each shape is one row of coefficients
+    of _trig_curve: (cos, sin) rows for the orders n = 0, 1, ...
     """
-    c = np.asarray(center, dtype=float)
     if shape == "circle":
         if radius is None or radius <= 0:
             raise ValueError("circle needs a positive radius")
         r = float(radius)
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([c[0] + r * np.cos(t), c[1] + r * np.sin(t)], axis=-1)
-
-        def vel(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-
-        def acc(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([-r * np.cos(t), -r * np.sin(t)], axis=-1)
-
-        return BoundaryCurve(pos, vel, acc, name=f"circle(r={r})")
-
+        return _trig_curve(center, [[0, 0], [r, 0]], [[0, 0], [0, r]], f"circle(r={r})")
     if shape == "ellipse":
         if a is None or b is None or a <= 0 or b <= 0:
             raise ValueError("ellipse needs positive semi-axes a and b")
-        a_, b_ = float(a), float(b)
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([c[0] + a_ * np.cos(t), c[1] + b_ * np.sin(t)], axis=-1)
-
-        def vel(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([-a_ * np.sin(t), b_ * np.cos(t)], axis=-1)
-
-        def acc(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([-a_ * np.cos(t), -b_ * np.sin(t)], axis=-1)
-
-        return BoundaryCurve(pos, vel, acc, name=f"ellipse(a={a_},b={b_})")
-
+        a, b = float(a), float(b)
+        return _trig_curve(center, [[0, 0], [a, 0]], [[0, 0], [0, b]], f"ellipse(a={a},b={b})")
     if shape == "kite":
         s = float(scale)
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([
-                c[0] + s * (np.cos(t) + 0.65 * np.cos(2 * t) - 0.65),
-                c[1] + s * 1.5 * np.sin(t),
-            ], axis=-1)
-
-        def vel(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([
-                s * (-np.sin(t) - 1.3 * np.sin(2 * t)),
-                s * 1.5 * np.cos(t),
-            ], axis=-1)
-
-        def acc(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([
-                s * (-np.cos(t) - 2.6 * np.cos(2 * t)),
-                s * (-1.5) * np.sin(t),
-            ], axis=-1)
-
-        return BoundaryCurve(pos, vel, acc, name=f"kite(scale={s})")
-
+        return _trig_curve(center, s * np.array([[-0.65, 0], [1, 0], [0.65, 0]]),
+                           s * np.array([[0, 0], [0, 1.5], [0, 0]]), f"kite(scale={s})")
     raise ValueError(f"unknown shape {shape!r}")
 
 

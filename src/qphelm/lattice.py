@@ -3,8 +3,8 @@
 The period cell is the box [0, q_1) x [0, q_2) with diagonal period matrix
 diag(q_1, q_2); quasi-momentum eta shifts the dual lattice, so the plane-wave
 frequencies are beta_z = 2 pi z / q + eta for integer z.  A wavenumber k is
-resonant when k**2 equals some |beta_z|**2: evaluation of the periodic Green
-function is refused there.
+resonant when k**2 equals some |beta_z|**2: qpgreen.GreenEvaluator refuses it,
+so the periodic Green function is never evaluated there.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ResonanceError
 
 __all__ = [
     "Lattice",
@@ -121,16 +119,9 @@ class WaveContext:
 
 
 def make_wave_context(lattice: Lattice, k: complex,
-                      resonance_tolerance: float = DEFAULT_RESONANCE_TOLERANCE,
-                      require_nonresonant: bool = False) -> WaveContext:
-    """Build a WaveContext; optionally refuse resonant wavenumbers outright."""
+                      resonance_tolerance: float = DEFAULT_RESONANCE_TOLERANCE) -> WaveContext:
+    """Build a WaveContext; GreenEvaluator refuses a resonant one."""
     k = complex(k)
     hits = resonance_set(lattice, k, tolerance=resonance_tolerance)
-    dist = spectrum_distance(lattice, k)
-    ctx = WaveContext(k=k, resonance_set=tuple(hits), spectral_distance=dist)
-    if require_nonresonant and ctx.is_resonant:
-        raise ResonanceError(
-            f"k={k} is resonant for q={lattice.q_diag}, eta={lattice.eta}: "
-            f"indices {hits}, spectral distance {dist:.3e}"
-        )
-    return ctx
+    return WaveContext(k=k, resonance_set=tuple(hits),
+                       spectral_distance=spectrum_distance(lattice, k))

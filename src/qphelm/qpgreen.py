@@ -214,7 +214,8 @@ class GreenEvaluator:
         if wave.is_resonant:
             raise ResonanceError(
                 f"k={wave.k} is resonant for q={lattice.q_diag}, eta={lattice.eta}: "
-                f"indices {list(wave.resonance_set)}")
+                f"indices {list(wave.resonance_set)}, spectral distance "
+                f"{wave.spectral_distance:.3e}")
         self.lattice = lattice
         self.wave = wave
         k = complex(wave.k)
@@ -325,12 +326,6 @@ class GreenEvaluator:
                 f"evaluation point within {excl:.1e} of a source lattice point"
             )
 
-    def _guard(self, xr: np.ndarray):
-        d = xr[:, None, :] - self.shifts[None, :, :]
-        rho2 = np.sum(d * d, axis=2)
-        self._require_clear(np.min(rho2, axis=1))
-        return d, rho2
-
     def _spectral(self, xr: np.ndarray, derivatives: int) -> list:
         # the phases as a real matrix product: straight after a complex one,
         # libm's complex exp runs many times slower until a numpy ufunc runs
@@ -374,28 +369,12 @@ class GreenEvaluator:
 def make_green_evaluator(lattice: Lattice, k: complex, *,
                          ewald_split: float | None = None) -> GreenEvaluator:
     """Build an evaluator, refusing wavenumbers on the lattice spectrum."""
-    return GreenEvaluator(lattice, make_wave_context(lattice, k, require_nonresonant=True),
-                          ewald_split=ewald_split)
+    return GreenEvaluator(lattice, make_wave_context(lattice, k), ewald_split=ewald_split)
 
 
 def _shaped(x: np.ndarray, out: list) -> tuple:
     """Outputs with one row per point of x (shape (..., 2)) in the shape of x."""
     return tuple(a.reshape(x.shape[:-1] + a.shape[1:])[()] for a in out)
-
-
-def _batched(x, kernel, trailing):
-    """Apply kernel(points) -> arrays with one row per point, in _CHUNK batches.
-
-    x has shape (..., 2); output i has shape (...) + trailing[i].
-    """
-    x = np.asarray(x, dtype=float)
-    pts = x.reshape(-1, 2)
-    out = [np.empty((len(pts),) + t, dtype=complex) for t in trailing]
-    for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        for a, b in zip(out, kernel(pts[sl])):
-            a[sl] = b
-    return _shaped(x, out)
 
 
 def _chunks(idx: np.ndarray, run: int):
@@ -407,19 +386,23 @@ def _chunks(idx: np.ndarray, run: int):
 _JET = ((), (2,), (2, 2))
 
 
-def _ewald_kernel(ev: GreenEvaluator, derivatives: int):
-    """Ewald's G and its first ``derivatives`` (0, 1 or 2) derivatives, per point."""
-    def kernel(chunk):
-        if len(chunk) == 1:
-            # BLAS takes a vector path for one row, with other rounding
-            return [a[:1] for a in kernel(np.repeat(chunk, 2, axis=0))]
-        xr, shift = ev._reduce(chunk)
-        phase = ev._phase(shift)
-        d, rho2 = ev._guard(xr)
-        return [phase.reshape((-1,) + (1,) * (a.ndim - 1)) * (a + b)
-                for a, b in zip(ev._spectral(xr, derivatives),
-                                ev._spatial(d, rho2, derivatives))]
-    return kernel
+def _ewald(ev: GreenEvaluator, xr: np.ndarray, shift: np.ndarray, derivatives: int) -> list:
+    """Ewald's G and its first ``derivatives`` (0, 1 or 2) derivatives at x = xr + shift.
+
+    xr and shift are GreenEvaluator._reduce's: x reduced into the centred
+    cell, and the lattice vector q m* it moved by.  A point within the
+    exclusion of a source lattice point is refused.
+    """
+    if len(xr) == 1:
+        # BLAS takes a vector path for one row, with other rounding
+        two = [np.repeat(a, 2, axis=0) for a in (xr, shift)]
+        return [a[:1] for a in _ewald(ev, *two, derivatives)]
+    d = xr[:, None, :] - ev.shifts[None, :, :]
+    rho2 = np.sum(d * d, axis=2)
+    ev._require_clear(np.min(rho2, axis=1))
+    phase = ev._phase(shift)
+    return [phase.reshape((-1,) + (1,) * (a.ndim - 1)) * (a + b)
+            for a, b in zip(ev._spectral(xr, derivatives), ev._spatial(d, rho2, derivatives))]
 
 
 def ewald_oracle(ev: GreenEvaluator, x):
@@ -430,9 +413,15 @@ def ewald_oracle(ev: GreenEvaluator, x):
     (the tests, the CLI's reference values) call it.  green_eval sums Ewald
     for reduced points beyond the expansion's radius and for every point
     before regular_part has fitted the expansion.  green_hessian is this
-    oracle.
+    oracle.  The points are reduced once and summed in _CHUNK runs.
     """
-    return _batched(x, _ewald_kernel(ev, 2), _JET)
+    x = np.asarray(x, dtype=float)
+    xr, shift = ev._reduce(x.reshape(-1, 2))
+    out = [np.empty((len(xr),) + t, dtype=complex) for t in _JET]
+    for idx in _chunks(np.arange(len(xr)), _CHUNK):
+        for a, b in zip(out, _ewald(ev, xr[idx], shift[idx], 2)):
+            a[idx] = b
+    return _shaped(x, out)
 
 
 def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
@@ -469,10 +458,9 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
         fb.fill(xr, r2, np.flatnonzero(near), moved if regular else None,
                 lambda sel, s: ev._phase(s * shift[sel]),
                 [(a, at) for at in rows for a in out])
-    ewald = _ewald_kernel(ev, 1)
     for idx in _chunks(np.flatnonzero(~near), _CHUNK):
         for s, at in zip(signs, rows):
-            for a, b in zip(out, ewald(s * pts[idx])):
+            for a, b in zip(out, _ewald(ev, s * xr[idx], s * shift[idx], 1)):
                 a[at[idx]] = b
     if regular:
         v, g = out
@@ -628,7 +616,7 @@ class FourierBesselExpansion:
         scale = 0.0
         for rj, b in zip(radii, basis):
             pts = rj * circle
-            ewald = _batched(pts, _ewald_kernel(ev, 0), _JET[:1])[0]
+            ewald = _ewald(ev, *ev._reduce(pts), 0)[0]
             samples = ewald - specfun.fundamental_solution(2, pts, k).value
             scale = max(scale, float(np.max(np.abs(samples))))
             a = np.fft.fft(samples) / _FIT_SAMPLES

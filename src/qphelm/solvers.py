@@ -9,7 +9,8 @@ Neumann data by u = S[mu].  Both reduce to second-kind systems
     T = -I/2 + K + i*A*V      (Dirichlet trace of the representation)
     M =  I/2 + K*             (exterior normal derivative of S)
 
-solved densely by LU with one step of iterative refinement.
+solved densely by LU with one step of iterative refinement.  A hole not
+narrower than a period on both axes, whose copies may overlap, is refused.
 
 The operators come from the Green evaluator ``green``, the problem context.
 The solvers also take the problem's lattice and wave context and raise
@@ -26,7 +27,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from . import geometry, potentials, qpgreen
-from .errors import IllConditionedError
+from .errors import ContainmentError, IllConditionedError
 from .geometry import DiscreteCurve
 from .lattice import Lattice, WaveContext
 
@@ -116,6 +117,12 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol)
             f"Green evaluator built for q={green.lattice.q_diag}, "
             f"eta={green.lattice.eta}, k={green.k}; the solve asks for "
             f"q={lattice.q_diag}, eta={lattice.eta}, k={complex(wave.k)}")
+    lo, hi = curve.curve.extent
+    span = tuple(float(v) for v in hi - lo)
+    if any(s >= q for s, q in zip(span, lattice.q_diag)):
+        raise ContainmentError(
+            f"hole spans {span}, not narrower than the periods {lattice.q_diag} "
+            "on both axes: its periodic copies may overlap")
     g = np.asarray(data, dtype=complex)
     _, jump, terms = _representation(problem, a_flag)
     kinds = [kind for kind, _ in terms]

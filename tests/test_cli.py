@@ -445,6 +445,19 @@ def test_a_bvp_probe_inside_the_hole_or_an_image_exits_2(tmp_path):
     assert "target [1.6, 0.5] lies inside the hole" in _manifest(tmp_path / "b")["error"]
 
 
+def test_a_hole_that_meets_its_own_images_exits_2(tmp_path):
+    # a radius-0.6 disk in the unit cell overlaps its copies one period away
+    cfg = copy.deepcopy(DIRICHLET_CFG)
+    cfg["geometry"] = {"shape": "circle", "params": {"radius": 0.6, "center": [0.5, 0.5]},
+                       "N": 64}
+    cfg["probes"] = [[0.0, 0.0]]
+    assert cli.run("solve-dirichlet", cli.parse_config(json.dumps(cfg)), tmp_path) == 2
+    man = _manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert "hole spans" in man["error"] and "(1.0, 1.0)" in man["error"]
+    assert not (tmp_path / "probes.csv").exists()
+
+
 def test_main_green_eval_end_to_end(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(GREEN_CFG))

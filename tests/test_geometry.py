@@ -39,14 +39,18 @@ def test_normals_formula_and_outward_orientation():
             assert flux == pytest.approx(2 * area, rel=1e-12)
 
 
-def test_kite_velocity_matches_finite_differences():
-    dc = geometry.discretize(geometry.make_curve("kite"), 128)
-    curve = dc.curve
+def test_curve_derivatives_match_finite_differences():
+    # velocity from position and acceleration from velocity, on every shape
     h = 1e-6
-    for t in (0.3, 1.7, 4.2):
-        fd = (curve.position(np.array([t + h])) -
-              curve.position(np.array([t - h]))) / (2 * h)
-        np.testing.assert_allclose(curve.velocity(np.array([t])), fd, atol=1e-7)
+    t = np.array([0.3, 1.7, 4.2])
+    for curve in (geometry.make_curve("circle", radius=0.35, center=(0.5, 0.5)),
+                  geometry.make_curve("ellipse", a=0.4, b=0.2, center=(0.2, -0.1)),
+                  geometry.make_curve("kite"),
+                  geometry.make_curve("kite", center=(0.5, 0.45), scale=0.3)):
+        for f, df in ((curve.position, curve.velocity),
+                      (curve.velocity, curve.acceleration)):
+            fd = (f(t + h) - f(t - h)) / (2 * h)
+            np.testing.assert_allclose(df(t), fd, atol=1e-7, err_msg=curve.name)
 
 
 def test_trapezoid_superconvergence():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qphelm import qpgreen
 from qphelm.errors import ResonanceError
 from qphelm.lattice import (
     Lattice,
@@ -55,9 +56,10 @@ def test_exact_resonance_detected(lat):
     hits = resonance_set(lat, k)
     assert (0, 0) in hits
     assert spectrum_distance(lat, k) <= 1e-15
-    assert make_wave_context(lat, k).is_resonant
-    with pytest.raises(ResonanceError):
-        make_wave_context(lat, k, require_nonresonant=True)
+    wave = make_wave_context(lat, k)
+    assert wave.is_resonant
+    with pytest.raises(ResonanceError, match="spectral distance"):
+        qpgreen.GreenEvaluator(lat, wave)
 
 
 def test_wave_context_flags(lat):

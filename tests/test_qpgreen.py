@@ -380,19 +380,15 @@ def test_shell_s_lies_at_least_s_minus_a_half_cells_from_a_reduced_point(
                                   ((1.0, 1.7), 1.3)])
 def test_the_fit_reads_exactly_the_oracle_values(q, k, monkeypatch):
     ev = qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
-    kernel = qpgreen._ewald_kernel
+    ewald = qpgreen._ewald
     calls = []
 
-    def recorded(ev, derivatives):
-        inner = kernel(ev, derivatives)
+    def recorded(ev, xr, shift, derivatives):
+        out = ewald(ev, xr, shift, derivatives)
+        calls.append((derivatives, xr + shift, out))
+        return out
 
-        def run(chunk):
-            out = inner(chunk)
-            calls.append((derivatives, chunk, out))
-            return out
-        return run
-
-    monkeypatch.setattr(qpgreen, "_ewald_kernel", recorded)
+    monkeypatch.setattr(qpgreen, "_ewald", recorded)
     qpgreen.FourierBesselExpansion(ev)
     monkeypatch.undo()
     radii = float(np.min(ev.lattice.q)) * np.asarray(qpgreen._FIT_RADII)

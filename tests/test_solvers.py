@@ -15,6 +15,7 @@ import pytest
 from scipy.special import jnp_zeros, jvp
 
 from qphelm import geometry, potentials, qpgreen, solvers
+from qphelm.errors import ContainmentError
 from qphelm.lattice import Lattice, make_wave_context
 
 FIRST_DISK_NEUMANN_K = 5.260525089544742  # first zero of J_1' over radius 0.35
@@ -230,6 +231,16 @@ def test_solvers_refuse_an_evaluator_for_another_problem(circle128, lat, wave,
             solvers.solve_dirichlet(circle128, lat, wave, data, green=ev)
         with pytest.raises(ValueError, match="Green evaluator built for"):
             solvers.solve_neumann(circle128, lat, wave, data, green=ev)
+
+
+def test_solvers_refuse_a_hole_that_meets_its_own_images(lat, wave, green):
+    # a radius-0.6 disk spans 1.2 on both axes of the unit cell
+    dc = geometry.discretize(geometry.make_curve("circle", radius=0.6,
+                                                 center=(0.5, 0.5)), 64)
+    data = np.ones(dc.N)
+    for solve in (solvers.solve_dirichlet, solvers.solve_neumann):
+        with pytest.raises(ContainmentError, match=r"hole spans \(1\.2.*\(1\.0, 1\.0\)"):
+            solve(dc, lat, wave, data, green=green)
 
 
 def test_disk_neumann_wavenumbers_are_derivative_zeros():
