@@ -396,10 +396,8 @@ def _cmd_green_eval(cfg: RunConfig, out: Path, manifest: _Manifest,
     ys = (np.arange(n) + 0.5) * q2 / n
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    # drop points inside the exclusion disk of any lattice translate
-    shifts = np.array([(i * q1, j * q2) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-    dist = np.min(np.linalg.norm(pts[:, None, :] - shifts[None, :, :], axis=2),
-                  axis=1)
+    # drop points inside the exclusion disk of the nearest lattice point
+    dist = np.linalg.norm(green.lattice.reduce(pts)[0], axis=1)
     pts = pts[dist > cfg.exclusion_radius]
     vals = _parallel_values(lambda p: qpgreen.green_eval(green, p)[0], pts, threads)
     _write_csv(out / "grid.csv", ["x", "y", "ReG", "ImG"],
@@ -430,6 +428,7 @@ def _cmd_solve_bvp(cfg: RunConfig, out: Path, manifest: _Manifest,
         "a_flag": cfg.a_flag if kind == "dirichlet" else None,
         # the basis order of the separable tables, None for regular_part's
         "separable_order": qpgreen.separable_order(green, dc.curve.disk[1]),
+        "notes": list(sol.notes),
     }
     probes = _probe_array(cfg)
     if probes is not None:

@@ -68,6 +68,16 @@ class Lattice:
     def eta_vec(self) -> np.ndarray:
         return np.asarray(self.eta, dtype=float)
 
+    def reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x - q m*, q m*) at points x (shape (..., 2)), q m* the lattice point nearest x.
+
+        At a difference of two points, x - q m* is the difference to the
+        second point's nearest image.
+        """
+        q = self.q
+        shift = np.round(x / q) * q
+        return x - shift, shift
+
 
 def dual_vector(lattice: Lattice, z) -> np.ndarray:
     """beta_z = 2 pi z / q + eta for integer multi-indices z (vectorized over rows)."""

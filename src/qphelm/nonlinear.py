@@ -358,11 +358,10 @@ def _probe_values(states, pts: np.ndarray, center,
                 f"periodic image of it) at epsilon={s.epsilon}, where the layer "
                 f"potential is not the solution")
         physs.append(phys)
-    for phys in physs:
-        potentials._distance_guard(phys, green.lattice, pts)
-    d = np.concatenate([(pts[:, None, :] - phys.points[None, :, :]).reshape(-1, 2)
-                        for phys in physs])
-    v, _ = qpgreen.green_eval(green, d)
+    ds = [pts[:, None, :] - phys.points[None, :, :] for phys in physs]
+    for phys, d in zip(physs, ds):
+        potentials._distance_guard(phys, green.lattice, d)
+    v, _ = qpgreen.green_eval(green, np.concatenate(ds).reshape(-1, 2))
     v = v.reshape(len(states), len(pts), -1)
     return np.stack([v_s @ (np.asarray(s.theta.values) * phys.weights)
                      for v_s, s, phys in zip(v, states, physs)])

@@ -36,7 +36,6 @@ hole) and k from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .lattice import Lattice
 
 __all__ = [
     "FamilySeries",
-    "RescaledFamily",
     "rescaled_operator",
     "rescaling_identity_suite",
     "scaled_regular_tables",
@@ -58,17 +56,6 @@ __all__ = [
 _FAMILY_KIND = {"M": "single_trace", "N": "adjoint_double", "P": "double_boundary"}
 IDENTITY_KINDS = ("single-trace", "adjoint", "double-boundary",
                   "far-single", "far-double")
-
-
-@dataclass(frozen=True)
-class RescaledFamily:
-    """One member of the rescaled operator families on the reference curve."""
-
-    family: str
-    index: int
-    epsilon: float
-    matrix: np.ndarray
-    curve: DiscreteCurve
 
 
 def _check_family(family: str, index: int):
@@ -182,8 +169,8 @@ _PROFILES = {
 
 def rescaled_operator(family: str, index: int, epsilon: float,
                       curve: DiscreteCurve, center, *,
-                      green: qpgreen.GreenEvaluator) -> RescaledFamily:
-    """Assemble one rescaled family member on the reference curve.
+                      green: qpgreen.GreenEvaluator) -> np.ndarray:
+    """The matrix of one rescaled family member on the reference curve.
 
     Index 1 depends on epsilon only through the wavenumber epsilon*k and is
     defined for every epsilon in (-eps0, eps0), including 0 (Laplace limit)
@@ -196,8 +183,7 @@ def rescaled_operator(family: str, index: int, epsilon: float,
         series, tables = None, scaled_regular_tables(curve, epsilon, green)
     else:
         series, tables = FamilySeries(curve, green.k, epsilon), None
-    matrix = _family_matrix(family, index, epsilon, curve, series, tables)
-    return RescaledFamily(family, index, float(epsilon), matrix, curve)
+    return _family_matrix(family, index, epsilon, curve, series, tables)
 
 
 def _family_matrix(family: str, index: int, epsilon: float, curve: DiscreteCurve,
@@ -221,23 +207,17 @@ def physical_curve(curve: DiscreteCurve, center, epsilon: float,
 
 def scaled_regular_tables(curve: DiscreteCurve, epsilon: float,
                           green: qpgreen.GreenEvaluator):
-    """Regular-part tables at the scaled pairwise differences epsilon*(t-s).
+    """Regular-part tables at the differences of the scaled nodes epsilon*x(t).
 
     These feed the index-2 families; the table is shared by M2, N2 and P2 at
     one epsilon, so precomputing it once saves the dominant assembly cost.
     The scaled nodes lie in the curve's disk scaled by epsilon (centre
-    epsilon*c, radius |epsilon|*r0), which every epsilon small enough for
-    ``qpgreen.separable_order`` serves by ``qpgreen.separable_tables``;
-    otherwise ``qpgreen.regular_part`` evaluates the antisymmetric table
-    epsilon * d on its upper triangle.
+    epsilon*c, radius |epsilon|*r0), from which ``qpgreen.pair_tables``
+    takes its route.
     """
     center, radius = curve.curve.disk
-    y = epsilon * curve.points
-    tables = qpgreen.separable_tables(green, y, y, epsilon * center, abs(epsilon) * radius)
-    if tables is None:
-        d = curve.points[:, None, :] - curve.points[None, :, :]
-        tables = qpgreen.regular_part(green, epsilon * d)
-    return tables
+    return qpgreen.pair_tables(green, epsilon * curve.points, epsilon * center,
+                               abs(epsilon) * radius)
 
 
 _BOUNDARY_IDENTITY = {"single-trace": ("single_trace", "M"),

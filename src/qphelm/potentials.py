@@ -168,7 +168,6 @@ class NystromRows:
                  green: qpgreen.GreenEvaluator | None):
         self.curve, self.k, self.green, self._pending = curve, k, green, list(kinds)
         self.taus = None if taus is None else np.atleast_1d(np.asarray(taus, dtype=float))
-        self.tables = None if green is None else regular_tables(curve, green, self.taus)
         if self.taus is None:
             ts, xt, self.target_normals = curve.t, curve.points, curve.normals
         else:
@@ -176,6 +175,7 @@ class NystromRows:
             xt, vt = curve.curve.position(ts), curve.curve.velocity(ts)
             st = np.sqrt(np.sum(vt * vt, axis=-1))
             self.target_normals = np.stack([vt[:, 1], -vt[:, 0]], axis=-1) / st[:, None]
+        self.tables = None if green is None else regular_tables(curve, green, xt)
         self.d = xt[:, None, :] - curve.points[None, :, :]
         self.r = np.sqrt(np.sum(self.d * self.d, axis=2))
         if self.taus is not None and np.any(self.r == 0.0):
@@ -250,24 +250,16 @@ def _combine(kind: str, rows: NystromRows, contraction, k2, profiles) -> np.ndar
     return (rows.W * A1 + (2.0 * np.pi / dc.N) * A2) * dc.speeds[None, :]
 
 
-def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, taus=None):
+def regular_tables(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, targets=None):
     """Pairwise regular-part tables (values, gradients) for a discrete curve.
 
-    Rows are the nodes, or with ``taus`` the curve points at those parameters;
-    :func:`nystrom_rows` builds them once for every operator kind.  A curve
-    whose enclosing disk (``BoundaryCurve.disk``) passes
-    ``qpgreen.separable_order`` takes ``qpgreen.separable_tables``: a matrix
-    product of basis tables, within rounding of the pointwise values.  Any
-    other curve takes ``qpgreen.regular_part``, which evaluates the
-    antisymmetric node table on its upper triangle and rows at ``taus`` point
-    by point.  Either way a row does not depend on the other ``taus``.
+    Rows are the nodes, or the curve points ``targets``; a :class:`NystromRows`
+    builds them once for every operator kind at its own targets.
+    ``qpgreen.pair_tables`` takes the route the curve's enclosing disk
+    (``BoundaryCurve.disk``) allows.  Either way a row does not depend on the
+    other targets.
     """
-    targets = curve.points if taus is None else \
-        curve.curve.position(np.atleast_1d(np.asarray(taus, dtype=float)))
-    tables = qpgreen.separable_tables(green, targets, curve.points, *curve.curve.disk)
-    if tables is None:
-        tables = qpgreen.regular_part(green, targets[:, None, :] - curve.points[None, :, :])
-    return tables
+    return qpgreen.pair_tables(green, curve.points, *curve.curve.disk, targets)
 
 
 def nystrom_rows(curve: DiscreteCurve, green: qpgreen.GreenEvaluator, kinds,
@@ -318,17 +310,16 @@ def boundary_trace_rows(kind: str, dc: DiscreteCurve, taus, *,
 # field evaluation
 # --------------------------------------------------------------------------- #
 
-def _distance_guard(dc: DiscreteCurve, lattice: Lattice, points: np.ndarray):
+def _distance_guard(dc: DiscreteCurve, lattice: Lattice, d: np.ndarray):
     """Warn about points closer than the node spacing to a node or a periodic image.
 
-    Each point-node difference is reduced into the centred cell, which on a
-    rectangular lattice leaves the difference to the nearest image.
+    d holds the point-node differences, shape (points, N, 2).  Each is
+    reduced into the centred cell (Lattice.reduce), which leaves the
+    difference to the node's nearest image.
     """
     spacing = float(np.max(dc.weights))
-    q = lattice.q
-    d = points[:, None, :] - dc.points[None, :, :]
-    d -= np.round(d / q) * q
-    close = np.min(np.sum(d * d, axis=2), axis=1) < spacing * spacing
+    xr = lattice.reduce(d)[0]
+    close = np.min(np.sum(xr * xr, axis=2), axis=1) < spacing * spacing
     if np.any(close):
         warnings.warn(
             f"{int(np.sum(close))} evaluation point(s) closer to the source "
@@ -382,13 +373,13 @@ def field_eval(kind: str, density: Density, points, *,
     dc = density.curve
     mu = np.asarray(density.values)
     mu_w = mu * dc.weights
+    d = pts[:, None, :] - dc.points[None, :, :]
     if check_distance:
-        _distance_guard(dc, green.lattice, pts)
-    d = (pts[:, None, :] - dc.points[None, :, :]).reshape(-1, 2)
+        _distance_guard(dc, green.lattice, d)
     shape = (len(pts), dc.N)
     vals = np.zeros(len(pts), dtype=complex)
     grads = np.zeros((len(pts), 2), dtype=complex) if want_gradients else None
-    v, g = qpgreen.green_eval(green, d)
+    v, g = qpgreen.green_eval(green, d.reshape(-1, 2))
     v, g = v.reshape(shape), g.reshape(shape + (2,))
     if kind != "single":
         # d/dnu(y) G(x - y) = -nu(y) . (grad G)(x - y)

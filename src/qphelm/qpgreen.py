@@ -7,7 +7,7 @@ regular part R = G - S_2(., k) solves the Helmholtz equation in the disk
     R(x) = sum_n s_n J_n(k|x|) e^{i n theta}
 
 (Linton, SIAM Review 52 (2010) 630-674).  A point is first reduced into the
-centred cell, x' = x - q m*, and
+centred cell, x' = x - q m* (Lattice.reduce), and
 
     G(x) = e^{i eta . q m*} (S_2(x') + R(x')),
 
@@ -22,11 +22,11 @@ The coefficients are fitted once per evaluator from Ewald values of G - S_2
 on two circles inside the disk, and stored on the normalised basis
 (z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
 the raw s_n overflow.  The samples are Ewald values alone, no derivatives.
-Only a regular_part call fits the expansion; green_eval uses it once it is
-fitted and sums Ewald before, so a few probe values never pay the fit.  A
-point's order count comes from a fixed ladder of radii, not from the other
-points of its call, so every point gets the same bits in any batch (a grid
-split over threads included).
+Only the paths of R (regular_part, pair_tables, separable_order) fit the
+expansion; green_eval sums Ewald before, so a few probe values never pay
+the fit.  A point's order count comes from a fixed ladder of radii, not from
+the other points of its call, so every point gets the same bits in any batch
+(a grid split over threads included).
 
 green_eval and regular_part serve a point through one driver, _cell, in
 one order: reduce it into the cell, take the expansion within its radius
@@ -66,13 +66,13 @@ with F_p(u) = J_p(k|u|) e^{i p theta_u}, gives
 
 a product of two basis tables and a Hankel matrix (the multipole method for
 cylinder arrays: Nicorovici, McPhedran & Botten, Phys. Rev. E 52 (1995)
-1135).  separable_order chooses that path and its order; separable_tables
-computes it, within rounding of regular_part.  Elsewhere regular_part
-evaluates a node-pair table x[i, j] = y_i - y_j, antisymmetric bit for bit,
-on its upper triangle: e_n(-x) = (-1)^n e_n(x), so the basis at x'
-contracted with the coefficient rows signed by (-1)^n gives the jet at -x',
-and S_2(-x) = S_2(x) with its gradient negated.  Negation is exact and
-rounding is symmetric, so the table has the bits of the pointwise path.
+1135).  pair_tables takes that path, within rounding of regular_part, where
+separable_order accepts the disk.  Elsewhere regular_part evaluates a
+node-pair table x[i, j] = y_i - y_j, antisymmetric bit for bit, on its upper
+triangle: e_n(-x) = (-1)^n e_n(x), so the basis at x' contracted with the
+coefficient rows signed by (-1)^n gives the jet at -x', and S_2(-x) = S_2(x)
+with its gradient negated.  Negation is exact and rounding is symmetric, so
+the table has the bits of the pointwise path.
 
 The Ewald sum is the oracle, ewald_oracle.  It splits the spectral definition
 G(x) = (1/A) sum_z exp(i beta_z . x) / (k^2 - |beta_z|^2) by a Gaussian at
@@ -113,7 +113,7 @@ __all__ = [
     "green_hessian",
     "regular_part",
     "separable_order",
-    "separable_tables",
+    "pair_tables",
     "FourierBesselExpansion",
     "ewald_oracle",
 ]
@@ -124,7 +124,7 @@ _CHUNK = 2048
 # few profile sums per point, so a longer run pays the interpreter's fixed
 # cost less often
 _S2_RUN = 8192
-# Rows per product in separable_tables (at least two, so BLAS never takes its
+# Rows per product in pair_tables (at least two, so BLAS never takes its
 # one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
 _ROW_BLOCK = 16
 _EXCLUSION_FACTOR = 1e-8
@@ -306,12 +306,6 @@ class GreenEvaluator:
             "expansion_radius": None if fb is None else fb.radius,
         }
 
-    def _reduce(self, x: np.ndarray):
-        """Translate points into the centered cell; return (reduced, shift q m*)."""
-        q = self.lattice.q
-        shift = np.round(x / q) * q
-        return x - shift, shift
-
     def _phase(self, shift: np.ndarray) -> np.ndarray:
         """The Bloch phase e^{i eta . q m*} of each shift."""
         # elementwise: a matrix-vector product rounds a single row differently
@@ -389,9 +383,9 @@ _JET = ((), (2,), (2, 2))
 def _ewald(ev: GreenEvaluator, xr: np.ndarray, shift: np.ndarray, derivatives: int) -> list:
     """Ewald's G and its first ``derivatives`` (0, 1 or 2) derivatives at x = xr + shift.
 
-    xr and shift are GreenEvaluator._reduce's: x reduced into the centred
-    cell, and the lattice vector q m* it moved by.  A point within the
-    exclusion of a source lattice point is refused.
+    xr and shift are Lattice.reduce's: x reduced into the centred cell and
+    the lattice vector q m* it moved by.  The caller checks the exclusion on
+    |xr|, the distance to the nearest source lattice point.
     """
     if len(xr) == 1:
         # BLAS takes a vector path for one row, with other rounding
@@ -399,7 +393,6 @@ def _ewald(ev: GreenEvaluator, xr: np.ndarray, shift: np.ndarray, derivatives: i
         return [a[:1] for a in _ewald(ev, *two, derivatives)]
     d = xr[:, None, :] - ev.shifts[None, :, :]
     rho2 = np.sum(d * d, axis=2)
-    ev._require_clear(np.min(rho2, axis=1))
     phase = ev._phase(shift)
     return [phase.reshape((-1,) + (1,) * (a.ndim - 1)) * (a + b)
             for a, b in zip(ev._spectral(xr, derivatives), ev._spatial(d, rho2, derivatives))]
@@ -412,11 +405,12 @@ def ewald_oracle(ev: GreenEvaluator, x):
     expansion is fitted to and checked against; outside qpgreen only checks
     (the tests, the CLI's reference values) call it.  green_eval sums Ewald
     for reduced points beyond the expansion's radius and for every point
-    before regular_part has fitted the expansion.  green_hessian is this
-    oracle.  The points are reduced once and summed in _CHUNK runs.
+    before a path of R has fitted the expansion.  green_hessian is this
+    oracle.  The points are reduced and checked once and summed in _CHUNK runs.
     """
     x = np.asarray(x, dtype=float)
-    xr, shift = ev._reduce(x.reshape(-1, 2))
+    xr, shift = ev.lattice.reduce(x.reshape(-1, 2))
+    ev._require_clear(np.sum(xr * xr, axis=1))
     out = [np.empty((len(xr),) + t, dtype=complex) for t in _JET]
     for idx in _chunks(np.arange(len(xr)), _CHUNK):
         for a, b in zip(out, _ewald(ev, xr[idx], shift[idx], 2)):
@@ -438,14 +432,14 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
     -x reduces to -x' with the shift negated, exactly: the expansion serves
     it from the basis at x', and S_2(-x) = S_2(x) with the gradient negated.
     Ewald serves the points beyond the radius, at +-x, and every point for G
-    before regular_part has fitted the expansion.  R then subtracts S_2(x)
+    before a path of R has fitted the expansion.  R then subtracts S_2(x)
     where the pass folded or Ewald summed G, in _S2_RUN runs; the Ewald sum
     goes in _CHUNK runs.
     """
     # only R fits the expansion: a few values of G never pay for the fit
     fb = ev.expansion if regular else ev._expansion
     signs = (1.0, -1.0)[:len(rows)]
-    xr, shift = ev._reduce(pts)
+    xr, shift = ev.lattice.reduce(pts)
     moved = np.any(shift != 0, axis=1)
     r2 = np.sum(xr * xr, axis=1)
     # R is singular at the lattice points other than the origin
@@ -616,7 +610,7 @@ class FourierBesselExpansion:
         scale = 0.0
         for rj, b in zip(radii, basis):
             pts = rj * circle
-            ewald = _ewald(ev, *ev._reduce(pts), 0)[0]
+            ewald = _ewald(ev, *ev.lattice.reduce(pts), 0)[0]
             samples = ewald - specfun.fundamental_solution(2, pts, k).value
             scale = max(scale, float(np.max(np.abs(samples))))
             a = np.fft.fft(samples) / _FIT_SAMPLES
@@ -827,12 +821,12 @@ def regular_part(ev: GreenEvaluator, x):
 def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
     """Basis order P of the separable tables of points within ``radius`` of a centre.
 
-    None when 2 radius exceeds the expansion's radius: differences of such
-    points may leave the disk the series is fitted on, and their tables take
-    regular_part.  Otherwise P is the highest order the expansion keeps at
-    |x| = 2 radius, plus one for the gradient's order shift: summed over
-    p + m = n, the terms |F_p(u) s_{p+m} F_m(-v)| are bounded by the order-n
-    term of R at |x| = 2 radius.
+    Fits the expansion on first use.  None when 2 radius exceeds its radius:
+    differences of such points may leave the disk the series is fitted on,
+    and pair_tables takes regular_part.  Otherwise P is the highest order the
+    expansion keeps at |x| = 2 radius, plus one for the gradient's order
+    shift: summed over p + m = n, the terms |F_p(u) s_{p+m} F_m(-v)| are
+    bounded by the order-n term of R at |x| = 2 radius.
     """
     fb = ev.expansion
     if 2.0 * radius > fb.radius:
@@ -887,32 +881,33 @@ def _graf_weights(fb: FourierBesselExpansion, scale: float, P: int) -> np.ndarra
     return w
 
 
-def separable_tables(ev: GreenEvaluator, targets, sources, center, radius: float):
-    """R and its gradient at targets[i] - sources[j] as one matrix product, or None.
+def pair_tables(ev: GreenEvaluator, sources, center, radius: float, targets=None):
+    """R and its gradient at targets[i] - sources[j] (targets None: the sources).
 
-    Both point sets lie in the disk of ``radius`` about ``center``.  With
-    u = y - center, Graf's addition theorem turns the series of R into
-    R(u_i - u_j) = sum_{p,m} F_p(u_i) s_{p+m} F_m(-u_j), so the table is
-    Phi(u_t) S Phi(-u_s)^T on basis tables of N (2P + 1) entries, S[p, m] =
-    s_{p+m} a Hankel matrix.  d/dz F_p = (k/2) F_{p-1} and d/dzbar F_p =
-    -(k/2) F_{p+1}, so the gradient takes the rows of S shifted by one and
-    scaled.  The basis is the expansion's, normalised by the radius, so the
-    raw s_n are never formed.  None when separable_order refuses the disk:
-    the caller takes regular_part then.  This path agrees with regular_part
-    to rounding, not bit for bit.  A row's bits depend on the row's own
-    target, the sources and the disk, never on the other targets of the call.
-    Gradients are taken at the target, as regular_part's are.
+    Both point sets lie in the disk of ``radius`` about ``center``.  A disk
+    that separable_order refuses takes regular_part at the differences, a
+    node table on its antisymmetric triangle.  Otherwise, with u = y - center,
+    Graf's addition theorem gives R(u_i - u_j) = sum_{p,m} F_p(u_i) s_{p+m}
+    F_m(-u_j), so the table is Phi(u_t) S Phi(-u_s)^T on basis tables of
+    N (2P + 1) entries, S[p, m] = s_{p+m} a Hankel matrix.  d/dz F_p =
+    (k/2) F_{p-1} and d/dzbar F_p = -(k/2) F_{p+1}, so the gradient takes
+    the rows of S shifted by one and scaled.  The basis is the expansion's,
+    normalised by the radius, so the raw s_n are never formed.  This path
+    agrees with regular_part to rounding, not bit for bit.  A row's bits
+    depend on the row's own target, the sources and the disk, never on the
+    other targets of the call.  Gradients are taken at the target.
     """
+    sources = np.asarray(sources, dtype=float)
+    targets = sources if targets is None else np.asarray(targets, dtype=float)
     P = separable_order(ev, radius)
     if P is None:
-        return None
+        return regular_part(ev, targets[:, None, :] - sources[None, :, :])
     fb = ev.expansion
     c = np.asarray(center, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     # any basis scale serves the point disk of radius 0
     scale = radius if radius > 0.0 else fb.rho
     bt = _disk_basis(ev.k, targets - c, scale, P)
-    bs = bt if sources is targets else _disk_basis(ev.k, np.asarray(sources) - c, scale, P)
+    bs = bt if targets is sources else _disk_basis(ev.k, sources - c, scale, P)
     q = _graf_weights(fb, scale, P) @ bs.T
     # on the normalised basis, row p of R_z is row p + 1 of R times D_{p+1}
     # (_shift); R_zbar mirrors it

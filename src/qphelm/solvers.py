@@ -127,6 +127,18 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol)
     _, jump, terms = _representation(problem, a_flag)
     kinds = [kind for kind, _ in terms]
     rows = potentials.nystrom_rows(curve, green, kinds)
+    notes = []
+    # no image lies nearer than the extent bound; below the spacing, the node
+    # pairs that Lattice.reduce moves are the pairs between images
+    spacing = float(np.max(curve.weights))
+    if min(q - s for s, q in zip(span, lattice.q_diag)) < spacing:
+        xr, shift = lattice.reduce(rows.d)
+        gap = float(np.sqrt(np.min(np.sum(xr * xr, axis=-1)[np.any(shift != 0.0, axis=-1)],
+                                   initial=np.inf)))
+        if gap < spacing:
+            notes.append(f"the hole comes within {gap:.3g} of its periodic image, "
+                         f"below the node spacing {spacing:.3g}; accuracy degrades")
+            warnings.warn(notes[-1], potentials.AccuracyGuardWarning, stacklevel=3)
     A = jump * np.eye(curve.N)
     for kind, c in terms:
         A = A + c * potentials.assemble(kind, curve, green=green, rows=rows).matrix
@@ -142,16 +154,14 @@ def _solve_common(problem, curve, lattice, wave, data, a_flag, green, solve_tol)
                                                             rows=rows) @ mu)
     residual = float(np.max(np.abs(trace - geometry.trig_interpolate(g, taus))))
 
-    notes = ()
     if cond > CONDITION_WARN_THRESHOLD:
-        msg = (f"condition estimate {cond:.2e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
-               "wavenumber may sit near an interior eigenvalue")
-        notes = (msg,)
-        warnings.warn(msg, stacklevel=3)
+        notes.append(f"condition estimate {cond:.2e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
+                     "wavenumber may sit near an interior eigenvalue")
+        warnings.warn(notes[-1], stacklevel=3)
     return BVPSolution(problem=problem,
                        density=potentials.Density(curve=curve, values=mu),
                        a_flag=int(a_flag), condition_estimate=cond,
-                       boundary_residual=residual, green=green, notes=notes)
+                       boundary_residual=residual, green=green, notes=tuple(notes))
 
 
 def solve_dirichlet(curve: DiscreteCurve, lattice: Lattice, wave: WaveContext,

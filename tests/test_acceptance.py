@@ -204,7 +204,7 @@ def test_criterion_7_rescaled_operator_identities(lat, green):
                                 epsilon=eps, lattice=lat)), 64)
         lhs = potentials.assemble("single_trace", phys, green=green).matrix @ tv
         parts = [perturbation.rescaled_operator(
-            "M", i, eps, dc64, CENTER, green=green).matrix @ tv
+            "M", i, eps, dc64, CENTER, green=green) @ tv
             for i in (1, 2)]
         resid = np.max(np.abs(lhs - eps * parts[0] - eps * parts[1]))
         ratios.append(resid / (eps * abs(np.log(eps))))

@@ -508,3 +508,20 @@ def test_manifest_reports_the_separable_order(tmp_path):
     assert cli.run("solve-neumann", cli.parse_config(json.dumps(kite)),
                    tmp_path / "kite") == 0
     assert _manifest(tmp_path / "kite")["results"]["separable_order"] is None
+
+
+def test_manifest_records_the_solve_notes(tmp_path):
+    # a radius-0.499 hole comes within 0.002 of its image, below the node
+    # spacing 0.0245: the solve's note reaches the manifest, not stderr only
+    near = copy.deepcopy(DIRICHLET_CFG)
+    near["geometry"] = {"shape": "circle", "params": {"radius": 0.499,
+                                                      "center": [0.5, 0.5]}, "N": 128}
+    del near["probes"]
+    with pytest.warns(UserWarning, match="periodic image"):
+        assert cli.run("solve-dirichlet", cli.parse_config(json.dumps(near)),
+                       tmp_path / "near") == 0
+    notes = _manifest(tmp_path / "near")["results"]["notes"]
+    assert len(notes) == 1 and "within 0.002 of its periodic image" in notes[0]
+    assert cli.run("solve-neumann", cli.parse_config(json.dumps(NEUMANN_CFG)),
+                   tmp_path / "n") == 0
+    assert _manifest(tmp_path / "n")["results"]["notes"] == []

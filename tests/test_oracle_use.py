@@ -6,10 +6,10 @@ radius; everywhere else it is the independent reference that checks the
 expansion.  A library module that called it would put an Ewald sum back on a
 hot path, and a check computed by the code under test would show nothing.
 
-``qpgreen.regular_part`` evaluates R point by point.  The curve tables take
-``qpgreen.separable_tables`` where the curve's disk allows it and fall back to
-``regular_part`` only in the two table builders; a new caller would build an
-N^2 difference table past the separable path.
+``qpgreen.regular_part`` evaluates R point by point.  Every curve table goes
+through ``qpgreen.pair_tables``, which takes the separable product where the
+curve's disk allows it and ``regular_part`` otherwise; a caller outside
+qpgreen would build an N^2 difference table past that route.
 
 Each module of ``src/qphelm`` is scanned with the ast module; a call, a
 reference passed on or an import of the name all count.
@@ -33,10 +33,6 @@ ALLOWED = {
 
 # (module, enclosing function) outside qpgreen that may call regular_part.
 REGULAR_PART_ALLOWED = {
-    ("potentials", "regular_tables"): "node and trace tables of a curve whose "
-                                      "disk fails separable_order",
-    ("perturbation", "scaled_regular_tables"): "epsilon-scaled tables whose "
-                                               "scaled disk fails separable_order",
     ("cli", "_cmd_selftest"): "the selftest checks regular_part itself "
                               "against the oracle",
 }

@@ -90,14 +90,14 @@ def test_families_finite_at_zero_and_negative_epsilon(green):
         for index in (1, 2, 3):
             for eps in (0.0, -0.1, 0.1):
                 m = perturbation.rescaled_operator(
-                    family, index, eps, dc, CENTER, green=green).matrix
+                    family, index, eps, dc, CENTER, green=green)
                 assert np.all(np.isfinite(m)), (family, index, eps)
 
 
 def test_index1_at_zero_is_laplace(green):
     dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
     got = perturbation.rescaled_operator("M", 1, 0.0, dc, CENTER,
-                                         green=green).matrix
+                                         green=green)
     ref = potentials.assemble_free("single_trace", dc, 0.0).matrix
     assert np.array_equal(got, ref)
 
@@ -106,7 +106,7 @@ def test_log_family_at_zero_averages_the_density(green):
     # The log-weighted kernel at epsilon = 0 is the constant 1/(2 pi), so the
     # operator returns the mean of the density against arc length.
     dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
-    m3 = perturbation.rescaled_operator("M", 3, 0.0, dc, CENTER, green=green).matrix
+    m3 = perturbation.rescaled_operator("M", 3, 0.0, dc, CENTER, green=green)
     tv = np.cos(dc.t) + 2.0
     ref = np.sum(tv * dc.weights) / (2.0 * np.pi)
     assert np.max(np.abs(m3 @ tv - ref)) < 1e-13
@@ -139,7 +139,7 @@ def test_log_family_sums_only_the_j_profile(green, monkeypatch, family):
     monkeypatch.setattr(specfun, "entire_neumann_dz_over_z", refuse)
     for eps, ref in refs.items():
         got = perturbation.rescaled_operator(family, 3, eps, dc, CENTER,
-                                             green=green).matrix
+                                             green=green)
         # the series sums the J-profile in its own order
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -192,7 +192,7 @@ def test_normal_family_regular_part_at_zero_has_rank_structure(green):
     # source point: every row is proportional to the quadrature weights.
     dc = geometry.discretize(geometry.make_curve("circle", radius=1.0), 64)
     n2 = perturbation.rescaled_operator("N", 2, 0.0, dc, CENTER,
-                                        green=green).matrix
+                                        green=green)
     ratios = n2 / dc.weights[None, :]
     assert np.max(np.abs(ratios - ratios[:, :1])) < 1e-13
 
@@ -205,7 +205,7 @@ def test_leading_split_remainder_decays_linearly(green):
     def remainder(family, eps):
         def f1(e):
             return perturbation.rescaled_operator(family, 1, e, dc, CENTER,
-                                                  green=green).matrix
+                                                  green=green)
         return (f1(eps) - f1(0.0)) / eps
 
     norms = {}
@@ -228,7 +228,7 @@ def test_epsilon_smoothness_second_differences(green):
         def second_diff(h):
             def fam(e):
                 return perturbation.rescaled_operator(
-                    family, index, e, dc, CENTER, green=green).matrix
+                    family, index, e, dc, CENTER, green=green)
             return np.max(np.abs(fam(0.1 + h) - 2 * fam(0.1) + fam(0.1 - h))) / h**2
 
         d_coarse, d_fine = second_diff(0.02), second_diff(0.005)
@@ -247,7 +247,7 @@ def test_log_term_is_necessary(lat, green):
                                 lattice=lat)), 64)
         lhs = potentials.assemble("single_trace", phys, green=green).matrix @ tv
         parts = [perturbation.rescaled_operator("M", i, eps, dc, CENTER,
-                                                green=green).matrix @ tv
+                                                green=green) @ tv
                  for i in (1, 2)]
         truncated = np.max(np.abs(lhs - eps * parts[0] - eps * parts[1]))
         ratio = truncated / (eps * abs(np.log(eps)))

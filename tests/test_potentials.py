@@ -279,7 +279,9 @@ def test_scaled_tables_match_pointwise_tables(disk96, kite96, green, epsilon):
     for curve in (disk96, kite96):
         d = curve.points[:, None, :] - curve.points[None, :, :]
         scaled = perturbation.scaled_regular_tables(curve, epsilon, green)
-        pointwise = _pointwise_tables(green, epsilon * d)
+        y = epsilon * curve.points
+        # the differences of the scaled nodes, which round otherwise than epsilon * d
+        pointwise = _pointwise_tables(green, y[:, None, :] - y[None, :, :])
         radius = abs(epsilon) * curve.curve.disk[1]
         if qpgreen.separable_order(green, radius) is not None:
             off = np.any(d != 0.0, axis=-1) & (np.arange(96) % 5 == 0)
@@ -303,15 +305,15 @@ def test_trace_rows_match_pointwise_rows_whatever_the_other_taus(circle128, gree
     subsets = [[4], [0, 1], [len(taus) - 1], rng.choice(len(taus), 7, replace=False),
                np.arange(2, 15)]
     for curve in (circle128, kite):
-        whole = regular_tables(curve, green, taus)
-        d = curve.curve.position(taus)[:, None, :] - curve.points[None, :, :]
-        pointwise = _pointwise_tables(green, d)
+        targets = curve.curve.position(taus)
+        whole = regular_tables(curve, green, targets)
+        pointwise = _pointwise_tables(green, targets[:, None, :] - curve.points[None, :, :])
         if curve is kite:
             assert all(np.array_equal(a, b) for a, b in zip(whole, pointwise))
         else:
             assert_tables_agree(whole, pointwise)
         for idx in subsets:
-            for part, ref in zip(regular_tables(curve, green, taus[idx]), whole):
+            for part, ref in zip(regular_tables(curve, green, targets[idx]), whole):
                 assert np.array_equal(part, ref[idx])
 
 
@@ -453,7 +455,8 @@ def test_distance_guard_counts_points_near_any_image(green):
     for sel in (np.ones(len(pts), dtype=bool), ~close):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            potentials._distance_guard(kite, lat, pts[sel])
+            potentials._distance_guard(kite, lat,
+                                       pts[sel][:, None, :] - kite.points[None, :, :])
         counts = [int(str(w.message).split()[0]) for w in caught]
         assert counts == ([int(np.sum(close))] if sel.all() else [])
 

@@ -371,7 +371,7 @@ def test_the_shell_bound_drops_no_shell_that_matters(shell_evaluators, q, k, fra
 def test_shell_s_lies_at_least_s_minus_a_half_cells_from_a_reduced_point(
         shell_evaluators, q, s, x):
     ev = shell_evaluators[q, 1.3]
-    xr = ev._reduce(np.array([x]))[0]
+    xr = ev.lattice.reduce(np.array([x]))[0]
     d = xr - qpgreen._shell_indices(s) * ev.lattice.q
     assert np.min(np.hypot(d[:, 0], d[:, 1])) >= (s - 0.5) * float(np.min(ev.lattice.q))
 
@@ -680,7 +680,7 @@ def test_the_rung_pass_folds_in_the_free_space_kernel(k):
     x = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) \
         + rng.integers(-2, 3, size=(len(r), 2)) * lat.q
     # the evaluator's own reduction: x - q m* rounds at |x'| << 1
-    xr, shift = ev._reduce(x)
+    xr, shift = ev.lattice.reduce(x)
     if k == 20.0:
         assert np.max(abs(k) * np.hypot(xr[:, 0], xr[:, 1])) > specfun.SERIES_RADIUS
     gv, gg = qpgreen.green_eval(ev, x)
@@ -781,8 +781,11 @@ def test_separable_order_follows_the_expansion_radius(green):
     # the benchmark's kite (r0 = 0.570) keeps regular_part
     assert kite.disk[1] > 0.5 * fb.radius
     assert qpgreen.separable_order(green, kite.disk[1]) is None
-    assert qpgreen.separable_tables(green, np.zeros((2, 2)), np.zeros((2, 2)),
-                                    *kite.disk) is None
+    # pair_tables then takes regular_part, bit for bit
+    nodes = geometry.discretize(kite, 64).points
+    tables = qpgreen.pair_tables(green, nodes, *kite.disk)
+    ref = qpgreen.regular_part(green, nodes[:, None, :] - nodes[None, :, :])
+    assert all(np.array_equal(a, b) for a, b in zip(tables, ref))
 
 
 @pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0),
@@ -794,7 +797,7 @@ def test_separable_tables_match_regular_part_and_the_oracle(q, k):
     nodes = geometry.discretize(curve, 128).points
     taus = (2 * np.arange(0, 128, 5) + 1) * np.pi / 128
     for targets in (nodes, curve.position(taus)):
-        tables = qpgreen.separable_tables(ev, targets, nodes, *curve.disk)
+        tables = qpgreen.pair_tables(ev, nodes, *curve.disk, targets)
         d = targets[:, None, :] - nodes[None, :, :]
         v, g = qpgreen.regular_part(ev, d.reshape(-1, 2))
         off = np.any(d != 0.0, axis=-1) & (np.arange(len(nodes)) % 7 == 0)
@@ -805,7 +808,7 @@ def test_separable_tables_match_regular_part_and_the_oracle(q, k):
 def test_separable_tables_of_a_point_disk_hold_R_at_zero(green):
     # epsilon = 0: every scaled node sits at the centre
     zeros = np.zeros((6, 2))
-    v, g = qpgreen.separable_tables(green, zeros, zeros, np.zeros(2), 0.0)
+    v, g = qpgreen.pair_tables(green, zeros, np.zeros(2), 0.0)
     v0, g0 = qpgreen.regular_part(green, np.zeros((1, 2)))
     assert np.max(np.abs(v - v0[0])) <= 1e-13 * abs(v0[0])
     assert np.max(np.abs(g - g0[0])) <= 1e-13 * np.max(np.abs(g0))

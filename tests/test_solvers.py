@@ -243,6 +243,29 @@ def test_solvers_refuse_a_hole_that_meets_its_own_images(lat, wave, green):
             solve(dc, lat, wave, data, green=green)
 
 
+# (radius, N, warns): the gap to the image is 1 - 2 radius, the node spacing
+# 2 pi radius / N; the manufactured residual is 0.75/0.72/0.48 at radius
+# 0.499, 5.4e-2/9.0e-3/5.6e-5 at 0.49 and 3.9e-6/1.1e-11/1.7e-14 at 0.45
+@pytest.mark.parametrize("radius, N, warns", [
+    (0.499, 64, True), (0.499, 128, True), (0.499, 256, True),
+    (0.49, 64, True), (0.49, 128, True), (0.49, 256, False),
+    (0.45, 64, False), (0.45, 128, False), (0.45, 256, False)])
+def test_a_hole_within_a_node_spacing_of_its_image_warns(lat, wave, green, radius, N,
+                                                         warns):
+    dc = geometry.discretize(geometry.make_curve("circle", radius=radius,
+                                                 center=(0.5, 0.5)), N)
+    data, _ = qpgreen.green_eval(green, dc.points - np.array([0.5, 0.5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solvers.solve_dirichlet(dc, lat, wave, data, green=green)
+    guard = [str(w.message) for w in caught
+             if issubclass(w.category, potentials.AccuracyGuardWarning)]
+    assert guard == list(sol.notes) == (
+        [f"the hole comes within {1 - 2 * radius:.3g} of its periodic image, below "
+         f"the node spacing {float(np.max(dc.weights)):.3g}; accuracy degrades"]
+        if warns else [])
+
+
 def test_disk_neumann_wavenumbers_are_derivative_zeros():
     a = 0.35
     ks = disk_neumann_wavenumbers(a, max_order=3, count=3)
