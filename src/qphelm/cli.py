@@ -319,7 +319,7 @@ class _Manifest:
                error: str | None = None):
         self.doc["status"] = status
         if self.green is not None:
-            # read at the end: the regular-part expansion is fitted lazily
+            # read at the end: the regular-part expansion is built lazily
             self.doc["green_evaluator"] = self.green.parameters()
         if results:
             self.doc["results"].update(results)

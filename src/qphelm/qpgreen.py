@@ -1,6 +1,6 @@
 """Quasi-periodic Helmholtz Green function from its regular part in the cell.
 
-G is served from the free-space kernel plus a fitted regular part.  The
+G is served from the free-space kernel plus its regular part.  The
 regular part R = G - S_2(., k) solves the Helmholtz equation in the disk
 |x| < min(q), so there it is a Fourier-Bessel (lattice-sum) series
 
@@ -18,24 +18,26 @@ cancellation at the origin.  Nothing in the library needs a second
 derivative of G (a double layer's gradient comes from G and grad G by parts,
 see potentials.field_eval), so green_hessian is the Ewald oracle.
 
-The coefficients are fitted once per evaluator from Ewald values of G - S_2
-on two circles inside the disk, and stored on the normalised basis
+The coefficients are computed once per evaluator, in closed form, as lattice
+sums of the evaluator's own Ewald split (_lattice_sums; Linton 2010, Chin,
+Nicorovici & McPhedran, Phys. Rev. E 49 (1994) 4590): the Taylor
+coefficients of R at the origin, stored on the normalised basis
 (z/rho)^|n| phi_|n|(k|x|), z = x_1 +- i x_2, phi_n(z) = n! (2/z)^n J_n(z);
-the raw s_n overflow.  The samples are Ewald values alone, no derivatives.
-Only the paths of R (regular_part, pair_tables, separable_order) fit the
-expansion; green_eval sums Ewald before, so a few probe values never pay
-the fit.  A point's order count comes from a fixed ladder of radii, not from
-the other points of its call, so every point gets the same bits in any batch
-(a grid split over threads included).
+the raw s_n overflow.  No point of R is sampled.  Only the paths of R
+(regular_part, pair_tables, separable_order) build the expansion;
+green_eval sums Ewald before, so a few probe values never pay for it.  A
+point's order count comes from a fixed ladder of radii, not from the other
+points of its call, so every point gets the same bits in any batch (a grid
+split over threads included).
 
 green_eval and regular_part serve a point through one driver, _cell, in
 one order: reduce it into the cell, take the expansion within its radius
 with S_2 folded in and the Bloch phase applied (for R only at moved
-points), and sum Ewald beyond the radius; an unfitted evaluator is the case
-with no point within it.  A call reduces all its points first.  The
-expansion then takes those within its radius rung by rung (the points of
-one order count) across the whole call, in blocks written straight into the
-call's outputs, a table's antipode rows included.  One block computes all
+points), and sum Ewald beyond the radius; an evaluator without its
+expansion is the case with no point within it.  A call reduces all its
+points first.  The expansion then takes those within its radius rung by
+rung (the points of one order count) across the whole call, in blocks
+written straight into the call's outputs, a table's antipode rows included.  One block computes all
 that a point needs: its powers (-u)^m, u = (k|x|/2)^2, times a fixed
 per-rung matrix give the phi rows from order n0 = max(1, ceil(2 umax)) up
 and two free-space profiles of S_2, the backward recurrence the rows below
@@ -88,9 +90,9 @@ point is first reduced into the centred cell, so shell s of the spatial sum
 lies at least (s - 1/2) min(q) away, and the shells stop where that bound
 makes one negligible.  The split is algebraically exact for every E > 0,
 which the tests exercise by comparing evaluators with different split
-parameters.  Besides checking the expansion, it samples the fit (values
-only) and serves the reduced points beyond the expansion's radius
-(anisotropic cells only) and the Green calls on an unfitted evaluator.
+parameters.  Besides checking the expansion, it serves the reduced points
+beyond the expansion's radius (anisotropic cells only) and the Green calls
+on an evaluator that has not built its expansion.
 """
 
 from __future__ import annotations
@@ -128,16 +130,23 @@ _S2_RUN = 8192
 # one-row vector path); trace rows come 16 at a time (solvers._N_CHECK).
 _ROW_BLOCK = 16
 _EXCLUSION_FACTOR = 1e-8
-# Target accuracy of the Ewald sums and of the regular-part expansion fit.
+# Target accuracy of the Ewald sums and of the regular-part expansion.
 _TOLERANCE = 1e-12
-# Fourier-Bessel expansion of R, lengths in units of min(q): the two sampling
-# circles (no cancellation in G - S_2 there), the radius it serves (it covers
-# a square cell's half-diagonal 0.7071; closer to the outer circle the fitted
-# orders stop bounding the tail), the samples per circle and the largest order.
-_FIT_RADII = (0.62, 0.74)
+# Fourier-Bessel expansion of R, lengths in units of min(q): the two circles
+# R's scale is taken on, the outer one also normalising the basis, the radius
+# it serves (it covers a square cell's half-diagonal 0.7071; closer to the
+# outer circle the orders kept stop bounding the tail), the points per circle
+# and the largest order.
+_SCALE_RADII = (0.62, 0.74)
 _EXPANSION_RADIUS = 0.72
-_FIT_SAMPLES = 256
+_SCALE_SAMPLES = 256
 _EXPANSION_CAP = 120
+# Bound on all that the lattice sums of R's coefficients leave out beyond
+# their dual and direct radii (_lattice_sum_radii), a millionth of _TOLERANCE
+_LATTICE_SUM_TAIL = 1e-18
+# Dual vectors per product of their spectral sum: tables of _EXPANSION_CAP
+# orders x 512 complex entries, about 1 MB
+_LATTICE_SUM_BLOCK = 512
 # The radius ladder that sets a point's order count, from the expansion's
 # radius down by _LADDER_RATIO per step, and the step the counts are rounded
 # up to: a call evaluates the points of each count as one batch.
@@ -162,21 +171,31 @@ def _shell_indices(s: int) -> np.ndarray:
     return grid[keep]
 
 
-def _expn_table(u: np.ndarray, jmax: int, lowest: int) -> list[np.ndarray]:
-    """E_n(u) for n = lowest..jmax via exp1 plus the stable upward recurrence.
+def _expn_table(u: np.ndarray, top: int, lowest: int) -> np.ndarray:
+    """E_p(u) for p = lowest..top (lowest <= 1), one row per order; u must be positive.
 
-    lowest is -1, 0 or 1; u must be positive.
+    One recurrence, p E_{p+1} = e^{-u} - u E_p, from exp1's E_1: upward to
+    top, and downward, E_p = (e^{-u} - p E_{p+1}) / u, to lowest, where at
+    p <= 0 both terms are positive and nothing cancels.
     """
     e = np.exp(-u)
-    table: dict[int, np.ndarray] = {}
-    if lowest <= -1:
-        table[-1] = e * (u + 1.0) / (u * u)
-    if lowest <= 0:
-        table[0] = e / u
-    table[1] = sp.exp1(u)
-    for n in range(2, jmax + 1):
-        table[n] = (e - u * table[n - 1]) / (n - 1.0)
-    return [table[n] for n in range(lowest, jmax + 1)]
+    tab = np.empty((top - lowest + 1,) + np.shape(u), dtype=float)
+    tab[1 - lowest] = sp.exp1(u)
+    for p in range(2, top + 1):
+        tab[p - lowest] = (e - u * tab[p - 1 - lowest]) / (p - 1.0)
+    for p in range(0, lowest - 1, -1):
+        tab[p - lowest] = (e - p * tab[p + 1 - lowest]) / u
+    return tab
+
+
+def _series_weights(k: complex, E: float) -> np.ndarray:
+    """a_j = (k/2E)^{2j} / j! of the spatial Ewald sum, to the first J >= 4
+    whose term falls under a hundredth of the tolerance (J <= 120)."""
+    b = (k / (2.0 * E)) ** 2
+    J = 4
+    while abs(b) ** J / sp.factorial(J) > _TOLERANCE * 1e-2 and J < 120:
+        J += 1
+    return np.array([b ** j / sp.factorial(j) for j in range(J + 1)], dtype=complex)
 
 
 def _last_loud_shell(bound, first: int, last: int, what: str) -> int:
@@ -224,7 +243,7 @@ class GreenEvaluator:
             # carry terms of size e^{|k|^2/4E^2} that cancel, which |k|/4 caps at e^4
             ewald_split = max(np.sqrt(np.pi / lattice.cell_measure), abs(k) / 4.0)
         self.ewald_split = float(ewald_split)
-        self.tolerance = tolerance = _TOLERANCE
+        self.tolerance = _TOLERANCE
         E = self.ewald_split
         A = lattice.cell_measure
         qmin = float(np.min(lattice.q))
@@ -232,12 +251,8 @@ class GreenEvaluator:
         self._exclusion = _EXCLUSION_FACTOR * qmin
 
         # ---- spatial j-series coefficients a_j = (k/2E)^{2j} / j! -------------
-        b = (k / (2.0 * E)) ** 2
-        J = 4
-        while abs(b) ** J / sp.factorial(J) > tolerance * 1e-2 and J < 120:
-            J += 1
-        self.jmax = J
-        self.aj = np.array([b ** j / sp.factorial(j) for j in range(J + 1)], dtype=complex)
+        self.aj = _series_weights(k, E)
+        self.jmax = len(self.aj) - 1
 
         # ---- spectral table ----------------------------------------------------
         k2 = k * k
@@ -284,7 +299,7 @@ class GreenEvaluator:
 
     @property
     def expansion(self) -> FourierBesselExpansion:
-        """The Fourier-Bessel expansion of R, fitted on first use."""
+        """The Fourier-Bessel expansion of R, built on first use."""
         if self._expansion is None:
             self._expansion = FourierBesselExpansion(self)
         return self._expansion
@@ -292,8 +307,10 @@ class GreenEvaluator:
     def parameters(self) -> dict:
         """Numerical parameters chosen for this evaluator (for run manifests).
 
-        The expansion entries are None until a call has fitted it.
-        ``spectral_distance`` is the wave context's min_z |k^2 - |beta_z|^2|.
+        The expansion entries are None until a call has built it: its term
+        count and radius, and its coefficients' lattice sums' dual and direct
+        radii and point counts.  ``spectral_distance`` is the wave context's
+        min_z |k^2 - |beta_z|^2|.
         """
         fb = self._expansion
         return {
@@ -304,6 +321,8 @@ class GreenEvaluator:
             "spatial_truncation": self.spatial_truncation,
             "expansion_terms": None if fb is None else fb.max_terms,
             "expansion_radius": None if fb is None else fb.radius,
+            "lattice_sum_radii": None if fb is None else list(fb.lattice_sum_radii),
+            "lattice_sum_points": None if fb is None else list(fb.lattice_sum_points),
         }
 
     def _phase(self, shift: np.ndarray) -> np.ndarray:
@@ -324,9 +343,7 @@ class GreenEvaluator:
         # the phases as a real matrix product: straight after a complex one,
         # libm's complex exp runs many times slower until a numpy ufunc runs
         ph = np.exp(1j * (xr @ self.betas.T)) * self.cz[None, :]
-        jet = [np.sum(ph, axis=1)]
-        if derivatives >= 1:
-            jet.append(1j * (ph @ self.betas))
+        jet = [np.sum(ph, axis=1), 1j * (ph @ self.betas)]
         if derivatives == 2:
             jet.append(-np.einsum("ps,si,sj->pij", ph, self.betas, self.betas))
         return jet
@@ -345,11 +362,10 @@ class GreenEvaluator:
             return acc
 
         w = self.shift_phases[None, :]
-        jet = [-(1.0 / (4 * np.pi)) * np.sum(w * series(1), axis=1)]
-        if derivatives >= 1:
-            s0 = series(0)
-            pref = E * E / (2 * np.pi)
-            jet.append(pref * np.einsum("pm,pmi->pi", w * s0, d))
+        s0 = series(0)
+        pref = E * E / (2 * np.pi)
+        jet = [-(1.0 / (4 * np.pi)) * np.sum(w * series(1), axis=1),
+               pref * np.einsum("pm,pmi->pi", w * s0, d)]
         if derivatives == 2:
             sm1 = series(-1)
             eye = np.eye(2)
@@ -381,7 +397,7 @@ _JET = ((), (2,), (2, 2))
 
 
 def _ewald(ev: GreenEvaluator, xr: np.ndarray, shift: np.ndarray, derivatives: int) -> list:
-    """Ewald's G and its first ``derivatives`` (0, 1 or 2) derivatives at x = xr + shift.
+    """Ewald's G and its first ``derivatives`` (1 or 2) derivatives at x = xr + shift.
 
     xr and shift are Lattice.reduce's: x reduced into the centred cell and
     the lattice vector q m* it moved by.  The caller checks the exclusion on
@@ -402,10 +418,10 @@ def ewald_oracle(ev: GreenEvaluator, x):
     """G by the Ewald sum: values, gradients and Hessians at points x.
 
     Independent of the Fourier-Bessel expansion, it is the reference the
-    expansion is fitted to and checked against; outside qpgreen only checks
-    (the tests, the CLI's reference values) call it.  green_eval sums Ewald
-    for reduced points beyond the expansion's radius and for every point
-    before a path of R has fitted the expansion.  green_hessian is this
+    expansion is checked against; outside qpgreen only checks (the tests,
+    the CLI's reference values) call it.  green_eval sums Ewald for reduced
+    points beyond the expansion's radius and for every point before a path
+    of R has built the expansion.  green_hessian is this
     oracle.  The points are reduced and checked once and summed in _CHUNK runs.
     """
     x = np.asarray(x, dtype=float)
@@ -432,11 +448,11 @@ def _cell(ev: GreenEvaluator, pts: np.ndarray, regular: bool,
     -x reduces to -x' with the shift negated, exactly: the expansion serves
     it from the basis at x', and S_2(-x) = S_2(x) with the gradient negated.
     Ewald serves the points beyond the radius, at +-x, and every point for G
-    before a path of R has fitted the expansion.  R then subtracts S_2(x)
+    before a path of R has built the expansion.  R then subtracts S_2(x)
     where the pass folded or Ewald summed G, in _S2_RUN runs; the Ewald sum
     goes in _CHUNK runs.
     """
-    # only R fits the expansion: a few values of G never pay for the fit
+    # only R builds the expansion: a few values of G never pay for it
     fb = ev.expansion if regular else ev._expansion
     signs = (1.0, -1.0)[:len(rows)]
     xr, shift = ev.lattice.reduce(pts)
@@ -582,11 +598,117 @@ def _shift(n: np.ndarray, k: complex | float, scale: float) -> np.ndarray:
     return np.where(n >= 1, n / scale, -(k * k * scale / 4.0) / (np.abs(n) + 1))
 
 
+def _index_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integer index pairs m with lo <= m <= hi per axis."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo.astype(int), hi.astype(int))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _lattice_sum_radii(lat: Lattice, k: complex, E: float, aj: np.ndarray,
+                       rho: float) -> tuple[float, float]:
+    """The dual radius B and direct radius W of _lattice_sums at split E.
+
+    Over all orders, a dual vector beta adds at most |cz_beta| e^{|beta| rho/2}
+    < e^{(Re k^2 - |beta|^2)/4E^2 + |beta| rho/2} (at |beta| >= B,
+    A (|beta|^2 - |k|^2) > 1), and a lattice point w at most
+    sum_j |a_j| E_{j+1}(v) / 4 pi < sum_j |a_j| e^{-v}, v = E^2 |w| (|w| - rho)
+    >= 1, since sum_n t^n/n! E_{p-n}(u) = E_p(u - t).  Each radius is where
+    that bound, times the index pairs of the box of that half-width (about
+    the points of the next ring out; the bounds fall like Gaussians beyond
+    it), reaches _LATTICE_SUM_TAIL, a millionth of the tolerance: the root
+    of a quadratic in the radius, iterated for the log of the count.
+    """
+    k2 = k * k
+    suma = float(np.sum(np.abs(aj)))
+    qmin, qmax = float(np.min(lat.q)), float(np.max(lat.q))
+    B, W = abs(k) + 1.0, qmin
+    for _ in range(4):
+        log_b = np.log((1.0 + B * qmax / np.pi) ** 2 / _LATTICE_SUM_TAIL)
+        B = E * E * rho + np.sqrt((E * E * rho) ** 2 + k2.real + 4.0 * E * E * log_b)
+        log_w = np.log(suma * (1.0 + 2.0 * W / qmin) ** 2 / _LATTICE_SUM_TAIL)
+        W = rho / 2.0 + np.sqrt(rho * rho / 4.0 + max(log_w, 1.0) / (E * E))
+    return float(B), float(W)
+
+
+def _lattice_sums(ev: GreenEvaluator, rho: float) -> tuple:
+    """R's coefficients c_n at index n + cap, n = -cap..cap, with the sums' radii and point counts.
+
+    c_n = rho^n d_z^n R(0) / n! and c_-n = rho^n d_zbar^n R(0) / n!, from an
+    Ewald split of G at parameter E (z = x_1 + i x_2; a vector v is the
+    complex number v_1 + i v_2 below, conj(v) = v_1 - i v_2):
+
+    - spectral, e^{i beta.x} = e^{i conj(beta) z/2} e^{i beta zbar/2}:
+      sum_beta cz_beta (i conj(beta) rho/2)^n / n!, and (i beta rho/2)^n for -n;
+    - spatial, d_z E_p(E^2 |x - w|^2) = -E^2 (zbar - conj(w)) E_{p-1}:
+      -(1/4 pi) sum_{w != 0} e^{i eta.w} sum_j a_j (rho E^2 conj(w))^n
+      E_{j+1-n}(E^2 |w|^2) / n!, and (rho E^2 w)^n for -n, with E_p of
+      negative order from _expn_table's downward recurrence;
+    - n = 0 only: the w = 0 term minus S_2, both radial, at x = 0,
+      (gamma + 2 log E)/4 pi - sum_{j>=1} a_j / (4 pi j) - N~_0(0)/4.
+
+    The terms reach about e^{|k|^2/4E^2 + E^2 rho^2/4} of the sums: the
+    evaluator's split caps the first factor at e^4, but then the second, the
+    Taylor growth of the damped plane waves, rises like (|k| rho/8)^2.  So
+    the sums take the evaluator's E up to sqrt(|k|/rho), where the two
+    balance at e^{|k| rho/2}, about max|c| (but not below sqrt(pi/A)).  Each
+    sum takes every dual vector within B and lattice point within W
+    (_lattice_sum_radii), from index bounds per axis; the spectral one in
+    _LATTICE_SUM_BLOCK runs.  The powers over n! are cumulative products of
+    a/n, so none overflows.
+    """
+    lat, cap = ev.lattice, _EXPANSION_CAP
+    k = complex(ev.wave.k)
+    A, q, eta = lat.cell_measure, lat.q, lat.eta_vec
+    E = min(ev.ewald_split, max(np.sqrt(abs(k) / rho), np.sqrt(np.pi / A)))
+    aj = ev.aj if E == ev.ewald_split else _series_weights(k, E)
+    B, W = _lattice_sum_radii(lat, k, E, aj, rho)
+    n = np.arange(1, cap + 1)[:, None]
+
+    per = 2.0 * np.pi / q
+    betas = dual_vector(lat, _index_box(np.ceil((-B - eta) / per), np.floor((B - eta) / per)))
+    b2 = np.sum(betas * betas, axis=1)
+    betas, b2 = betas[b2 <= B * B], b2[b2 <= B * B]
+    cz = np.exp((k * k - b2) / (4.0 * E * E)) / (A * (k * k - b2))
+    pos, neg = np.zeros(cap, dtype=complex), np.zeros(cap, dtype=complex)
+    for lo in range(0, len(betas), _LATTICE_SUM_BLOCK):
+        b, c = betas[lo:lo + _LATTICE_SUM_BLOCK], cz[lo:lo + _LATTICE_SUM_BLOCK]
+        # (i beta rho/2)^n / n!; (i conj(beta))^n = (-1)^n conj((i beta)^n)
+        spec = np.cumprod((0.5j * rho) * (b[:, 0] + 1j * b[:, 1]) / n, axis=0)
+        neg += spec @ c
+        pos += np.conj(spec) @ c
+    pos *= (-1.0) ** n[:, 0]
+
+    span = np.floor(W / q)
+    w = _index_box(-span, span) * q
+    r2 = np.sum(w * w, axis=1)
+    keep = (r2 > 0.0) & (r2 <= W * W)
+    w, r2 = w[keep], r2[keep]
+    tab = _expn_table(E * E * r2, len(aj), 1 - cap)
+    # row n: sum_j a_j E_{j+1-n}, the orders' rows in reverse
+    sums = np.zeros((cap + 1, len(w)), dtype=complex)
+    for j, a in enumerate(aj):
+        sums += a * tab[j:j + cap + 1][::-1]
+    sums *= -np.exp(1j * (w @ eta)) / (4.0 * np.pi)
+    power = np.cumprod((rho * E * E) * (w[:, 0] - 1j * w[:, 1]) / n, axis=0)
+    pos += np.sum(power * sums[1:], axis=1)
+    neg += np.sum(np.conj(power) * sums[1:], axis=1)
+
+    c0 = (np.sum(cz) + np.sum(sums[0])
+          + (np.euler_gamma + 2.0 * np.log(E)) / (4.0 * np.pi)
+          - np.sum(aj[1:] / np.arange(1, len(aj))) / (4.0 * np.pi)
+          - specfun._get_ntilde(0).coefficients[0] / 4.0)
+    return (np.concatenate([neg[::-1], [c0], pos]),
+            (B, W), (len(betas), len(w)))
+
+
 class FourierBesselExpansion:
-    """R(x) = sum_n c_n e_n(x) about the origin, fitted from Ewald's G - S_2.
+    """R(x) = sum_n c_n e_n(x) about the origin, its coefficients from lattice sums.
 
     e_n = w^n phi_n(k|x|) for n >= 0 and conj(w)^|n| phi_|n|(k|x|) for n < 0,
-    with w = (x_1 + i x_2) / rho and rho the outer sampling radius.
+    with w = (x_1 + i x_2) / rho and rho the outer of the two circles R's
+    scale is taken on.  c_n is rho^|n| times R's Taylor coefficient of z^n
+    (zbar^|n| for n < 0) at the origin, summed in closed form from the
+    evaluator's Ewald split (_lattice_sums); no value of R is sampled.
     ``coefficients`` holds c_n at index n + N, n = -N..N, N the cap.  The
     expansion serves |x| <= ``radius``, where ``max_terms`` orders reach its
     tolerance for values and gradients.
@@ -596,36 +718,31 @@ class FourierBesselExpansion:
         k = self.k = ev.k
         qmin = float(np.min(ev.lattice.q))
         self.radius = _EXPANSION_RADIUS * qmin
-        radii = qmin * np.asarray(_FIT_RADII)
+        radii = qmin * np.asarray(_SCALE_RADII)
         rho = self.rho = float(radii[-1])
+        c, self.lattice_sum_radii, self.lattice_sum_points = _lattice_sums(ev, rho)
+        self.coefficients = c
+        # R's scale, max|R| on the two circles: order n on circle j is c_n
+        # times the basis there, b_nj e^{i n theta}, so one inverse FFT each
         n = np.arange(_EXPANSION_CAP + 1)
-        theta = 2.0 * np.pi * np.arange(_FIT_SAMPLES) / _FIT_SAMPLES
-        circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        # order n of the samples on circle j is c_n b_nj; fit c_n by least
-        # squares over both circles, so no near-zero phi_n(k rho_j) divides
         u = (k * radii / 2) ** 2
         basis = (radii[:, None] / rho) ** n * _phi_table(u, _EXPANSION_CAP,
                                                        float(np.max(np.abs(u)))).T
-        num = np.zeros((2, len(n)), dtype=complex)
         scale = 0.0
-        for rj, b in zip(radii, basis):
-            pts = rj * circle
-            ewald = _ewald(ev, *ev.lattice.reduce(pts), 0)[0]
-            samples = ewald - specfun.fundamental_solution(2, pts, k).value
-            scale = max(scale, float(np.max(np.abs(samples))))
-            a = np.fft.fft(samples) / _FIT_SAMPLES
-            num += np.conj(b) * np.stack([a[n], a[-n]])
-        c = num / np.sum(np.abs(basis) ** 2, axis=0)
-        c = self.coefficients = np.concatenate([c[1, :0:-1], c[0]])
+        for b in basis:
+            a = np.zeros(_SCALE_SAMPLES, dtype=complex)
+            a[n] = c[_EXPANSION_CAP:] * b
+            a[-n[1:]] = c[_EXPANSION_CAP - 1::-1] * b[1:]
+            scale = max(scale, float(np.max(np.abs(np.fft.ifft(a, norm="forward")))))
         self._cmax = np.maximum(np.abs(c[_EXPANSION_CAP:]), np.abs(c[_EXPANSION_CAP::-1]))
-        # The top orders hold what the fit cannot resolve: the Ewald samples'
-        # own error, or a true tail the cap cut off.  Refuse a fit that misses
-        # the evaluator's tolerance; otherwise truncate above that floor.
+        # The top orders hold the tail the cap cuts off.  Refuse a series
+        # whose top orders miss the evaluator's tolerance (or are not finite);
+        # otherwise truncate above that floor.
         self.floor = float(np.max(self._cmax[-8:]))
-        if self.floor > ev.tolerance * scale:
+        if not self.floor <= ev.tolerance * scale:
             raise SeriesTruncationError(
-                f"Fourier-Bessel fit of R resolves only {self.floor:.1e} within "
-                f"{_EXPANSION_CAP} orders, above the evaluator tolerance "
+                f"Fourier-Bessel series of R keeps {self.floor:.1e} in its top "
+                f"orders at {_EXPANSION_CAP} orders, above the evaluator tolerance "
                 f"{ev.tolerance:.1e} x {scale:.3g}"
             )
         self.tolerance = max(1e-3 * ev.tolerance * scale, 16.0 * self.floor)
@@ -801,7 +918,7 @@ def regular_part(ev: GreenEvaluator, x):
     """R = G - S_2(., k) and its gradient; analytic through the origin.
 
     R is singular at the lattice points other than the origin: a point too
-    close to one raises NearLatticePointError.  The first call fits the
+    close to one raises NearLatticePointError.  The first call builds the
     evaluator's Fourier-Bessel expansion.  A node-pair table, x of shape
     (N, N, 2) with x[j, i] = -x[i, j] (pairwise differences, scaled or not),
     is evaluated on its upper triangle and each entry [j, i] comes from its
@@ -821,8 +938,8 @@ def regular_part(ev: GreenEvaluator, x):
 def separable_order(ev: GreenEvaluator, radius: float) -> int | None:
     """Basis order P of the separable tables of points within ``radius`` of a centre.
 
-    Fits the expansion on first use.  None when 2 radius exceeds its radius:
-    differences of such points may leave the disk the series is fitted on,
+    Builds the expansion on first use.  None when 2 radius exceeds its radius:
+    differences of such points may leave the disk the series serves,
     and pair_tables takes regular_part.  Otherwise P is the highest order the
     expansion keeps at |x| = 2 radius, plus one for the gradient's order
     shift: summed over p + m = n, the terms |F_p(u) s_{p+m} F_m(-v)| are

@@ -4,7 +4,7 @@ Run directly to regenerate the frozen constants used in test_qpgreen.py:
 
     python3 tests/oracle_qpgreen.py
 
-Two oracles, both avoiding the Fourier-Bessel expansion under test:
+Three oracles, all avoiding the Fourier-Bessel expansion under test:
 
 1. R(0), the regular part at the origin, from the small-argument limit of
    G(x) - S(x) with G from the Ewald sum (ewald_oracle): the difference is
@@ -13,6 +13,11 @@ Two oracles, both avoiding the Fourier-Bessel expansion under test:
    arguments enters; the expansion is never fitted.
 2. A spot value of the Green function at strongly absorbing wavenumber from
    the plain absolutely-convergent image sum over direct-lattice translates.
+3. R's expansion coefficients fitted to Ewald values of G - S_2 on two
+   circles (sampled_coefficients), the expansion's own coefficients come
+   from lattice sums instead, and the Taylor jet of R near the origin summed
+   from them with SciPy's Bessel functions (series_jet), where Ewald's
+   grad G - grad S_2 cancels.
 """
 
 import numpy as np
@@ -90,6 +95,73 @@ def regular_part_by_ewald(ev, x):
     g, dg, _ = qpgreen.ewald_oracle(ev, x)
     s = specfun.fundamental_solution(2, x, ev.k)
     return g - s.value, dg - s.gradient
+
+
+# The fit's circles in units of min(q), the outer one normalising the basis
+# as the expansion's does, and its samples per circle
+FIT_RADII = (0.62, 0.74)
+FIT_SAMPLES = 256
+
+
+def _normaliser(n, k, rho):
+    """n! (2/(k rho))^n, the factor from F_n = J_n(k|x|) e^{i n theta} to the
+    expansion's basis (z/rho)^n phi_n(k|x|) (k != 0)."""
+    k = complex(k) if complex(k).imag else float(np.real(k))
+    return np.exp(sp.gammaln(n + 1.0) + n * np.log(2.0 / (k * rho)))
+
+
+def sampled_coefficients(ev):
+    """R's coefficients c_n (index n + cap, n = -cap..cap) fitted to Ewald's G - S_2.
+
+    Ewald values of G - S_2 at FIT_SAMPLES points on each of two circles
+    (radii FIT_RADII min(q)), an FFT per circle, and a least-squares fit of
+    each order over both circles, so no near-zero phi_n(k r) divides.  The
+    basis is the expansion's, (z/rho)^n phi_n(k|x|) with rho the outer
+    radius, from SciPy's Bessel functions.
+    """
+    k = ev.k
+    cap = qpgreen._EXPANSION_CAP
+    radii = float(np.min(ev.lattice.q)) * np.asarray(FIT_RADII)
+    n = np.arange(cap + 1)
+    theta = 2.0 * np.pi * np.arange(FIT_SAMPLES) / FIT_SAMPLES
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    basis = _normaliser(n, k, radii[-1]) * sp.jv(n, k * radii[:, None])
+    num = np.zeros((2, len(n)), dtype=complex)
+    for rj, b in zip(radii, basis):
+        pts = rj * circle
+        samples = qpgreen.ewald_oracle(ev, pts)[0] - specfun.fundamental_solution(2, pts, k).value
+        a = np.fft.fft(samples) / FIT_SAMPLES
+        num += np.conj(b) * np.stack([a[n], a[-n]])
+    c = num / np.sum(np.abs(basis) ** 2, axis=0)
+    return np.concatenate([c[1, :0:-1], c[0]])
+
+
+def series_jet(ev, coefficients, x, orders=30):
+    """R and its gradient at points x near 0 from the coefficients' Taylor jet.
+
+    R = sum_n sigma_n F_n with F_n = J_n(k|x|) e^{i n theta} and sigma_n the
+    coefficient of the normalised basis times n! (2/(k rho))^n, signed by
+    (-1)^n for n < 0 (J_-n = (-1)^n J_n); d/dz F_n = (k/2) F_{n-1} and
+    d/dzbar F_n = -(k/2) F_{n+1} give the gradient.  |n| <= ``orders``: at
+    |x| <= 0.01 min(q) the terms beyond fall like 0.014^n.
+    """
+    k = complex(ev.k)
+    cap = qpgreen._EXPANSION_CAP
+    rho = FIT_RADII[-1] * float(np.min(ev.lattice.q))
+    n = np.arange(orders + 1)
+    scale = _normaliser(n, k, rho)
+    sigma = np.zeros(2 * orders + 3, dtype=complex)  # orders -orders-1..orders+1
+    sigma[orders + 1:-1] = coefficients[cap:cap + orders + 1] * scale
+    sigma[1:orders + 1] = (coefficients[cap - orders:cap] * scale[:0:-1]
+                           * (-1.0) ** n[:0:-1])
+    x = np.asarray(x, dtype=float)
+    r, th = np.hypot(x[:, 0], x[:, 1]), np.arctan2(x[:, 1], x[:, 0])
+    m = np.arange(-orders - 2, orders + 3)
+    F = sp.jv(m[:, None], k * r[None, :]) * np.exp(1j * m[:, None] * th[None, :])
+    value = sigma @ F[1:-1]
+    rz = (k / 2.0) * (sigma @ F[:-2])
+    rzbar = -(k / 2.0) * (sigma @ F[2:])
+    return value, np.stack([rz + rzbar, 1j * (rz - rzbar)], axis=1)
 
 
 def assert_tables_agree(tables, pointwise, ewald=None, off=None):

@@ -478,7 +478,8 @@ def test_selftest_passes(tmp_path):
 
 def test_manifest_records_the_evaluator_parameters(tmp_path):
     keys = {"spectral_distance", "ewald_split", "jmax", "spectral_truncation",
-            "spatial_truncation", "expansion_terms", "expansion_radius"}
+            "spatial_truncation", "expansion_terms", "expansion_radius",
+            "lattice_sum_radii", "lattice_sum_points"}
     assert cli.run("green-eval", cli.parse_config(json.dumps(GREEN_CFG)),
                    tmp_path / "g") == 0
     man = _manifest(tmp_path / "g")
@@ -493,6 +494,7 @@ def test_manifest_records_the_evaluator_parameters(tmp_path):
     assert set(params) == keys
     assert params["expansion_terms"] > 0 and params["expansion_radius"] > 0
     assert params["ewald_split"] > 0 and params["jmax"] >= 4
+    assert min(params["lattice_sum_radii"]) > 0 and min(params["lattice_sum_points"]) > 0
 
 
 def test_manifest_reports_the_separable_order(tmp_path):

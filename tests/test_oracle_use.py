@@ -1,9 +1,10 @@
 """Only qpgreen calls the Ewald oracle and the pointwise regular part.
 
-``qpgreen.ewald_oracle`` sums G by Ewald's split.  Inside qpgreen it samples
-the Fourier-Bessel fit and serves the reduced points beyond the expansion's
-radius; everywhere else it is the independent reference that checks the
-expansion.  A library module that called it would put an Ewald sum back on a
+``qpgreen.ewald_oracle`` sums G by Ewald's split.  Inside qpgreen it serves
+the reduced points beyond the expansion's radius and the Green calls made
+before the expansion is built (whose coefficients are lattice sums, with no
+Ewald value sampled); everywhere else it is the independent reference that
+checks the expansion.  A library module that called it would put an Ewald sum back on a
 hot path, and a check computed by the code under test would show nothing.
 
 ``qpgreen.regular_part`` evaluates R point by point.  Every curve table goes

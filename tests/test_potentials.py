@@ -17,7 +17,12 @@ import pytest
 from scipy.special import jv, jvp, yv, yvp
 
 from jump_oracle import one_sided_limits
-from oracle_qpgreen import assert_tables_agree, regular_part_by_ewald
+from oracle_qpgreen import (
+    assert_tables_agree,
+    regular_part_by_ewald,
+    sampled_coefficients,
+    series_jet,
+)
 from qphelm import geometry, perturbation, potentials, qpgreen, solvers
 from qphelm.errors import ResonanceError
 from qphelm.lattice import Lattice, make_wave_context
@@ -288,8 +293,10 @@ def test_scaled_tables_match_pointwise_tables(disk96, kite96, green, epsilon):
             ewald = regular_part_by_ewald(green, epsilon * d[off])
             if abs(epsilon) < 0.01:
                 # Ewald's grad G - grad S_2 cancels ~1/(2 pi |x|) there and
-                # keeps ~1e-11 of the table's maximum, as regular_part's does
-                ewald = ewald[:1]
+                # keeps ~1e-11 of the table's maximum: its values, and the
+                # fitted coefficients' Taylor jet for the gradients
+                jet = series_jet(green, sampled_coefficients(green), epsilon * d[off])
+                ewald = (ewald[0], jet[1])
             assert_tables_agree(scaled, pointwise, ewald, off)
             continue
         # the kite near its containment bound 1/3 falls back, bit for bit

@@ -14,10 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_qpgreen import (
+    FIT_RADII,
     InsufficientDecayError,
     assert_tables_agree,
     image_sum_oracle,
     regular_part_by_ewald,
+    sampled_coefficients,
+    series_jet,
 )
 from qphelm import geometry, qpgreen, specfun
 from qphelm.errors import (
@@ -221,9 +224,14 @@ def test_expansion_fit_is_lazy_and_recorded(lat, wave):
     assert all(np.array_equal(a, b) for a, b in zip((v, g, H), qpgreen.ewald_oracle(ev, pts)))
     params = ev.parameters()
     assert params["expansion_terms"] is None and params["expansion_radius"] is None
+    assert params["lattice_sum_radii"] is None and params["lattice_sum_points"] is None
     qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
     params = ev.parameters()
     assert 0 < params["expansion_terms"] < qpgreen._EXPANSION_CAP
+    # the coefficients' sums reach well past the series' circle of rho
+    dual, direct = params["lattice_sum_radii"]
+    assert dual > abs(wave.k) and direct > 2.0 * ev.expansion.rho
+    assert all(isinstance(m, int) and m > 0 for m in params["lattice_sum_points"])
     assert params["expansion_terms"] == ev.expansion.terms(ev.expansion.radius)
     v1, _ = qpgreen.green_eval(ev, pts)
     assert not np.array_equal(v1, v) and np.max(np.abs(v1 - v) / np.abs(v)) <= 1e-12
@@ -258,7 +266,7 @@ def test_regular_part_refuses_points_on_a_shifted_source(green):
 def test_expansion_cap_too_small_raises(lat, wave, monkeypatch):
     monkeypatch.setattr(qpgreen, "_EXPANSION_CAP", 20)
     ev = qpgreen.make_green_evaluator(lat, wave.k)
-    with pytest.raises(SeriesTruncationError):
+    with pytest.raises(SeriesTruncationError, match="top orders"):
         qpgreen.regular_part(ev, np.array([[0.1, 0.2]]))
 
 
@@ -325,7 +333,7 @@ def test_split_invariance_and_seam_off_the_square_cell(cell, k, seed):
 
 
 # --------------------------------------------------------------------------- #
-# The Ewald sum's spatial shells and the fit's samples
+# The Ewald sum's spatial shells, and R's coefficients against a sampled fit
 
 _SHELL_CELLS = [(1.0, 1.0), (1.0, 1.7), (1.0, 2.5)]
 _SHELL_KS = [1.3, 6.0, 6.0 + 0.5j, 20.0]
@@ -376,29 +384,54 @@ def test_shell_s_lies_at_least_s_minus_a_half_cells_from_a_reduced_point(
     assert np.min(np.hypot(d[:, 0], d[:, 1])) >= (s - 0.5) * float(np.min(ev.lattice.q))
 
 
-@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0 + 0.5j),
-                                  ((1.0, 1.7), 1.3)])
-def test_the_fit_reads_exactly_the_oracle_values(q, k, monkeypatch):
-    ev = qpgreen.make_green_evaluator(Lattice(q_diag=q, eta=(0.4, 0.7)), k)
-    ewald = qpgreen._ewald
-    calls = []
+@pytest.fixture(scope="module")
+def sampled(shell_evaluators):
+    """The Ewald fit of each shell evaluator's coefficients, on first use."""
+    cache = {}
 
-    def recorded(ev, xr, shift, derivatives):
-        out = ewald(ev, xr, shift, derivatives)
-        calls.append((derivatives, xr + shift, out))
-        return out
+    def get(q, k):
+        if (q, k) not in cache:
+            cache[q, k] = sampled_coefficients(shell_evaluators[q, k])
+        return cache[q, k]
 
-    monkeypatch.setattr(qpgreen, "_ewald", recorded)
-    qpgreen.FourierBesselExpansion(ev)
-    monkeypatch.undo()
-    radii = float(np.min(ev.lattice.q)) * np.asarray(qpgreen._FIT_RADII)
-    assert len(calls) == len(radii)
-    for (derivatives, pts, out), rho in zip(calls, radii):
-        # values only, on one whole fit circle
-        assert derivatives == 0 and len(out) == 1
-        assert len(pts) == qpgreen._FIT_SAMPLES
-        np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), rho, rtol=1e-15)
-        assert np.array_equal(out[0], qpgreen.ewald_oracle(ev, pts)[0])
+    return get
+
+
+@pytest.mark.parametrize("q", _SHELL_CELLS)
+@pytest.mark.parametrize("k", _SHELL_KS)
+def test_lattice_sum_coefficients_match_the_sampled_fit(shell_evaluators, sampled, q, k):
+    # two routes to the same c_n: lattice sums in closed form, and Ewald
+    # values of G - S_2 on two circles fitted order by order
+    fb = shell_evaluators[q, k].expansion
+    ref = sampled(q, k)
+    assert fb.rho == FIT_RADII[-1] * min(q)
+    assert np.max(np.abs(fb.coefficients - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_the_expansion_sums_no_ewald(monkeypatch):
+    ev = qpgreen.make_green_evaluator(Lattice(q_diag=(1.0, 2.5), eta=(0.4, 0.7)), 6.0)
+
+    def refused(*args):
+        raise AssertionError("the expansion summed Ewald")
+
+    monkeypatch.setattr(qpgreen, "_ewald", refused)
+    fb = qpgreen.FourierBesselExpansion(ev)
+    assert fb.max_terms > 0
+
+
+@pytest.mark.parametrize("q, k", [((1.0, 1.0), 1.3), ((1.0, 1.0), 6.0), ((1.0, 1.0), 20.0),
+                                  ((1.0, 1.0), 6.0 + 0.5j), ((1.0, 2.5), 6.0)])
+def test_regular_part_near_the_origin_matches_the_series_jet(shell_evaluators, sampled, q, k):
+    # below |x| ~ 0.01 Ewald's grad G - grad S_2 cancels against
+    # |grad S_2| ~ 1/(2 pi |x|); the fitted coefficients' Taylor jet, summed
+    # with SciPy's J_n, is a reference for R and grad R down to 1e-6
+    ev = shell_evaluators[q, k]
+    rng = np.random.default_rng(19)
+    r = np.geomspace(1e-6, 1e-2, 60)
+    th = rng.uniform(0.0, 2.0 * np.pi, len(r))
+    x = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    for got, ref in zip(qpgreen.regular_part(ev, x), series_jet(ev, sampled(q, k), x)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --------------------------------------------------------------------------- #
